@@ -2,6 +2,8 @@
 sandwich variants, congruences and quotients, natural orders, exhaustive
 enumeration, and a claim-checking harness over enumerated corpora."""
 
+__version__ = "0.1.0"
+
 from .core import (
     FiniteSemigroup,
     NotAMonoid,
@@ -22,8 +24,6 @@ from .report import Report
 from .runner import run_corpus
 from .sgt import parse_table, serialize_table
 from .variants import idempotent_variant, p_sets, variant
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CorpusSpec",

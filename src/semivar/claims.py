@@ -8,12 +8,20 @@ re-checker:
 * observed claims record whatever the corpus shows; FAILS results are
   findings, not errors, and never abort a run.
 
-Evaluators quantify over every admissible parameter choice (elements,
-idempotents, subsets U of E(S) under the U-policy) and return one
-ClaimResult per instance.  Every FAILS result carries a witness, and
-``recheck_result`` reproduces the failure from the serialized table,
-params, and witness alone, using direct definitional scans rather than
-the production code paths.
+An evaluator lists the claim's instances as params dicts (elements,
+idempotents, subsets U of E(S) under the U-policy; ``[{}]`` for a claim
+without parameters) and passes them to the driver ``_each`` with a check.
+``check(**params)`` returns ``_NA`` (not applicable), None (HOLDS) or a
+witness dict (FAILS).  The witness is the first in the check's fixed
+scan order (``_first`` over a generator), so reports are deterministic.
+
+``recheck_result`` reproduces a FAILS result from the serialized table,
+params, and witness alone.  Re-checkers are definitional: they scan raw
+tables instead of calling production code, except where the claim is
+about that code (C-1.2 ``star``, C-3.1 ``all_congruences``, C-FUND
+``is_fundamental``).  Literal helpers decide the right-hand side (R, R*,
+R~, P1); the left-hand side is the same helper on the transposed table,
+the table of the dual semigroup.
 
 U-policy: claims parameterized by a subset U of E(S) iterate all
 non-empty subsets when |E(S)| <= 4, otherwise the singletons plus E(S)
@@ -120,24 +128,76 @@ def u_subsets(s: FiniteSemigroup) -> Iterator[tuple[int, ...]]:
 U_POLICY = "all non-empty subsets of E(S) when |E(S)| <= 4, else singletons and E(S)"
 
 
-def _res(cid, s, params, status, witness=None) -> ClaimResult:
-    return ClaimResult(cid, inline_table(s), params, status, witness)
+# ---------------------------------------------------------------------------
+# the evaluator driver and the witness searches claims share
+
+#: what a check returns for an instance the claim does not apply to
+_NA = object()
 
 
-def _partition_diff(p: Equivalence, q: Equivalence):
-    """First pair on which two partitions disagree, or None."""
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
-            if p.same(x, y) != q.same(x, y):
-                return x, y
+def _first(witnesses):
+    """The first witness a generator yields, or None."""
+    return next(witnesses, None)
+
+
+def _each(cid, s, params, check) -> list[ClaimResult]:
+    """One result per params dict, from check(**params): _NA, None
+    (HOLDS) or a witness (FAILS)."""
+    table = inline_table(s)
+    out = []
+    for p in params:
+        w = check(**p)
+        status = STATUS_FAILS if w else STATUS_HOLDS
+        if w is _NA:
+            status, w = STATUS_NOT_APPLICABLE, None
+        out.append(ClaimResult(cid, table, p, status, w))
+    return out
+
+
+def _bare_classes(rels, target):
+    """Witnesses {relation, element} for the classes, in order, that have
+    no member in target; rels is a sequence of (Equivalence, name)."""
+    return (
+        {"relation": name, "element": block[0]}
+        for rel, name in rels
+        for block in rel.classes
+        if target.isdisjoint(block)
+    )
+
+
+def _diff_pairs(p: Equivalence, q: Equivalence):
+    """The pairs x < y, in scan order, on which p and q disagree."""
+    return (
+        (x, y)
+        for x in range(p.n)
+        for y in range(x + 1, p.n)
+        if p.same(x, y) != q.same(x, y)
+    )
+
+
+def _star_sides(st: relations.StarBundle, table):
+    """(side, starred relation, table its literal check reads) for R, L."""
+    return (("R", st.r_star, table), ("L", st.l_star, _dual(table)))
+
+
+def _law_violation(rel: orders.OrderRelation):
+    """The first partial-order law rel breaks, with its elements, or None."""
+    x = rel.check_reflexive()
+    if x is not None:
+        return {"law": "reflexivity", "x": x}
+    pair = rel.check_antisymmetric()
+    if pair is not None:
+        return {"law": "antisymmetry", "x": pair[0], "y": pair[1]}
+    trio = rel.check_transitive()
+    if trio is not None:
+        return {"law": "transitivity", "x": trio[0], "y": trio[1], "z": trio[2]}
     return None
 
 
-def _refinement_violation(fine: Equivalence, coarse: Equivalence):
-    for x in range(fine.n):
-        for y in range(x + 1, fine.n):
-            if fine.same(x, y) and not coarse.same(x, y):
-                return x, y
+def _iso_witness(a, b, name_a, name_b):
+    """Both tables, under the given names, when a and b are not isomorphic."""
+    if are_isomorphic(a, b) is None:
+        return {name_a: inline_table(a), name_b: inline_table(b)}
     return None
 
 
@@ -145,6 +205,17 @@ def _refinement_violation(fine: Equivalence, coarse: Equivalence):
 # definitional helpers used by the witness re-checkers.  These work on raw
 # tables and spell the definitions out; they deliberately avoid the
 # production partition machinery.
+
+
+def _dual(table):
+    """The table of the dual semigroup: x.y read as y.x."""
+    return tuple(zip(*table))
+
+
+def _side(table, name):
+    """The table on which the right-hand helpers decide relation name:
+    the table itself for R, R*, R~, and its dual for L, L*, L~."""
+    return table if name[0] == "R" else _dual(table)
 
 
 def _s1_table(table):
@@ -160,28 +231,29 @@ def _s1_table(table):
 
 def _rstar_same_lit(table, a, b):
     t1, n1 = _s1_table(table)
-    return all(
-        (t1[x][a] == t1[y][a]) == (t1[x][b] == t1[y][b])
-        for x in range(n1)
-        for y in range(n1)
+    r = range(n1)
+    return all((t1[x][a] == t1[y][a]) == (t1[x][b] == t1[y][b]) for x in r for y in r)
+
+
+def _related_lit(table, name, x, y, us=()):
+    """x and y related under L, R, L*, R*, L~ or R~ (relative to us)."""
+    t = _side(table, name)
+    kind = name[1:]
+    if kind == "":  # equal principal right ideals xS^1 = yS^1
+        return frozenset(t[x]) | {x} == frozenset(t[y]) | {y}
+    if kind == "*":
+        return _rstar_same_lit(t, x, y)
+    if kind == "~":  # ex = x <=> ey = y for every e in us
+        return all((t[e][x] == x) == (t[e][y] == y) for e in us)
+    raise ValueError(f"unknown relation {name!r}")
+
+
+def _bare_class_lit(table, name, a, target, us=()):
+    """True when the name-class of a has no member in target."""
+    return not any(
+        b in target and _related_lit(table, name, a, b, us)
+        for b in range(len(table))
     )
-
-
-def _lstar_same_lit(table, a, b):
-    t1, n1 = _s1_table(table)
-    return all(
-        (t1[a][x] == t1[a][y]) == (t1[b][x] == t1[b][y])
-        for x in range(n1)
-        for y in range(n1)
-    )
-
-
-def _l_ideal(table, a):
-    return frozenset(table[x][a] for x in range(len(table))) | {a}
-
-
-def _r_ideal(table, a):
-    return frozenset(table[a][x] for x in range(len(table))) | {a}
 
 
 def _idems_lit(table):
@@ -189,43 +261,30 @@ def _idems_lit(table):
 
 
 def _regular_lit(table, x):
-    n = len(table)
-    return any(table[table[x][y]][x] == x for y in range(n))
+    return any(table[table[x][y]][x] == x for y in range(len(table)))
 
 
 def _all_regular_lit(table):
     return all(_regular_lit(table, x) for x in range(len(table)))
 
 
-def _sandwich_table(table, a):
-    n = len(table)
-    return tuple(
-        tuple(table[table[x][a]][y] for y in range(n)) for x in range(n)
+def _classes_meet_lit(table, names, target, us=()):
+    """True when every class of each relation in names meets target:
+    abundance for L*, R* and E(S); weak U-abundance for L~, R~."""
+    return not any(
+        _bare_class_lit(table, name, a, target, us)
+        for name in names
+        for a in range(len(table))
     )
 
 
-def _ltilde_key(table, a, us):
-    return tuple(table[a][e] == a for e in us)
+def _abundant_lit(table):
+    return _classes_meet_lit(table, ("L*", "R*"), set(_idems_lit(table)))
 
 
-def _rtilde_key(table, a, us):
-    return tuple(table[e][a] == a for e in us)
-
-
-def _rel_class_lit(table, relation, a):
-    """Definitional class of a under L / R / L* / R* / L~:US / R~:US."""
+def _sandwich_table(table, a):
     n = len(table)
-    if relation == "L":
-        ka = _l_ideal(table, a)
-        return [b for b in range(n) if _l_ideal(table, b) == ka]
-    if relation == "R":
-        ka = _r_ideal(table, a)
-        return [b for b in range(n) if _r_ideal(table, b) == ka]
-    if relation == "L*":
-        return [b for b in range(n) if _lstar_same_lit(table, a, b)]
-    if relation == "R*":
-        return [b for b in range(n) if _rstar_same_lit(table, a, b)]
-    raise ValueError(f"unknown relation {relation!r}")
+    return tuple(tuple(table[table[x][a]][y] for y in range(n)) for x in range(n))
 
 
 def _natural_leq_lit(table, a, b):
@@ -234,21 +293,16 @@ def _natural_leq_lit(table, a, b):
     return left and any(t1[b][y] == a for y in range(n1))
 
 
-def _star_partition_lit(table, side):
-    """Class-index list for L* ("L") or R* ("R") via pairwise scans."""
-    n = len(table)
-    same = _lstar_same_lit if side == "L" else _rstar_same_lit
-    idx = [-1] * n
-    k = 0
-    for a in range(n):
-        if idx[a] != -1:
-            continue
-        idx[a] = k
-        for b in range(a + 1, n):
-            if idx[b] == -1 and same(table, a, b):
-                idx[b] = k
-        k += 1
-    return idx
+def _law_broken_lit(leq, w):
+    """True when leq breaks the witness's partial-order law at its elements."""
+    x = w["x"]
+    if w["law"] == "reflexivity":
+        return not leq(x, x)
+    y = w["y"]
+    if w["law"] == "antisymmetry":
+        return x != y and leq(x, y) and leq(y, x)
+    z = w["z"]
+    return leq(x, y) and leq(y, z) and not leq(x, z)
 
 
 def _is_congruence_lit(table, class_index):
@@ -265,54 +319,37 @@ def _is_congruence_lit(table, class_index):
     return True
 
 
-def _weakly_abundant_lit(table, us, strict):
-    """Definitional weak U-abundance check."""
-    n = len(table)
-    target = set(us) if strict else set(_idems_lit(table))
-    for key in (_ltilde_key, _rtilde_key):
-        for a in range(n):
-            if not any(
-                key(table, b, us) == key(table, a, us) and b in target
-                for b in range(n)
-            ):
-                return False
-    return True
+def _separating_lit(class_index, es):
+    """True when no class holds two of the idempotents es."""
+    return len({class_index[x] for x in es}) == len(es)
 
 
 def _iso_exists_lit(ta, tb):
     """Exhaustive isomorphism test between two raw tables."""
     n = len(ta)
-    if n != len(tb):
-        return False
-    for perm in itertools.permutations(range(n)):
-        if all(
-            perm[ta[x][y]] == tb[perm[x]][perm[y]]
-            for x in range(n)
-            for y in range(n)
-        ):
-            return True
-    return False
+    return n == len(tb) and any(
+        all(f[ta[x][y]] == tb[f[x]][f[y]] for x in range(n) for y in range(n))
+        for f in itertools.permutations(range(n))
+    )
+
+
+def _lambda_classes_lit(table, u):
+    """Class index of each x under lambda^u, classes ordered by the value ux."""
+    values = sorted(set(table[u]))
+    return [values.index(v) for v in table[u]]
 
 
 def _lambda_quotient_lit(table, u):
     """Table of S^u / lambda^u built from scratch: classes by the value ux."""
-    n = len(table)
-    values = sorted({table[u][x] for x in range(n)})
-    cls = {v: i for i, v in enumerate(values)}
-    idx = [cls[table[u][x]] for x in range(n)]
-    reps = []
-    for c in range(len(values)):
-        reps.append(min(x for x in range(n) if idx[x] == c))
+    idx = _lambda_classes_lit(table, u)
+    reps = [idx.index(c) for c in range(max(idx) + 1)]
     # product in the variant: a * b = a u b
-    return tuple(
-        tuple(idx[table[table[a][u]][b]] for b in reps) for a in reps
-    )
+    return tuple(tuple(idx[table[table[a][u]][b]] for b in reps) for a in reps)
 
 
 def _usub_table_lit(table, u):
     """Table of uS with elements re-indexed by ascending original id."""
-    n = len(table)
-    members = sorted({table[u][x] for x in range(n)})
+    members = sorted(set(table[u]))
     pos = {v: i for i, v in enumerate(members)}
     return tuple(tuple(pos[table[a][b]] for b in members) for a in members)
 
@@ -323,31 +360,21 @@ def _usub_table_lit(table, u):
 
 
 def _eval_c11(s, opts):
-    cid = "C-1.1"
-    if not core.is_regular(s):
-        return [_res(cid, s, {}, STATUS_NOT_APPLICABLE)]
-    es = _idem(s)
-    g = _green(s)
-    st = _star(s)
-    for rel, name in (
-        (g.l, "L"), (g.r, "R"), (st.l_star, "L*"), (st.r_star, "R*")
-    ):
-        for block in rel.classes:
-            if not any(x in es for x in block):
-                return [
-                    _res(cid, s, {}, STATUS_FAILS,
-                         {"relation": name, "element": block[0]})
-                ]
-    return [_res(cid, s, {}, STATUS_HOLDS)]
+    def check():
+        if not core.is_regular(s):
+            return _NA
+        g, st = _green(s), _star(s)
+        rels = ((g.l, "L"), (g.r, "R"), (st.l_star, "L*"), (st.r_star, "R*"))
+        return _first(_bare_classes(rels, _idem(s)))
+
+    return _each("C-1.1", s, [{}], check)
 
 
 def _recheck_c11(s, params, w, opts):
     t = s.table
-    if not _all_regular_lit(t):
-        return False
-    block = _rel_class_lit(t, w["relation"], w["element"])
-    es = set(_idems_lit(t))
-    return not any(x in es for x in block)
+    return _all_regular_lit(t) and _bare_class_lit(
+        t, w["relation"], w["element"], set(_idems_lit(t))
+    )
 
 
 # C-1.2  the kernel-based starred relations agree with the literal
@@ -355,82 +382,55 @@ def _recheck_c11(s, params, w, opts):
 
 
 def _eval_c12(s, opts):
-    cid = "C-1.2"
-    st = _star(s)
-    t = s.table
-    for a in range(s.order):
-        for b in range(a + 1, s.order):
-            for side, rel, lit in (
-                ("R", st.r_star, _rstar_same_lit),
-                ("L", st.l_star, _lstar_same_lit),
-            ):
-                got = rel.same(a, b)
-                want = lit(t, a, b)
-                if got != want:
-                    return [
-                        _res(cid, s, {}, STATUS_FAILS,
-                             {"side": side, "a": a, "b": b,
-                              "bundle": got, "literal": want})
-                    ]
-    return [_res(cid, s, {}, STATUS_HOLDS)]
+    n = s.order
+    sides = _star_sides(_star(s), s.table)
+    return _each("C-1.2", s, [{}], lambda: _first(
+        {"side": side, "a": a, "b": b,
+         "bundle": rel.same(a, b), "literal": not rel.same(a, b)}
+        for a in range(n)
+        for b in range(a + 1, n)
+        for side, rel, t in sides
+        if rel.same(a, b) != _rstar_same_lit(t, a, b)
+    ))
 
 
 def _recheck_c12(s, params, w, opts):
     st = relations.star(s)
     rel = st.r_star if w["side"] == "R" else st.l_star
-    lit = _rstar_same_lit if w["side"] == "R" else _lstar_same_lit
-    return rel.same(w["a"], w["b"]) != lit(s.table, w["a"], w["b"])
+    a, b = w["a"], w["b"]
+    return rel.same(a, b) != _related_lit(s.table, w["side"] + "*", a, b)
 
 
 # C-1.3  a R* e (e idempotent) iff ea = a and xa = ya implies xe = ye;
 #        dually for L*
 
 
-def _c13_rhs(table, a, e, side):
-    t1, n1 = _s1_table(table)
-    if side == "R":
-        if table[e][a] != a:
-            return False
-        return all(
-            t1[x][a] != t1[y][a] or t1[x][e] == t1[y][e]
-            for x in range(n1)
-            for y in range(n1)
-        )
-    if table[a][e] != a:
+def _c13_rhs(table, a, e):
+    """ea = a and xa = ya implies xe = ye, for x, y over S^1."""
+    if table[e][a] != a:
         return False
-    return all(
-        t1[a][x] != t1[a][y] or t1[e][x] == t1[e][y]
-        for x in range(n1)
-        for y in range(n1)
-    )
+    t1, n1 = _s1_table(table)
+    r = range(n1)
+    return all(t1[x][a] != t1[y][a] or t1[x][e] == t1[y][e] for x in r for y in r)
 
 
 def _eval_c13(s, opts):
-    cid = "C-1.3"
-    st = _star(s)
-    t = s.table
-    for a in range(s.order):
-        for e in sorted(_idem(s)):
-            for side, rel in (("R", st.r_star), ("L", st.l_star)):
-                lhs = rel.same(a, e)
-                rhs = _c13_rhs(t, a, e, side)
-                if lhs != rhs:
-                    return [
-                        _res(cid, s, {}, STATUS_FAILS,
-                             {"side": side, "a": a, "e": e,
-                              "star": lhs, "characterization": rhs})
-                    ]
-    return [_res(cid, s, {}, STATUS_HOLDS)]
+    es = sorted(_idem(s))
+    sides = _star_sides(_star(s), s.table)
+    return _each("C-1.3", s, [{}], lambda: _first(
+        {"side": side, "a": a, "e": e,
+         "star": rel.same(a, e), "characterization": not rel.same(a, e)}
+        for a in range(s.order)
+        for e in es
+        for side, rel, t in sides
+        if rel.same(a, e) != _c13_rhs(t, a, e)
+    ))
 
 
 def _recheck_c13(s, params, w, opts):
-    t = s.table
-    if t[w["e"]][w["e"]] != w["e"]:
-        return False
-    same = _rstar_same_lit if w["side"] == "R" else _lstar_same_lit
-    lhs = same(t, w["a"], w["e"])
-    rhs = _c13_rhs(t, w["a"], w["e"], w["side"])
-    return lhs != rhs
+    t = _side(s.table, w["side"])
+    a, e = w["a"], w["e"]
+    return t[e][e] == e and _rstar_same_lit(t, a, e) != _c13_rhs(t, a, e)
 
 
 # C-INCL  L refines L* refines L~ (dually for R); all three coincide on
@@ -438,69 +438,38 @@ def _recheck_c13(s, params, w, opts):
 
 
 def _eval_cincl(s, opts):
-    cid = "C-INCL"
-    g = _green(s)
-    st = _star(s)
-    es = _idem(s)
+    g, st = _green(s), _star(s)
     regular = core.is_regular(s)
-    out = []
-    for us in u_subsets(s):
-        td = _tilde(s, frozenset(us))
-        params = {"U": list(us)}
-        witness = None
-        for fine, coarse, name in (
-            (g.l, st.l_star, "L<=L*"),
-            (st.l_star, td.l_tilde, "L*<=L~"),
-            (g.r, st.r_star, "R<=R*"),
-            (st.r_star, td.r_tilde, "R*<=R~"),
-        ):
-            pair = _refinement_violation(fine, coarse)
-            if pair is not None:
-                witness = {"part": name, "x": pair[0], "y": pair[1]}
-                break
-        if witness is None and regular and set(us) == set(es):
-            for p, q, name in (
-                (g.l, st.l_star, "eq:L=L*"),
-                (st.l_star, td.l_tilde, "eq:L*=L~"),
-                (g.r, st.r_star, "eq:R=R*"),
-                (st.r_star, td.r_tilde, "eq:R*=R~"),
-            ):
-                pair = _partition_diff(p, q)
-                if pair is not None:
-                    witness = {"part": name, "x": pair[0], "y": pair[1]}
-                    break
-        out.append(
-            _res(cid, s, params,
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+
+    def check(U):
+        td = _tilde(s, frozenset(U))
+        links = (
+            ("L", "L*", g.l, st.l_star), ("L*", "L~", st.l_star, td.l_tilde),
+            ("R", "R*", g.r, st.r_star), ("R*", "R~", st.r_star, td.r_tilde),
         )
-    return out
+        equal = regular and set(U) == _idem(s)
+        return _first(itertools.chain(
+            ({"part": f"{m}<={k}", "x": x, "y": y}
+             for m, k, p, q in links
+             for x, y in _diff_pairs(p, q)
+             if p.same(x, y)),
+            ({"part": f"eq:{m}={k}", "x": x, "y": y}
+             for m, k, p, q in (links if equal else ())
+             for x, y in _diff_pairs(p, q)),
+        ))
 
-
-def _incl_membership(table, part, us, x, y):
-    """(related-in-first, related-in-second) for a C-INCL witness part."""
-    rels = {
-        "L": lambda: _l_ideal(table, x) == _l_ideal(table, y),
-        "R": lambda: _r_ideal(table, x) == _r_ideal(table, y),
-        "L*": lambda: _lstar_same_lit(table, x, y),
-        "R*": lambda: _rstar_same_lit(table, x, y),
-        "L~": lambda: _ltilde_key(table, x, us) == _ltilde_key(table, y, us),
-        "R~": lambda: _rtilde_key(table, x, us) == _rtilde_key(table, y, us),
-    }
-    body = part.split(":", 1)[-1]
-    sep = "<=" if "<=" in body else "="
-    first, second = body.split(sep)
-    return rels[first](), rels[second]()
+    return _each("C-INCL", s, [{"U": list(us)} for us in u_subsets(s)], check)
 
 
 def _recheck_cincl(s, params, w, opts):
+    t = s.table
     us = tuple(sorted(params["U"]))
-    a, b = _incl_membership(s.table, w["part"], us, w["x"], w["y"])
+    body = w["part"].split(":", 1)[-1]
+    first, second = body.split("<=" if "<=" in body else "=")
+    a = _related_lit(t, first, w["x"], w["y"], us)
+    b = _related_lit(t, second, w["x"], w["y"], us)
     if w["part"].startswith("eq:"):
-        if not _all_regular_lit(s.table):
-            return False
-        if set(us) != set(_idems_lit(s.table)):
-            return False
-        return a != b
+        return _all_regular_lit(t) and set(us) == set(_idems_lit(t)) and a != b
     return a and not b
 
 
@@ -509,42 +478,21 @@ def _recheck_cincl(s, params, w, opts):
 
 
 def _eval_c14(s, opts):
-    cid = "C-1.4"
-    if not _abundant(s):
-        return [_res(cid, s, {}, STATUS_NOT_APPLICABLE)]
-    es = frozenset(_idem(s))
-    st = _star(s)
-    td = _tilde(s, es)
-    for p, q, name in (
-        (st.l_star, td.l_tilde, "L*=L~"),
-        (st.r_star, td.r_tilde, "R*=R~"),
-    ):
-        pair = _partition_diff(p, q)
-        if pair is not None:
-            return [
-                _res(cid, s, {}, STATUS_FAILS,
-                     {"part": name, "x": pair[0], "y": pair[1]})
-            ]
-    for rel, name in ((td.l_tilde, "L~"), (td.r_tilde, "R~")):
-        for block in rel.classes:
-            if not any(x in es for x in block):
-                return [
-                    _res(cid, s, {}, STATUS_FAILS,
-                         {"part": "weakly-abundant", "relation": name,
-                          "element": block[0]})
-                ]
-    return [_res(cid, s, {}, STATUS_HOLDS)]
+    def check():
+        if not _abundant(s):
+            return _NA
+        es = _idem(s)
+        st, td = _star(s), _tilde(s, es)
+        pairs = ((st.l_star, td.l_tilde, "L*=L~"), (st.r_star, td.r_tilde, "R*=R~"))
+        tildes = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
+        return _first(itertools.chain(
+            ({"part": name, "x": x, "y": y}
+             for p, q, name in pairs
+             for x, y in _diff_pairs(p, q)),
+            ({"part": "weakly-abundant", **w} for w in _bare_classes(tildes, es)),
+        ))
 
-
-def _abundant_lit(table):
-    n = len(table)
-    es = set(_idems_lit(table))
-    for a in range(n):
-        if not any(b in es for b in _rel_class_lit(table, "L*", a)):
-            return False
-        if not any(b in es for b in _rel_class_lit(table, "R*", a)):
-            return False
-    return True
+    return _each("C-1.4", s, [{}], check)
 
 
 def _recheck_c14(s, params, w, opts):
@@ -553,20 +501,10 @@ def _recheck_c14(s, params, w, opts):
         return False
     us = tuple(_idems_lit(t))
     if w["part"] == "weakly-abundant":
-        key = _ltilde_key if w["relation"] == "L~" else _rtilde_key
-        a = w["element"]
-        ka = key(t, a, us)
-        return not any(
-            key(t, b, us) == ka and t[b][b] == b for b in range(len(t))
-        )
+        return _bare_class_lit(t, w["relation"], w["element"], set(us), us)
+    first, second = w["part"].split("=")
     x, y = w["x"], w["y"]
-    if w["part"] == "L*=L~":
-        return _lstar_same_lit(t, x, y) != (
-            _ltilde_key(t, x, us) == _ltilde_key(t, y, us)
-        )
-    return _rstar_same_lit(t, x, y) != (
-        _rtilde_key(t, x, us) == _rtilde_key(t, y, us)
-    )
+    return _related_lit(t, first, x, y, us) != _related_lit(t, second, x, y, us)
 
 
 # C-NONCONG  is L~ a right congruence (R~ a left congruence)?  Observed:
@@ -574,90 +512,60 @@ def _recheck_c14(s, params, w, opts):
 
 
 def _eval_noncong(s, opts):
-    cid = "C-NONCONG"
-    t = s.table
     n = s.order
-    out = []
-    for us in u_subsets(s):
-        td = _tilde(s, frozenset(us))
-        for rel, name, translate in (
-            (td.l_tilde, "L~", "right"),
-            (td.r_tilde, "R~", "left"),
-        ):
-            witness = None
-            for block in rel.classes:
-                for i, x in enumerate(block):
-                    for y in block[i + 1:]:
-                        for z in range(n):
-                            xz = t[x][z] if translate == "right" else t[z][x]
-                            yz = t[y][z] if translate == "right" else t[z][y]
-                            if not rel.same(xz, yz):
-                                witness = {"x": x, "y": y, "z": z}
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            out.append(
-                _res(cid, s, {"U": list(us), "relation": name},
-                     STATUS_FAILS if witness else STATUS_HOLDS, witness)
-            )
-    return out
+
+    def check(U, relation):
+        td = _tilde(s, frozenset(U))
+        rel = td.l_tilde if relation == "L~" else td.r_tilde
+        # L~ is tested on right translates x.z, R~ on left translates z.x
+        t = s.table if relation == "L~" else _dual(s.table)
+        return _first(
+            {"x": x, "y": y, "z": z}
+            for block in rel.classes
+            for i, x in enumerate(block)
+            for y in block[i + 1:]
+            for z in range(n)
+            if not rel.same(t[x][z], t[y][z])
+        )
+
+    params = [
+        {"U": list(us), "relation": r} for us in u_subsets(s) for r in ("L~", "R~")
+    ]
+    return _each("C-NONCONG", s, params, check)
 
 
 def _recheck_noncong(s, params, w, opts):
     t = s.table
     us = tuple(sorted(params["U"]))
+    name = params["relation"]
     x, y, z = w["x"], w["y"], w["z"]
-    if params["relation"] == "L~":
-        key = _ltilde_key
-        xz, yz = t[x][z], t[y][z]
-    else:
-        key = _rtilde_key
-        xz, yz = t[z][x], t[z][y]
-    return key(t, x, us) == key(t, y, us) and key(t, xz, us) != key(t, yz, us)
+    m = t if name == "L~" else _dual(t)
+    return _related_lit(t, name, x, y, us) and not _related_lit(
+        t, name, m[x][z], m[y][z], us
+    )
 
 
 # C-2.1  the sandwich operation x * y = x a y is associative
 
 
 def _eval_c21(s, opts):
-    cid = "C-2.1"
-    t = s.table
     n = s.order
-    out = []
-    for a in range(n):
-        vt = _sandwich_table(t, a)
-        witness = None
-        for x in range(n):
-            for y in range(n):
-                xy = vt[x][y]
-                for z in range(n):
-                    if vt[xy][z] != vt[x][vt[y][z]]:
-                        witness = {"x": x, "y": y, "z": z}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        out.append(
-            _res(cid, s, {"a": a},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+
+    def check(a):
+        vt = _sandwich_table(s.table, a)
+        return _first(
+            {"x": x, "y": y, "z": z}
+            for x, y, z in itertools.product(range(n), repeat=3)
+            if vt[vt[x][y]][z] != vt[x][vt[y][z]]
         )
-    return out
+
+    return _each("C-2.1", s, [{"a": a} for a in range(n)], check)
 
 
 def _recheck_c21(s, params, w, opts):
-    t = s.table
-    a = params["a"]
-
-    def star(p, q):
-        return t[t[p][a]][q]
-
+    vt = _sandwich_table(s.table, params["a"])
     x, y, z = w["x"], w["y"], w["z"]
-    return star(star(x, y), z) != star(x, star(y, z))
+    return vt[vt[x][y]][z] != vt[x][vt[y][z]]
 
 
 # C-2.2-quantifier  does quantifying the variant's cancellation condition
@@ -665,69 +573,34 @@ def _recheck_c21(s, params, w, opts):
 #                   relations as quantifying over (S^a)^1?  Observed.
 
 
+def _plain_r_star(vt):
+    """R* of a table with its cancellation condition quantified over S only."""
+    n = len(vt)
+    return Equivalence.from_keys(n, [
+        tuple(vt[u][x] == vt[w][x] for u in range(n) for w in range(n))
+        for x in range(n)
+    ])
+
+
 def _eval_c22q(s, opts):
-    cid = "C-2.2-quantifier"
-    n = s.order
-    out = []
-    for a in range(n):
+    def check(a):
         v = _variant(s, a).variant
-        st = _star(v)
-        vt = v.table
-        witness = None
-        for side, rel in (("R", st.r_star), ("L", st.l_star)):
-            if side == "R":
-                keys = [
-                    tuple(
-                        (vt[u][x] == vt[w][x])
-                        for u in range(n)
-                        for w in range(n)
-                    )
-                    for x in range(n)
-                ]
-            else:
-                keys = [
-                    tuple(
-                        (vt[x][u] == vt[x][w])
-                        for u in range(n)
-                        for w in range(n)
-                    )
-                    for x in range(n)
-                ]
-            plain = Equivalence.from_keys(n, keys)
-            pair = _partition_diff(rel, plain)
-            if pair is not None:
-                x, y = pair
-                witness = {
-                    "side": side, "x": x, "y": y,
-                    "adjoined": rel.same(x, y), "plain": plain.same(x, y),
-                }
-                break
-        out.append(
-            _res(cid, s, {"a": a},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+        return _first(
+            {"side": side, "x": x, "y": y,
+             "adjoined": rel.same(x, y), "plain": not rel.same(x, y)}
+            for side, rel, t in _star_sides(_star(v), v.table)
+            for x, y in _diff_pairs(rel, _plain_r_star(t))
         )
-    return out
+
+    return _each("C-2.2-quantifier", s, [{"a": a} for a in range(s.order)], check)
 
 
 def _recheck_c22q(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["a"])
-    n = len(vt)
+    vt = _side(_sandwich_table(s.table, params["a"]), w["side"])
     x, y = w["x"], w["y"]
-    if w["side"] == "R":
-        adj = _rstar_same_lit(vt, x, y)
-        plain = all(
-            (vt[u][x] == vt[v][x]) == (vt[u][y] == vt[v][y])
-            for u in range(n)
-            for v in range(n)
-        )
-    else:
-        adj = _lstar_same_lit(vt, x, y)
-        plain = all(
-            (vt[x][u] == vt[x][v]) == (vt[y][u] == vt[y][v])
-            for u in range(n)
-            for v in range(n)
-        )
-    return adj != plain
+    r = range(len(vt))
+    plain = all((vt[u][x] == vt[v][x]) == (vt[u][y] == vt[v][y]) for u in r for v in r)
+    return _rstar_same_lit(vt, x, y) != plain
 
 
 # C-2.2-composition  is D* of the variant the relational composition
@@ -735,63 +608,47 @@ def _recheck_c22q(s, params, w, opts):
 
 
 def _eval_c22c(s, opts):
-    cid = "C-2.2-composition"
-    out = []
-    for a in range(s.order):
-        v = _variant(s, a).variant
-        st = _star(v)
+    n = s.order
+
+    def check(a):
+        st = _star(_variant(s, a).variant)
+        if st.composition_is_join:
+            return None
+        jp = st.d_star.pairs()
         rl = relations.compose(st.r_star, st.l_star)
         lr = relations.compose(st.l_star, st.r_star)
-        jp = st.d_star.pairs()
-        witness = None
-        if not (rl == jp and lr == jp):
-            for x in range(s.order):
-                for y in range(s.order):
-                    trio = ((x, y) in jp, (x, y) in rl, (x, y) in lr)
-                    if len(set(trio)) > 1:
-                        witness = {
-                            "x": x, "y": y, "in_join": trio[0],
-                            "in_rl": trio[1], "in_lr": trio[2],
-                        }
-                        break
-                if witness:
-                    break
-        out.append(
-            _res(cid, s, {"a": a},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+        return _first(
+            {"x": x, "y": y, "in_join": j, "in_rl": p, "in_lr": q}
+            for x in range(n)
+            for y in range(n)
+            for j, p, q in [((x, y) in jp, (x, y) in rl, (x, y) in lr)]
+            if len({j, p, q}) > 1
         )
-    return out
+
+    return _each("C-2.2-composition", s, [{"a": a} for a in range(n)], check)
 
 
 def _recheck_c22c(s, params, w, opts):
     vt = _sandwich_table(s.table, params["a"])
     n = len(vt)
-    lidx = _star_partition_lit(vt, "L")
-    ridx = _star_partition_lit(vt, "R")
+
+    def least_related(t):  # the least member of each element's R*-class
+        return [next(b for b in range(n) if _rstar_same_lit(t, b, c)) for c in range(n)]
+
+    lidx, ridx = least_related(_dual(vt)), least_related(vt)
     x, y = w["x"], w["y"]
     in_rl = any(ridx[x] == ridx[c] and lidx[c] == lidx[y] for c in range(n))
     in_lr = any(lidx[x] == lidx[c] and ridx[c] == ridx[y] for c in range(n))
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(n):
-        for b in range(n):
-            if lidx[a] == lidx[b] or ridx[a] == ridx[b]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    in_join = find(x) == find(y)
-    return (
-        in_join == w["in_join"]
-        and in_rl == w["in_rl"]
-        and in_lr == w["in_lr"]
-        and len({in_join, in_rl, in_lr}) > 1
-    )
+    # D* = the join: everything reachable from x by L*- or R*-steps
+    reach, todo = {x}, [x]
+    while todo:
+        c = todo.pop()
+        for b in set(range(n)) - reach:
+            if lidx[b] == lidx[c] or ridx[b] == ridx[c]:
+                reach.add(b)
+                todo.append(b)
+    found = (y in reach, in_rl, in_lr)
+    return found == (w["in_join"], w["in_rl"], w["in_lr"]) and len(set(found)) > 1
 
 
 # C-2.3-restricted  on P1 the variant's R* agrees with the base's R*
@@ -800,103 +657,65 @@ def _recheck_c22c(s, params, w, opts):
 #                   R*^a-class(x) & P1 = R*-class(x).  Observed.
 
 
+def _c23_sides(s, a):
+    """(side, P-set, variant relation, base relation) for R/P1 and L/P2."""
+    ps, bst = _psets(s, a), _star(s)
+    vst = _star(_variant(s, a).variant)
+    return (
+        ("R", ps.p1, vst.r_star, bst.r_star),
+        ("L", ps.p2, vst.l_star, bst.l_star),
+    )
+
+
 def _eval_c23r(s, opts):
-    cid = "C-2.3-restricted"
-    out = []
-    bst = _star(s)
-    for a in range(s.order):
-        ps = _psets(s, a)
-        vst = _star(_variant(s, a).variant)
-        witness = None
-        for members, vrel, brel, side in (
-            (sorted(ps.p1), vst.r_star, bst.r_star, "R"),
-            (sorted(ps.p2), vst.l_star, bst.l_star, "L"),
-        ):
-            for i, x in enumerate(members):
-                for y in members[i + 1:]:
-                    vr, br = vrel.same(x, y), brel.same(x, y)
-                    if vr != br:
-                        witness = {
-                            "side": side, "x": x, "y": y,
-                            "variant_related": vr, "base_related": br,
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        out.append(
-            _res(cid, s, {"a": a},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+    def check(a):
+        return _first(
+            {"side": side, "x": x, "y": y,
+             "variant_related": vrel.same(x, y), "base_related": not vrel.same(x, y)}
+            for side, pset, vrel, brel in _c23_sides(s, a)
+            for x, y in _diff_pairs(vrel, brel)
+            if x in pset and y in pset
         )
-    return out
+
+    return _each("C-2.3-restricted", s, [{"a": a} for a in range(s.order)], check)
 
 
 def _in_p1_lit(table, a, x):
     return _rstar_same_lit(table, table[a][x], x)
 
 
-def _in_p2_lit(table, a, x):
-    return _lstar_same_lit(table, table[x][a], x)
-
-
 def _recheck_c23r(s, params, w, opts):
-    t = s.table
     a = params["a"]
+    t = _side(s.table, w["side"])
     vt = _sandwich_table(t, a)
     x, y = w["x"], w["y"]
-    if w["side"] == "R":
-        if not (_in_p1_lit(t, a, x) and _in_p1_lit(t, a, y)):
-            return False
-        return _rstar_same_lit(vt, x, y) != _rstar_same_lit(t, x, y)
-    if not (_in_p2_lit(t, a, x) and _in_p2_lit(t, a, y)):
+    if not (_in_p1_lit(t, a, x) and _in_p1_lit(t, a, y)):
         return False
-    return _lstar_same_lit(vt, x, y) != _lstar_same_lit(t, x, y)
+    return _rstar_same_lit(vt, x, y) != _rstar_same_lit(t, x, y)
 
 
 def _eval_c23l(s, opts):
-    cid = "C-2.3-literal"
-    out = []
-    bst = _star(s)
-    for a in range(s.order):
-        ps = _psets(s, a)
-        vst = _star(_variant(s, a).variant)
-        witness = None
-        for pset, vrel, brel, side in (
-            (ps.p1, vst.r_star, bst.r_star, "R"),
-            (ps.p2, vst.l_star, bst.l_star, "L"),
-        ):
+    def check(a):
+        for side, pset, vrel, brel in _c23_sides(s, a):
             for x in range(s.order):
-                lhs = {y for y in vrel.class_of(x) if y in pset}
+                lhs = pset.intersection(vrel.class_of(x))
                 rhs = set(brel.class_of(x))
                 if lhs != rhs:
                     y = min(lhs ^ rhs)
-                    witness = {
-                        "side": side, "x": x, "y": y,
-                        "in_variant_cap_p": y in lhs, "in_base": y in rhs,
-                    }
-                    break
-            if witness:
-                break
-        out.append(
-            _res(cid, s, {"a": a},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
-        )
-    return out
+                    return {"side": side, "x": x, "y": y,
+                            "in_variant_cap_p": y in lhs, "in_base": y in rhs}
+        return None
+
+    return _each("C-2.3-literal", s, [{"a": a} for a in range(s.order)], check)
 
 
 def _recheck_c23l(s, params, w, opts):
-    t = s.table
     a = params["a"]
+    t = _side(s.table, w["side"])
     vt = _sandwich_table(t, a)
     x, y = w["x"], w["y"]
-    if w["side"] == "R":
-        lhs = _rstar_same_lit(vt, x, y) and _in_p1_lit(t, a, y)
-        rhs = _rstar_same_lit(t, x, y)
-    else:
-        lhs = _lstar_same_lit(vt, x, y) and _in_p2_lit(t, a, y)
-        rhs = _lstar_same_lit(t, x, y)
-    return lhs != rhs
+    lhs = _rstar_same_lit(vt, x, y) and _in_p1_lit(t, a, y)
+    return lhs != _rstar_same_lit(t, x, y)
 
 
 # C-2.4  variants of an abundant monoid at invertible sandwich elements
@@ -904,66 +723,42 @@ def _recheck_c23l(s, params, w, opts):
 
 
 def _eval_c24(s, opts):
-    cid = "C-2.4"
-    out = []
     applicable = s.identity is not None and _abundant(s)
-    for a in range(s.order):
-        params = {"a": a}
-        if not applicable or not core.is_invertible(s, a):
-            out.append(_res(cid, s, params, STATUS_NOT_APPLICABLE))
-            continue
+
+    def check(a):
+        if not (applicable and core.is_invertible(s, a)):
+            return _NA
         v = _variant(s, a).variant
         vst = _star(v)
-        ves = idempotents(v)
-        witness = None
-        for rel, name in ((vst.l_star, "L*"), (vst.r_star, "R*")):
-            for block in rel.classes:
-                if not any(x in ves for x in block):
-                    witness = {"relation": name, "element": block[0]}
-                    break
-            if witness:
-                break
-        out.append(
-            _res(cid, s, params,
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
-        )
-    return out
+        rels = ((vst.l_star, "L*"), (vst.r_star, "R*"))
+        return _first(_bare_classes(rels, idempotents(v)))
+
+    return _each("C-2.4", s, [{"a": a} for a in range(s.order)], check)
 
 
 def _recheck_c24(s, params, w, opts):
-    t = s.table
-    n = s.order
-    a = params["a"]
-    e = next(
-        (x for x in range(n)
-         if all(t[x][y] == y and t[y][x] == y for y in range(n))),
-        None,
-    )
+    t, n, a = s.table, s.order, params["a"]
+    e = next((x for x in range(n) if all(t[x][y] == y == t[y][x] for y in range(n))),
+             None)
     if e is None or not _abundant_lit(t):
         return False
-    if not any(t[a][b] == e and t[b][a] == e for b in range(n)):
+    if not any(t[a][b] == e == t[b][a] for b in range(n)):
         return False
     vt = _sandwich_table(t, a)
-    block = _rel_class_lit(vt, w["relation"], w["element"])
-    ves = set(_idems_lit(vt))
-    return not any(x in ves for x in block)
+    return _bare_class_lit(vt, w["relation"], w["element"], set(_idems_lit(vt)))
 
 
 # C-2.5  an idempotent sandwich element is idempotent in its own variant
 
 
 def _eval_c25(s, opts):
-    cid = "C-2.5"
     t = s.table
-    out = []
-    for e in sorted(_idem(s)):
+
+    def check(e):
         eee = t[t[e][e]][e]
-        out.append(
-            _res(cid, s, {"e": e},
-                 STATUS_HOLDS if eee == e else STATUS_FAILS,
-                 None if eee == e else {"e_star_e": eee})
-        )
-    return out
+        return None if eee == e else {"e_star_e": eee}
+
+    return _each("C-2.5", s, [{"e": e} for e in sorted(_idem(s))], check)
 
 
 def _recheck_c25(s, params, w, opts):
@@ -980,66 +775,42 @@ def _eval_c26(reading):
     cid = f"C-2.6-{reading}"
 
     def evaluate(s, opts):
-        out = []
-        for us in u_subsets(s):
-            weakly = relations.is_weakly_u_abundant(s, us, strict=opts.strict_u)
-            for e in us:
-                params = {"U": list(us), "e": e}
-                if not weakly:
-                    out.append(_res(cid, s, params, STATUS_NOT_APPLICABLE))
-                    continue
-                v = _variant(s, e).variant
-                if reading == "inter":
-                    uprime = sorted(set(us) & set(idempotents(v)))
-                else:
-                    uprime = [e]
-                td = _tilde(v, frozenset(uprime))
-                target = (
-                    frozenset(uprime) if opts.strict_u else idempotents(v)
-                )
-                witness = None
-                for rel, name in (
-                    (td.l_tilde, "L~"), (td.r_tilde, "R~")
-                ):
-                    for block in rel.classes:
-                        if not any(x in target for x in block):
-                            witness = {
-                                "Uprime": list(uprime), "relation": name,
-                                "element": block[0],
-                            }
-                            break
-                    if witness:
-                        break
-                out.append(
-                    _res(cid, s, params,
-                         STATUS_FAILS if witness else STATUS_HOLDS, witness)
-                )
-        return out
+        def unabundant(v, us):
+            """The first L~/R~ class of v at U = us without a target idempotent."""
+            td = _tilde(v, frozenset(us))
+            target = frozenset(us) if opts.strict_u else idempotents(v)
+            rels = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
+            return _first(_bare_classes(rels, target))
+
+        def check(U, e):
+            if unabundant(s, U) is not None:
+                return _NA
+            v = _variant(s, e).variant
+            uprime = sorted(set(U) & idempotents(v)) if reading == "inter" else [e]
+            w = unabundant(v, uprime)
+            return w and {"Uprime": uprime, **w}
+
+        params = [{"U": list(us), "e": e} for us in u_subsets(s) for e in us]
+        return _each(cid, s, params, check)
 
     return evaluate
 
 
 def _recheck_c26(reading):
     def recheck(s, params, w, opts):
-        t = s.table
         us = tuple(sorted(params["U"]))
         e = params["e"]
-        if not _weakly_abundant_lit(t, us, opts.strict_u):
+        target = set(us) if opts.strict_u else set(_idems_lit(s.table))
+        if not _classes_meet_lit(s.table, ("L~", "R~"), target, us):
             return False
-        vt = _sandwich_table(t, e)
+        vt = _sandwich_table(s.table, e)
+        uprime = (e,)
         if reading == "inter":
             uprime = tuple(sorted(set(us) & set(_idems_lit(vt))))
-        else:
-            uprime = (e,)
         if tuple(sorted(w["Uprime"])) != uprime:
             return False
-        key = _ltilde_key if w["relation"] == "L~" else _rtilde_key
-        a = w["element"]
-        ka = key(vt, a, uprime)
         target = set(uprime) if opts.strict_u else set(_idems_lit(vt))
-        return not any(
-            key(vt, b, uprime) == ka and b in target for b in range(len(vt))
-        )
+        return _bare_class_lit(vt, w["relation"], w["element"], target, uprime)
 
     return recheck
 
@@ -1047,39 +818,6 @@ def _recheck_c26(reading):
 # C-3.1  the congruence lattice: join-closure of principal congruences
 #        equals the brute-force partition filter, and every quotient is
 #        well defined
-
-
-def _eval_c31(s, opts):
-    cid = "C-3.1"
-    n = s.order
-    produced = all_congruences(s)
-    produced_keys = {p.class_index for p in produced}
-    brute_keys = set()
-    for ci in _set_partitions(n):
-        if _is_congruence_lit(s.table, ci):
-            brute_keys.add(ci)
-    if produced_keys != brute_keys:
-        only_prod = sorted(produced_keys - brute_keys)
-        only_brute = sorted(brute_keys - produced_keys)
-        return [
-            _res(cid, s, {}, STATUS_FAILS,
-                 {"part": "lattice",
-                  "only_production": [list(k) for k in only_prod[:1]],
-                  "only_bruteforce": [list(k) for k in only_brute[:1]]})
-        ]
-    t = s.table
-    for p in produced:
-        q, _ = quotient(s, p)
-        for x in range(n):
-            for y in range(n):
-                if q.table[p.class_index[x]][p.class_index[y]] != p.class_index[t[x][y]]:
-                    return [
-                        _res(cid, s, {}, STATUS_FAILS,
-                             {"part": "welldef",
-                              "partition": list(p.class_index),
-                              "x": x, "y": y})
-                    ]
-    return [_res(cid, s, {}, STATUS_HOLDS)]
 
 
 def _set_partitions(n):
@@ -1098,24 +836,49 @@ def _set_partitions(n):
     yield from rec(0, 0)
 
 
+@lru_cache(maxsize=512)
+def _lit_congruences(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
+    """The partitions passing the literal congruence test, in
+    _set_partitions order: the brute-force side of C-3.1 and C-FUND."""
+    partitions = _set_partitions(s.order)
+    return tuple(ci for ci in partitions if _is_congruence_lit(s.table, ci))
+
+
+def _eval_c31(s, opts):
+    t, n = s.table, s.order
+
+    def check():
+        produced = all_congruences(s)
+        made = {p.class_index for p in produced}
+        brute = set(_lit_congruences(s))
+        if made != brute:
+            return {"part": "lattice",
+                    "only_production": [list(k) for k in sorted(made - brute)[:1]],
+                    "only_bruteforce": [list(k) for k in sorted(brute - made)[:1]]}
+        return _first(
+            {"part": "welldef", "partition": list(ci), "x": x, "y": y}
+            for p in produced
+            for ci, q in [(p.class_index, quotient(s, p)[0])]
+            for x in range(n)
+            for y in range(n)
+            if q.table[ci[x]][ci[y]] != ci[t[x][y]]
+        )
+
+    return _each("C-3.1", s, [{}], check)
+
+
 def _recheck_c31(s, params, w, opts):
     t = s.table
     if w["part"] == "lattice":
-        for ci in w["only_production"]:
-            if not _is_congruence_lit(t, ci):
-                return True
-        for ci in w["only_bruteforce"]:
-            if _is_congruence_lit(t, ci) and tuple(ci) not in {
-                p.class_index for p in all_congruences(s)
-            }:
-                return True
-        return False
+        made = {p.class_index for p in all_congruences(s)}
+        return any(not _is_congruence_lit(t, ci) for ci in w["only_production"]) or any(
+            _is_congruence_lit(t, ci) and tuple(ci) not in made
+            for ci in w["only_bruteforce"]
+        )
     ci = w["partition"]
     if not _is_congruence_lit(t, ci):
         return False
-    reps = []
-    for c in range(max(ci) + 1):
-        reps.append(min(x for x in range(len(ci)) if ci[x] == c))
+    reps = [ci.index(c) for c in range(max(ci) + 1)]
     x, y = w["x"], w["y"]
     return ci[t[reps[ci[x]]][reps[ci[y]]]] != ci[t[x][y]]
 
@@ -1124,114 +887,81 @@ def _recheck_c31(s, params, w, opts):
 #        the variant S^u; lambda^u is in fact two-sided there
 
 
-def _eval_c32(s, opts):
-    cid = "C-3.2"
-    t = s.table
-    n = s.order
-    out = []
-    for u in range(n):
-        v = _variant(s, u).variant
-        lam = sandwich_lambda(s, u)
-        rho = sandwich_rho(s, u)
-        lam_kind = congruence_kind(v, lam)
-        rho_kind = congruence_kind(v, rho)
-        witness = None
-        if lam_kind not in (KIND_LEFT, KIND_TWO_SIDED):
-            witness = _translation_violation(t, n, u, "lambda", "left")
-        elif rho_kind not in (KIND_RIGHT, KIND_TWO_SIDED):
-            witness = _translation_violation(t, n, u, "rho", "right")
-        elif lam_kind != KIND_TWO_SIDED:
-            witness = _translation_violation(t, n, u, "lambda", "right")
-        out.append(
-            _res(cid, s, {"u": u},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
-        )
-    return out
+def _translation_lit(t, u, relation, side):
+    """(related, moved) for lambda^u (ux = uy) or rho^u (xu = yu), and
+    for the left (z * x) or right (x * z) translation in S^u."""
+    key = t[u] if relation == "lambda" else [row[u] for row in t]
 
-
-def _translation_violation(t, n, u, relation, side):
     def related(x, y):
-        if relation == "lambda":
-            return t[u][x] == t[u][y]
-        return t[x][u] == t[y][u]
+        return key[x] == key[y]
 
-    def star(p, q):
-        return t[t[p][u]][q]
+    def moved(x, z):
+        return t[t[z][u]][x] if side == "left" else t[t[x][u]][z]
 
-    for x in range(n):
-        for y in range(n):
-            if x != y and related(x, y):
-                for z in range(n):
-                    if side == "left" and not related(star(z, x), star(z, y)):
-                        return {"relation": relation, "requirement": side,
-                                "x": x, "y": y, "z": z}
-                    if side == "right" and not related(star(x, z), star(y, z)):
-                        return {"relation": relation, "requirement": side,
-                                "x": x, "y": y, "z": z}
-    return None
+    return related, moved
+
+
+def _eval_c32(s, opts):
+    n = s.order
+
+    def violation(u, relation, side):
+        related, moved = _translation_lit(s.table, u, relation, side)
+        return _first(
+            {"relation": relation, "requirement": side, "x": x, "y": y, "z": z}
+            for x in range(n)
+            for y in range(n)
+            if x != y and related(x, y)
+            for z in range(n)
+            if not related(moved(x, z), moved(y, z))
+        )
+
+    def check(u):
+        v = _variant(s, u).variant
+        lam_kind = congruence_kind(v, sandwich_lambda(s, u))
+        if lam_kind not in (KIND_LEFT, KIND_TWO_SIDED):
+            return violation(u, "lambda", "left")
+        if congruence_kind(v, sandwich_rho(s, u)) not in (KIND_RIGHT, KIND_TWO_SIDED):
+            return violation(u, "rho", "right")
+        if lam_kind != KIND_TWO_SIDED:
+            return violation(u, "lambda", "right")
+        return None
+
+    return _each("C-3.2", s, [{"u": u} for u in range(n)], check)
 
 
 def _recheck_c32(s, params, w, opts):
-    t = s.table
-    u = params["u"]
-
-    def related(a, b):
-        if w["relation"] == "lambda":
-            return t[u][a] == t[u][b]
-        return t[a][u] == t[b][u]
-
-    def star(p, q):
-        return t[t[p][u]][q]
-
+    related, moved = _translation_lit(
+        s.table, params["u"], w["relation"], w["requirement"]
+    )
     x, y, z = w["x"], w["y"], w["z"]
-    if not related(x, y):
-        return False
-    if w["requirement"] == "left":
-        return not related(star(z, x), star(z, y))
-    return not related(star(x, z), star(y, z))
+    return related(x, y) and not related(moved(x, z), moved(y, z))
 
 
 # C-3.4  S^u / lambda^u is isomorphic to uS
 
 
+def _lambda_quotient(s, u):
+    """S^u / lambda^u; NotACongruence when lambda^u is not a congruence."""
+    return quotient(_variant(s, u).variant, sandwich_lambda(s, u))[0]
+
+
 def _eval_c34(s, opts):
-    cid = "C-3.4"
-    out = []
-    for u in range(s.order):
-        v = _variant(s, u).variant
-        lam = sandwich_lambda(s, u)
+    def check(u):
         try:
-            q, _ = quotient(v, lam)
+            q = _lambda_quotient(s, u)
         except NotACongruence as err:
-            out.append(
-                _res(cid, s, {"u": u}, STATUS_FAILS,
-                     {"part": "lambda-not-congruence", "kind": err.kind})
-            )
-            continue
-        h = u_translate_hom(s, u)
-        iso = are_isomorphic(q, h.codomain)
-        witness = None
-        if iso is None:
-            witness = {
-                "quotient": inline_table(q),
-                "image": inline_table(h.codomain),
-            }
-        out.append(
-            _res(cid, s, {"u": u},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
-        )
-    return out
+            return {"part": "lambda-not-congruence", "kind": err.kind}
+        return _iso_witness(q, u_translate_hom(s, u).codomain, "quotient", "image")
+
+    return _each("C-3.4", s, [{"u": u} for u in range(s.order)], check)
 
 
 def _recheck_c34(s, params, w, opts):
     t = s.table
     u = params["u"]
     if w.get("part") == "lambda-not-congruence":
-        values = sorted({t[u][x] for x in range(s.order)})
-        pos = {val: i for i, val in enumerate(values)}
-        ci = [pos[t[u][x]] for x in range(s.order)]
         vt = _sandwich_table(t, u)
-        return not _is_congruence_lit(vt, ci)
+        return not _is_congruence_lit(vt, _lambda_classes_lit(t, u))
     return not _iso_exists_lit(_lambda_quotient_lit(t, u), _usub_table_lit(t, u))
 
 
@@ -1240,34 +970,21 @@ def _recheck_c34(s, params, w, opts):
 
 
 def _eval_c35(s, opts):
-    cid = "C-3.5"
-    out = []
-    g = _green(s)
-    for block in g.l.classes:
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                qa, _ = quotient(_variant(s, a).variant, sandwich_lambda(s, a))
-                qb, _ = quotient(_variant(s, b).variant, sandwich_lambda(s, b))
-                iso = are_isomorphic(qa, qb)
-                witness = None
-                if iso is None:
-                    witness = {
-                        "quotient_a": inline_table(qa),
-                        "quotient_b": inline_table(qb),
-                    }
-                out.append(
-                    _res(cid, s, {"a": a, "b": b},
-                         STATUS_FAILS if witness else STATUS_HOLDS, witness)
-                )
-    return out
+    def check(a, b):
+        qa, qb = _lambda_quotient(s, a), _lambda_quotient(s, b)
+        return _iso_witness(qa, qb, "quotient_a", "quotient_b")
+
+    classes = _green(s).l.classes
+    params = [
+        {"a": a, "b": b} for c in classes for i, a in enumerate(c) for b in c[i + 1:]
+    ]
+    return _each("C-3.5", s, params, check)
 
 
 def _recheck_c35(s, params, w, opts):
     t = s.table
     a, b = params["a"], params["b"]
-    if _l_ideal(t, a) != _l_ideal(t, b):
-        return False
-    return not _iso_exists_lit(
+    return _related_lit(t, "L", a, b) and not _iso_exists_lit(
         _lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b)
     )
 
@@ -1277,24 +994,13 @@ def _recheck_c35(s, params, w, opts):
 
 
 def _eval_cfht(s, opts):
-    cid = "C-FHT"
-    out = []
-    for u in range(s.order):
+    def check(u):
         h = u_translate_hom(s, u)
         q, _ = quotient(h.domain, h.kernel())
-        image_sub, _ = induced_subsemigroup(h.codomain, h.image())
-        iso = are_isomorphic(q, image_sub)
-        witness = None
-        if iso is None:
-            witness = {
-                "quotient": inline_table(q),
-                "image": inline_table(image_sub),
-            }
-        out.append(
-            _res(cid, s, {"u": u},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
-        )
-    return out
+        image, _ = induced_subsemigroup(h.codomain, h.image())
+        return _iso_witness(q, image, "quotient", "image")
+
+    return _each("C-FHT", s, [{"u": u} for u in range(s.order)], check)
 
 
 # C-FUND  the no-nontrivial-idempotent-separating-congruence predicate
@@ -1302,49 +1008,29 @@ def _eval_cfht(s, opts):
 
 
 def _eval_cfund(s, opts):
-    cid = "C-FUND"
-    production = is_fundamental(s)
-    t = s.table
-    n = s.order
-    es = set(_idems_lit(t))
-    brute = True
-    found = None
-    for ci in _set_partitions(n):
-        if max(ci) + 1 == n:  # identity partition
-            continue
-        if not _is_congruence_lit(t, ci):
-            continue
-        blocks: dict[int, list[int]] = {}
-        for x, c in enumerate(ci):
-            blocks.setdefault(c, []).append(x)
-        if all(sum(1 for x in blk if x in es) <= 1 for blk in blocks.values()):
-            brute = False
-            found = list(ci)
-            break
-    if production == brute:
-        return [_res(cid, s, {}, STATUS_HOLDS)]
-    return [
-        _res(cid, s, {}, STATUS_FAILS,
-             {"production": production, "bruteforce": brute,
-              "witness_partition": found})
-    ]
+    def check():
+        es = _idems_lit(s.table)
+        found = _first(
+            list(ci)
+            for ci in _lit_congruences(s)
+            if max(ci) + 1 != s.order and _separating_lit(ci, es)
+        )
+        production, brute = is_fundamental(s), found is None
+        if production == brute:
+            return None
+        return {"production": production, "bruteforce": brute,
+                "witness_partition": found}
+
+    return _each("C-FUND", s, [{}], check)
 
 
 def _recheck_cfund(s, params, w, opts):
+    ci = w["witness_partition"]
+    if ci is None:
+        return is_fundamental(s) != w["bruteforce"]
     t = s.table
-    if w["witness_partition"] is not None:
-        ci = w["witness_partition"]
-        es = set(_idems_lit(t))
-        if max(ci) + 1 == len(ci) or not _is_congruence_lit(t, ci):
-            return False
-        blocks: dict[int, list[int]] = {}
-        for x, c in enumerate(ci):
-            blocks.setdefault(c, []).append(x)
-        separating = all(
-            sum(1 for x in blk if x in es) <= 1 for blk in blocks.values()
-        )
-        return separating and is_fundamental(s)
-    return is_fundamental(s) != w["bruteforce"]
+    return (max(ci) + 1 != len(ci) and _is_congruence_lit(t, ci)
+            and _separating_lit(ci, _idems_lit(t)) and is_fundamental(s))
 
 
 # C-4.0  the natural order restricted to idempotents is the usual
@@ -1352,19 +1038,14 @@ def _recheck_cfund(s, params, w, opts):
 
 
 def _eval_c40(s, opts):
-    cid = "C-4.0"
-    nat = _natural(s)
-    t = s.table
-    for e in sorted(_idem(s)):
-        for f in sorted(_idem(s)):
-            usual = t[e][f] == e and t[f][e] == e
-            if nat.leq[e][f] != usual:
-                return [
-                    _res(cid, s, {}, STATUS_FAILS,
-                         {"e": e, "f": f, "natural": nat.leq[e][f],
-                          "usual": usual})
-                ]
-    return [_res(cid, s, {}, STATUS_HOLDS)]
+    t, leq = s.table, _natural(s).leq
+    es = sorted(_idem(s))
+    return _each("C-4.0", s, [{}], lambda: _first(
+        {"e": e, "f": f, "natural": leq[e][f], "usual": not leq[e][f]}
+        for e in es
+        for f in es
+        if leq[e][f] != (t[e][f] == e and t[f][e] == e)
+    ))
 
 
 def _recheck_c40(s, params, w, opts):
@@ -1381,21 +1062,17 @@ def _recheck_c40(s, params, w, opts):
 
 
 def _eval_c41f(s, opts):
-    cid = "C-4.1-forward"
-    t = s.table
-    out = []
-    for e in sorted(_idem(s)):
+    t, es = s.table, sorted(_idem(s))
+
+    def check(e):
         vt = _variant(s, e).variant.table
-        witness = None
-        for f in sorted(_idem(s)):
-            if t[f][e] == f and t[e][f] == f and vt[f][f] != f:
-                witness = {"f": f, "f_star_f": vt[f][f]}
-                break
-        out.append(
-            _res(cid, s, {"e": e},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+        return _first(
+            {"f": f, "f_star_f": vt[f][f]}
+            for f in es
+            if t[f][e] == f and t[e][f] == f and vt[f][f] != f
         )
-    return out
+
+    return _each("C-4.1-forward", s, [{"e": e} for e in es], check)
 
 
 def _recheck_c41f(s, params, w, opts):
@@ -1407,24 +1084,18 @@ def _recheck_c41f(s, params, w, opts):
 
 
 def _eval_c41r(s, opts):
-    cid = "C-4.1-reverse"
     t = s.table
-    out = []
-    for e in sorted(_idem(s)):
+
+    def check(e):
         vt = _variant(s, e).variant.table
-        witness = None
-        for f in s.elements:
-            if vt[f][f] == f:
-                if not (t[f][f] == f and t[f][e] == f and t[e][f] == f):
-                    witness = {
-                        "f": f, "ff": t[f][f], "fe": t[f][e], "ef": t[e][f],
-                    }
-                    break
-        out.append(
-            _res(cid, s, {"e": e},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+        return _first(
+            {"f": f, "ff": t[f][f], "fe": t[f][e], "ef": t[e][f]}
+            for f in s.elements
+            if vt[f][f] == f
+            and not (t[f][f] == f and t[f][e] == f and t[e][f] == f)
         )
-    return out
+
+    return _each("C-4.1-reverse", s, [{"e": e} for e in sorted(_idem(s))], check)
 
 
 def _recheck_c41r(s, params, w, opts):
@@ -1441,70 +1112,38 @@ def _recheck_c41r(s, params, w, opts):
 
 
 def _eval_c42(s, opts):
-    cid = "C-4.2"
-    out = []
-    for e in sorted(_idem(s)):
-        rel = orders.variant_idempotent_leq(_variant(s, e))
-        witness = None
-        r = rel.check_reflexive()
-        if r is not None:
-            witness = {"law": "reflexivity", "x": r}
-        if witness is None:
-            pair = rel.check_antisymmetric()
-            if pair is not None:
-                witness = {"law": "antisymmetry", "x": pair[0], "y": pair[1]}
-        if witness is None:
-            trio = rel.check_transitive()
-            if trio is not None:
-                witness = {"law": "transitivity", "x": trio[0],
-                           "y": trio[1], "z": trio[2]}
-        out.append(
-            _res(cid, s, {"e": e},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
-        )
-    return out
+    def check(e):
+        return _law_violation(orders.variant_idempotent_leq(_variant(s, e)))
+
+    return _each("C-4.2", s, [{"e": e} for e in sorted(_idem(s))], check)
 
 
 def _recheck_c42(s, params, w, opts):
-    t = s.table
-    e = params["e"]
-    vt = _sandwich_table(t, e)
+    vt = _sandwich_table(s.table, params["e"])
 
     def leq(a, b):
         return vt[a][a] == a and vt[b][b] == b and vt[a][b] == a and vt[b][a] == a
 
-    if w["law"] == "reflexivity":
-        x = w["x"]
-        return vt[x][x] == x and not leq(x, x)
-    if w["law"] == "antisymmetry":
-        x, y = w["x"], w["y"]
-        return x != y and leq(x, y) and leq(y, x)
-    x, y, z = w["x"], w["y"], w["z"]
-    return leq(x, y) and leq(y, z) and not leq(x, z)
+    x = w["x"]
+    return vt[x][x] == x and _law_broken_lit(leq, w)
 
 
 # C-4.3  a <=_e b in the variant implies a <= b in the base
 
 
 def _eval_c43(s, opts):
-    cid = "C-4.3"
     nat = _natural(s)
-    out = []
-    for e in sorted(_idem(s)):
+
+    def check(e):
         vle = orders.variant_leq(_variant(s, e))
-        witness = None
-        for a in s.elements:
-            for b in s.elements:
-                if vle.leq[a][b] and not nat.leq[a][b]:
-                    witness = {"a": a, "b": b}
-                    break
-            if witness:
-                break
-        out.append(
-            _res(cid, s, {"e": e},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+        return _first(
+            {"a": a, "b": b}
+            for a in s.elements
+            for b in s.elements
+            if vle.leq[a][b] and not nat.leq[a][b]
         )
-    return out
+
+    return _each("C-4.3", s, [{"e": e} for e in sorted(_idem(s))], check)
 
 
 def _recheck_c43(s, params, w, opts):
@@ -1519,68 +1158,46 @@ def _recheck_c43(s, params, w, opts):
 
 
 def _eval_c44a(s, opts):
-    cid = "C-4.4a"
-    out = []
-    for e in sorted(_idem(s)):
+    def check(e):
         vt = _variant(s, e).variant.table
         vle = orders.variant_leq(_variant(s, e))
-        witness = None
-        for f in s.elements:
-            if vt[f][f] != f:
-                continue
-            for a in s.elements:
-                if vle.leq[a][f] and vt[a][a] != a:
-                    witness = {"a": a, "f": f}
-                    break
-            if witness:
-                break
-        out.append(
-            _res(cid, s, {"e": e},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+        return _first(
+            {"a": a, "f": f}
+            for f in s.elements
+            if vt[f][f] == f
+            for a in s.elements
+            if vle.leq[a][f] and vt[a][a] != a
         )
-    return out
+
+    return _each("C-4.4a", s, [{"e": e} for e in sorted(_idem(s))], check)
 
 
 def _recheck_c44a(s, params, w, opts):
     vt = _sandwich_table(s.table, params["e"])
     a, f = w["a"], w["f"]
-    return (
-        vt[f][f] == f
-        and _natural_leq_lit(vt, a, f)
-        and vt[a][a] != a
-    )
+    return vt[f][f] == f and _natural_leq_lit(vt, a, f) and vt[a][a] != a
 
 
 def _eval_c44b(s, opts):
-    cid = "C-4.4b"
-    out = []
-    for e in sorted(_idem(s)):
+    def check(e):
         v = _variant(s, e).variant
-        vt = v.table
         vle = orders.variant_leq(_variant(s, e))
         regular = [core.is_regular_element(v, x) for x in s.elements]
-        witness = None
-        for a in s.elements:
-            for b in s.elements:
-                if vle.leq[a][b] and regular[b] and not regular[a]:
-                    witness = {"a": a, "b": b}
-                    break
-            if witness:
-                break
-        out.append(
-            _res(cid, s, {"e": e},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)
+        return _first(
+            {"a": a, "b": b}
+            for a in s.elements
+            for b in s.elements
+            if vle.leq[a][b] and regular[b] and not regular[a]
         )
-    return out
+
+    return _each("C-4.4b", s, [{"e": e} for e in sorted(_idem(s))], check)
 
 
 def _recheck_c44b(s, params, w, opts):
     vt = _sandwich_table(s.table, params["e"])
     a, b = w["a"], w["b"]
     return (
-        _natural_leq_lit(vt, a, b)
-        and _regular_lit(vt, b)
-        and not _regular_lit(vt, a)
+        _natural_leq_lit(vt, a, b) and _regular_lit(vt, b) and not _regular_lit(vt, a)
     )
 
 
@@ -1588,38 +1205,12 @@ def _recheck_c44b(s, params, w, opts):
 
 
 def _eval_cnatpo(s, opts):
-    cid = "C-NAT-PO"
-    rel = _natural(s)
-    witness = None
-    r = rel.check_reflexive()
-    if r is not None:
-        witness = {"law": "reflexivity", "x": r}
-    if witness is None:
-        pair = rel.check_antisymmetric()
-        if pair is not None:
-            witness = {"law": "antisymmetry", "x": pair[0], "y": pair[1]}
-    if witness is None:
-        trio = rel.check_transitive()
-        if trio is not None:
-            witness = {"law": "transitivity", "x": trio[0], "y": trio[1],
-                       "z": trio[2]}
-    return [_res(cid, s, {},
-                 STATUS_FAILS if witness else STATUS_HOLDS, witness)]
+    return _each("C-NAT-PO", s, [{}], lambda: _law_violation(_natural(s)))
 
 
 def _recheck_cnatpo(s, params, w, opts):
     t = s.table
-    if w["law"] == "reflexivity":
-        return not _natural_leq_lit(t, w["x"], w["x"])
-    if w["law"] == "antisymmetry":
-        x, y = w["x"], w["y"]
-        return x != y and _natural_leq_lit(t, x, y) and _natural_leq_lit(t, y, x)
-    x, y, z = w["x"], w["y"], w["z"]
-    return (
-        _natural_leq_lit(t, x, y)
-        and _natural_leq_lit(t, y, z)
-        and not _natural_leq_lit(t, x, z)
-    )
+    return _law_broken_lit(lambda a, b: _natural_leq_lit(t, a, b), w)
 
 
 # ---------------------------------------------------------------------------

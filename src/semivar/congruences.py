@@ -13,7 +13,7 @@ from .core import (
     idempotents,
     translate_set,
 )
-from .relations import CarrierMismatch, Equivalence
+from .relations import CarrierMismatch, Equivalence, join
 from .variants import variant
 
 #: all_congruences / is_fundamental refuse carriers larger than this by default
@@ -131,7 +131,6 @@ def all_congruences(
             if p.class_index not in found:
                 found[p.class_index] = p
                 work.append(p)
-    from .relations import join  # local import to avoid cycle noise at module load
 
     while work:
         p = work.pop()

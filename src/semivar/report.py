@@ -13,6 +13,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from . import __version__
+
 STATUS_HOLDS = "HOLDS"
 STATUS_FAILS = "FAILS"
 STATUS_NOT_APPLICABLE = "NOT_APPLICABLE"
@@ -58,7 +60,7 @@ class Report:
     corpus: dict
     config: dict
     results: list[ClaimResult]
-    version: str = "0.1.0"
+    version: str = __version__
     timestamp: str = field(default_factory=_utcnow)
 
     def tallies(self) -> dict:

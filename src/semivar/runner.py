@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+from . import __version__
 from .claims import HARD_CLAIM_IDS, REGISTRY, U_POLICY, Options, UnknownClaim
 from .enumeration import CorpusSpec, iter_corpus
 from .report import STATUS_FAILS, ClaimResult, Report
-
-__version__ = "0.1.0"
 
 
 def resolve_claim_ids(claim_ids) -> list[str]:

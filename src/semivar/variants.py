@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ElementSubset, FiniteSemigroup, NotIdempotent, build_semigroup
-from .relations import StarBundle, star
+from .relations import star
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,6 @@ def idempotent_variant(s: FiniteSemigroup, e: int) -> VariantDescriptor:
     if s.table[e][e] != e:
         raise NotIdempotent(e)
     return variant(s, e)
-
-
-def variant_star(v: VariantDescriptor) -> StarBundle:
-    """Starred relations of the variant (over (S^a)^1)."""
-    return star(v.variant)
 
 
 def p_sets(s: FiniteSemigroup, a: int) -> PSets:

@@ -1,8 +1,11 @@
 """The corpus runner: claim selection, result ordering, exit codes."""
 
+import hashlib
+
 import pytest
 
-from semivar.claims import REGISTRY, UnknownClaim
+import semivar
+from semivar.claims import REGISTRY, Options, UnknownClaim
 from semivar.enumeration import CorpusSpec
 from semivar.report import STATUS_FAILS
 from semivar.runner import (
@@ -25,6 +28,7 @@ def test_run_corpus_counts_and_sorting():
     report = run_corpus(CorpusSpec(orders=(2,)), ["C-2.5", "C-2.1"])
     assert report.corpus["tables"] == {"2": 8}
     assert report.config["claims"] == ["C-2.1", "C-2.5"]
+    assert report.version == semivar.__version__
     keys = [r.sort_key() for r in report.results]
     assert keys == sorted(keys)
     # 8 tables x 2 sandwich elements for C-2.1, plus one C-2.5 result
@@ -47,3 +51,23 @@ def test_run_corpus_respects_limit():
     report = run_corpus(CorpusSpec(orders=(2,), limit=3), ["C-2.5"])
     assert report.corpus["tables"] == {"2": 3}
     assert report.corpus["limit"] == 3
+
+
+# sha256 of the orders 1-3 report over all claims, timestamp blanked.
+# Each run has 8,693 records; FAILS number 1,436 (lax) and 1,088 (strict).
+GOLDEN_REPORTS = {
+    False: "ef66f92e0c507ab357734122a342dd4991996843c72492093648595e4308df25",
+    True: "b6702c9ffb0602bd2b9377b312d56933180b9f09efaee6aab1175a87f2ff424e",
+}
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_report_matches_golden_digest(strict_u):
+    # pins every claim's statuses and witnesses, not just run-to-run
+    # determinism: an evaluator rewrite must reproduce these bytes
+    report = run_corpus(
+        CorpusSpec(orders=(1, 2, 3)), "all", Options(strict_u=strict_u)
+    )
+    report.timestamp = ""
+    digest = hashlib.sha256(report.dumps().encode()).hexdigest()
+    assert digest == GOLDEN_REPORTS[strict_u]
