@@ -104,6 +104,11 @@ def _variant(s: FiniteSemigroup, a: int) -> variants.VariantDescriptor:
 
 
 @lru_cache(maxsize=2048)
+def _variant_leq(s: FiniteSemigroup, e: int) -> orders.OrderRelation:
+    return orders.variant_leq(_variant(s, e))
+
+
+@lru_cache(maxsize=2048)
 def _tilde(s: FiniteSemigroup, u: frozenset) -> relations.TildeBundle:
     return relations.tilde(s, u)
 
@@ -951,7 +956,8 @@ def _eval_c34(s, opts):
             q = _lambda_quotient(s, u)
         except NotACongruence as err:
             return {"part": "lambda-not-congruence", "kind": err.kind}
-        return _iso_witness(q, u_translate_hom(s, u).codomain, "quotient", "image")
+        image, _ = induced_subsemigroup(s, core.translate_set(s, u, "left"))
+        return _iso_witness(q, image, "quotient", "image")
 
     return _each("C-3.4", s, [{"u": u} for u in range(s.order)], check)
 
@@ -1135,7 +1141,7 @@ def _eval_c43(s, opts):
     nat = _natural(s)
 
     def check(e):
-        vle = orders.variant_leq(_variant(s, e))
+        vle = _variant_leq(s, e)
         return _first(
             {"a": a, "b": b}
             for a in s.elements
@@ -1160,7 +1166,7 @@ def _recheck_c43(s, params, w, opts):
 def _eval_c44a(s, opts):
     def check(e):
         vt = _variant(s, e).variant.table
-        vle = orders.variant_leq(_variant(s, e))
+        vle = _variant_leq(s, e)
         return _first(
             {"a": a, "f": f}
             for f in s.elements
@@ -1181,7 +1187,7 @@ def _recheck_c44a(s, params, w, opts):
 def _eval_c44b(s, opts):
     def check(e):
         v = _variant(s, e).variant
-        vle = orders.variant_leq(_variant(s, e))
+        vle = _variant_leq(s, e)
         regular = [core.is_regular_element(v, x) for x in s.elements]
         return _first(
             {"a": a, "b": b}

@@ -9,7 +9,6 @@ from .core import (
     FiniteSemigroup,
     OrderTooLarge,
     SemigroupError,
-    build_semigroup,
     idempotents,
     translate_set,
 )
@@ -163,8 +162,8 @@ def quotient(s: FiniteSemigroup, p: Equivalence) -> tuple[FiniteSemigroup, Hom]:
         raise NotACongruence(kind)
     reps = [block[0] for block in p.classes]
     t = s.table
-    rows = [[p.class_index[t[a][b]] for b in reps] for a in reps]
-    q = build_semigroup(p.num_classes, rows)
+    rows = tuple(tuple(p.class_index[t[a][b]] for b in reps) for a in reps)
+    q = FiniteSemigroup(p.num_classes, rows)
     return q, Hom(domain=s, codomain=q, mapping=p.class_index)
 
 
@@ -186,8 +185,8 @@ def induced_subsemigroup(
             if ab not in index:
                 raise ValueError(f"subset not closed: {a}.{b} = {ab}")
             row.append(index[ab])
-        rows.append(row)
-    return build_semigroup(len(old), rows), old
+        rows.append(tuple(row))
+    return FiniteSemigroup(len(old), tuple(rows)), old
 
 
 def u_translate_hom(s: FiniteSemigroup, u: int) -> Hom:

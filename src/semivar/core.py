@@ -3,12 +3,14 @@
 Elements are the dense ids 0..n-1 and the table is the single source of
 truth: ``table[x][y]`` is the product x.y.  Everything downstream
 (relations, variants, congruences, orders) works over these ids so that
-results are bit-reproducible across runs.
+results are bit-reproducible across runs.  Only :func:`build_semigroup`
+validates a table; semigroups derived from a validated one are associative
+by construction and are built as ``FiniteSemigroup(n, rows)`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
 Row = tuple[int, ...]
@@ -58,12 +60,15 @@ class OrderTooLarge(SemigroupError):
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """Immutable semigroup of a given order; built via :func:`build_semigroup`."""
+    """Semigroup over a table trusted as associative; ``identity`` is derived."""
 
     order: int
     table: Table
     labels: tuple[str, ...] | None = None
-    identity: int | None = None
+    identity: int | None = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "identity", _find_identity(self.table, self.order))
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -118,7 +123,7 @@ def build_semigroup(
         frozen_labels = tuple(labels)
         if len(frozen_labels) != order:
             raise ValueError("labels must have one entry per element")
-    return FiniteSemigroup(order, rows, frozen_labels, _find_identity(rows, order))
+    return FiniteSemigroup(order, rows, frozen_labels)
 
 
 def adjoin_identity(s: FiniteSemigroup) -> tuple[FiniteSemigroup, tuple[int, ...]]:
@@ -132,7 +137,7 @@ def adjoin_identity(s: FiniteSemigroup) -> tuple[FiniteSemigroup, tuple[int, ...
     labels = None
     if s.labels is not None:
         labels = s.labels + ("1",)
-    return build_semigroup(n + 1, rows, labels), tuple(range(n))
+    return FiniteSemigroup(n + 1, tuple(rows), labels), tuple(range(n))
 
 
 def idempotents(s: FiniteSemigroup) -> ElementSubset:

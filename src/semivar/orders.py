@@ -23,9 +23,6 @@ class OrderRelation:
     elements: tuple[int, ...]
     leq: tuple[tuple[bool, ...], ...]
 
-    def index_of(self, x: int) -> int:
-        return self.elements.index(x)
-
     def holds(self, x: int, y: int) -> bool:
         """leq by element id (not position)."""
         return self.leq[self.elements.index(x)][self.elements.index(y)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementSubset, FiniteSemigroup, NotIdempotent, build_semigroup
+from .core import ElementSubset, FiniteSemigroup, NotIdempotent
 from .relations import star
 
 
@@ -27,13 +27,12 @@ class PSets:
 
 
 def variant(s: FiniteSemigroup, a: int) -> VariantDescriptor:
-    """Build S^a.  The sandwich product is always associative, but the
-    table goes through full validation anyway."""
+    """Build S^a; the sandwich product is associative by construction."""
     if not 0 <= a < s.order:
         raise ValueError(f"element id {a} out of range")
     t = s.table
-    rows = [[t[t[x][a]][y] for y in s.elements] for x in s.elements]
-    return VariantDescriptor(base=s, sandwich=a, variant=build_semigroup(s.order, rows))
+    rows = tuple(tuple(t[t[x][a]][y] for y in s.elements) for x in s.elements)
+    return VariantDescriptor(base=s, sandwich=a, variant=FiniteSemigroup(s.order, rows))
 
 
 def idempotent_variant(s: FiniteSemigroup, e: int) -> VariantDescriptor:

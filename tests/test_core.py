@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semivar.core import (
+    FiniteSemigroup,
     NotAMonoid,
     NotAssociative,
     OutOfRange,
@@ -16,7 +17,7 @@ from semivar.core import (
     is_regular_element,
     translate_set,
 )
-from .conftest import NOT_ASSOCIATIVE, Z2, full_corpus
+from .conftest import LEFT_ZERO, NOT_ASSOCIATIVE, Z2, full_corpus
 
 
 def test_build_and_multiply(z2):
@@ -59,6 +60,12 @@ def test_identity_detection(z2, left_zero, min2):
     assert left_zero.identity is None
     assert not left_zero.is_monoid
     assert min2.identity == 1
+    # built without validation, the identity still comes from the table
+    assert FiniteSemigroup(2, Z2).identity == 0
+    assert FiniteSemigroup(2, Z2).is_monoid
+    assert FiniteSemigroup(2, LEFT_ZERO).identity is None
+    with pytest.raises(TypeError):
+        FiniteSemigroup(2, Z2, identity=1)
 
 
 def test_labels_default_and_custom():

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semivar.core import NotIdempotent
+from semivar.congruences import all_congruences, induced_subsemigroup, quotient
+from semivar.core import (
+    NotIdempotent,
+    adjoin_identity,
+    build_semigroup,
+    translate_set,
+)
 from semivar.relations import star
 from semivar.variants import idempotent_variant, p_sets, variant
 from .conftest import full_corpus
@@ -62,13 +68,25 @@ def test_variant_star_smoke(left_zero):
     assert st_.r_star.classes == ((0,), (1,))
 
 
-@given(st.sampled_from(full_corpus(1, 2, 3)))
-def test_every_variant_is_associative(s):
-    # build_semigroup inside variant() re-validates; reaching the end
-    # without NotAssociative is the assertion
-    for a in range(s.order):
-        v = variant(s, a)
-        assert v.variant.order == s.order
+def _assert_revalidates(t):
+    # the internal builders skip validation; build_semigroup must accept
+    # their tables unchanged and find the same identity
+    checked = build_semigroup(t.order, t.table)
+    assert checked == t
+    assert checked.identity == t.identity
+
+
+def test_every_variant_is_associative():
+    for s in full_corpus(1, 2, 3):
+        for a in range(s.order):
+            v = variant(s, a).variant
+            assert v.order == s.order
+            _assert_revalidates(v)
+        _assert_revalidates(adjoin_identity(s)[0])
+        for p in all_congruences(s):
+            _assert_revalidates(quotient(s, p)[0])
+        for u in range(s.order):
+            _assert_revalidates(induced_subsemigroup(s, translate_set(s, u, "left"))[0])
 
 
 @given(st.sampled_from(full_corpus(1, 2, 3)))
