@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from . import core, relations, variants, orders
+from . import congruences, core, relations, variants, orders
 from .congruences import (
     KIND_LEFT,
     KIND_RIGHT,
@@ -44,6 +44,7 @@ from .congruences import (
     all_congruences,
     are_isomorphic,
     congruence_kind,
+    fundamental_among,
     induced_subsemigroup,
     is_fundamental,
     quotient,
@@ -106,6 +107,13 @@ def _variant(s: FiniteSemigroup, a: int) -> variants.VariantDescriptor:
 @lru_cache(maxsize=2048)
 def _variant_leq(s: FiniteSemigroup, e: int) -> orders.OrderRelation:
     return orders.variant_leq(_variant(s, e))
+
+
+# C-3.1 and C-FUND read it for the same table in one pass of the runner;
+# a small cache keeps the lattices of few tables alive
+@lru_cache(maxsize=32)
+def _congruences(s: FiniteSemigroup) -> tuple[Equivalence, ...]:
+    return tuple(congruences.all_congruences(s))
 
 
 @lru_cache(maxsize=2048)
@@ -853,7 +861,7 @@ def _eval_c31(s, opts):
     t, n = s.table, s.order
 
     def check():
-        produced = all_congruences(s)
+        produced = _congruences(s)
         made = {p.class_index for p in produced}
         brute = set(_lit_congruences(s))
         if made != brute:
@@ -1021,7 +1029,7 @@ def _eval_cfund(s, opts):
             for ci in _lit_congruences(s)
             if max(ci) + 1 != s.order and _separating_lit(ci, es)
         )
-        production, brute = is_fundamental(s), found is None
+        production, brute = fundamental_among(s, _congruences(s)), found is None
         if production == brute:
             return None
         return {"production": production, "bruteforce": brute,

@@ -198,19 +198,16 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.count_only and not args.dedup:
-        print(enumerate_semigroups(args.order, lambda t: None))
+    if args.count_only:
+        print(enumerate_semigroups(args.order, lambda t: None, classes=args.dedup))
         return 0
     spec = CorpusSpec(
         orders=(args.order,),
         dedup=DEDUP_ISO if args.dedup else DEDUP_NONE,
         max_order=ENUMERATION_HARD_CAP,
     )
-    if args.count_only:
-        print(sum(1 for _ in iter_corpus(spec)))
-    else:
-        for s in iter_corpus(spec):
-            print(inline_table(s))
+    for s in iter_corpus(spec):
+        print(inline_table(s))
     return 0
 
 

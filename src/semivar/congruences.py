@@ -259,9 +259,15 @@ def is_fundamental(s: FiniteSemigroup, max_order: int = CONGRUENCE_ORDER_BOUND) 
     That is: every congruence whose restriction to E(S) is trivial is the
     identity congruence.
     """
+    return fundamental_among(s, all_congruences(s, max_order=max_order))
+
+
+def fundamental_among(s: FiniteSemigroup, congruences: Iterable[Equivalence]) -> bool:
+    """is_fundamental's test applied to congruences, which should be
+    all_congruences(s): for callers that already hold that list."""
     e_of_s = idempotents(s)
     identity = Equivalence.identity(s.order)
-    for p in all_congruences(s, max_order=max_order):
+    for p in congruences:
         if p.class_index == identity.class_index:
             continue
         separates = all(

@@ -7,12 +7,26 @@ and (x,yz); it is checked exactly when the last of those is placed, so
 each completed table has every triple verified and dead branches are cut
 as early as the constraints allow.  Tables are emitted in lexicographic
 order of their row-major flattening.
+
+Asked for isomorphism classes, the same search also prunes by lex-leader
+(Read's orderly generation; Distler, Jefferson, Kelsey and Kotthoff, "The
+semigroups of order 10", CP 2012).  After each placement it compares the
+partial table T with every relabeling T^p, ``T^p[i][j] = p[T[q i][q j]]``
+for q the inverse of p, entry by entry in row-major order, up to the
+first entry undecided in either table.  If T^p is smaller there, every
+completion of T has a smaller relabeling and the branch is cut; if it is
+larger, p can never win below this node and is dropped from the
+subtree's list.  What survives is exactly the lexicographically least
+table of each class, the one ``canonical_form`` picks, in the order the
+labeled search would reach it: 1, 5, 24, 188, 1915 classes for n = 1..5.
+``canonical_form`` itself, which tries all n! relabelings of a finished
+table, is kept as the test suite's oracle for the pruned search.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import FiniteSemigroup, OrderTooLarge, Table, build_semigroup
@@ -26,11 +40,15 @@ DEDUP_NONE = "none"
 DEDUP_ISO = "up_to_isomorphism"
 
 
-def enumerate_semigroups(n: int, consumer: Callable[[Table], None]) -> int:
-    """Feed every labeled associative table of order n to consumer.
+def enumerate_semigroups(
+    n: int, consumer: Callable[[Table], None], classes: bool = False
+) -> int:
+    """Feed every labeled associative table of order n to consumer, or
+    with classes=True only the lexicographically least table of each
+    isomorphism class.
 
     Returns the number of tables emitted.  Counts for n = 1..5 are
-    1, 8, 113, 3492, 183732.
+    1, 8, 113, 3492, 183732 labeled and 1, 5, 24, 188, 1915 classes.
     """
     if not 1 <= n <= ENUMERATION_HARD_CAP:
         raise OrderTooLarge(n, ENUMERATION_HARD_CAP)
@@ -73,7 +91,30 @@ def enumerate_semigroups(n: int, consumer: Callable[[Table], None]) -> int:
                     return False
         return True
 
-    def fill(pos: int) -> None:
+    def leader(pos: int, live: list) -> list | None:
+        # live holds (p, cells, k) for the relabelings p whose T^p equals
+        # t on entries 0..k-1; cells[k] = (q i, q j, i, j) for entry
+        # k = (i, j).  Returns those still tied once entry pos is placed,
+        # or None when some T^p is already lex-smaller than t.
+        tied = []
+        for p, cells, k in live:
+            while k <= pos:
+                a, b, i, j = cells[k]
+                x = t[a][b]
+                if x < 0:
+                    break
+                x, y = p[x], t[i][j]
+                if x != y:
+                    if x < y:
+                        return None
+                    k = -1  # lex-greater for good: p is out of this subtree
+                    break
+                k += 1
+            if k >= 0:
+                tied.append((p, cells, k))
+        return tied
+
+    def fill(pos: int, live: list | None) -> None:
         nonlocal count
         if pos == total:
             table = tuple(tuple(row) for row in t)
@@ -84,11 +125,30 @@ def enumerate_semigroups(n: int, consumer: Callable[[Table], None]) -> int:
         for v in rng:
             t[i][j] = v
             if consistent(i, j):
-                fill(pos + 1)
+                if live is None:
+                    fill(pos + 1, None)
+                else:
+                    tied = leader(pos, live)
+                    if tied is not None:
+                        fill(pos + 1, tied)
         t[i][j] = -1
 
-    fill(0)
+    fill(0, _relabelings(n) if classes else None)
     return count
+
+
+def _relabelings(n: int) -> list:
+    """(p, cells, 0) for every permutation p of 0..n-1 but the identity,
+    cells[k] = (q i, q j, i, j) for entry k = (i, j) and q the inverse of p."""
+    out = []
+    # permutations() yields the identity first
+    for p in itertools.islice(itertools.permutations(range(n)), 1, None):
+        q = [0] * n
+        for i, pi in enumerate(p):
+            q[pi] = i
+        cells = [(q[i], q[j], i, j) for i in range(n) for j in range(n)]
+        out.append((p, cells, 0))
+    return out
 
 
 def canonical_form(s: FiniteSemigroup) -> Table:
@@ -136,16 +196,20 @@ class CorpusSpec:
 
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[FiniteSemigroup]:
-    """Validated semigroups for a corpus spec, in enumeration order."""
+    """Validated semigroups for a corpus spec, in enumeration order.
+
+    With DEDUP_ISO the enumerator emits one table per isomorphism class.
+    Every emitted table, class representative or not, goes through
+    build_semigroup, the check of the enumerator that shares none of its
+    code.
+    """
     emitted = 0
+    classes = spec.dedup == DEDUP_ISO
     for n in spec.orders:
         tables: list[Table] = []
-        enumerate_semigroups(n, tables.append)
+        enumerate_semigroups(n, tables.append, classes=classes)
         for table in tables:
-            s = build_semigroup(n, table)
-            if spec.dedup == DEDUP_ISO and canonical_form(s) != table:
-                continue
-            yield s
+            yield build_semigroup(n, table)
             emitted += 1
             if spec.limit is not None and emitted >= spec.limit:
                 return

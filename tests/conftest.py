@@ -1,4 +1,5 @@
-"""Shared fixtures: small named tables and the exhaustive order <= 3 corpus."""
+"""Shared fixtures: small named tables, the exhaustive order <= 3 corpus
+and the order-5 isomorphism classes."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from semivar import build_semigroup
-from semivar.enumeration import CorpusSpec, iter_corpus
+from semivar.enumeration import DEDUP_ISO, CorpusSpec, iter_corpus
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -72,6 +73,12 @@ def corpus3():
 def corpus2():
     """Every labeled semigroup of order 2 (8 tables)."""
     return full_corpus(2)
+
+
+@pytest.fixture(scope="session")
+def classes5():
+    """One table per isomorphism class of order 5 (1,915 tables)."""
+    return tuple(iter_corpus(CorpusSpec(orders=(5,), dedup=DEDUP_ISO, max_order=5)))
 
 
 def rectangular_band(rows: int, cols: int):

@@ -116,6 +116,26 @@ def iso_exists(ta, tb) -> bool:
     return False
 
 
+def relabel(table, perm):
+    """The table of the same semigroup with element x renamed perm[x]."""
+    n = len(table)
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(
+        tuple(perm[table[inv[i]][inv[j]]] for j in range(n)) for i in range(n)
+    )
+
+
+def automorphism_count(table) -> int:
+    """|Aut S|: the relabelings that leave the table unchanged."""
+    n = len(table)
+    return sum(
+        1 for perm in itertools.permutations(range(n))
+        if relabel(table, perm) == table
+    )
+
+
 def canonical(table):
     """Lexicographically least relabeling of a table."""
     n = len(table)

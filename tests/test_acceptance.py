@@ -65,6 +65,22 @@ def test_criterion_2_hard_claims_are_clean():
     )
 
 
+def test_criterion_2_hard_claims_are_clean_on_order5_classes(classes5):
+    # one table per isomorphism class suffices: tests/test_invariance.py
+    # checks that every claim's statuses survive relabeling
+    t0 = time.time()
+    results = [r for s in classes5 for cid in HARD_SUITE for r in evaluate_claim(cid, s)]
+    elapsed = time.time() - t0
+    assert len(classes5) == 1915
+    assert len(results) == 123639
+    bad = [r for r in results if r.status == STATUS_FAILS]
+    assert bad == [], bad[:3]
+    _announce(
+        2, f"all {len(HARD_SUITE)} hard claims clean on the 1915 order-5 classes"
+        f" in {elapsed:.1f}s"
+    )
+
+
 def test_criterion_3_reverse_inclusion_counterexample():
     report = run_corpus(CorpusSpec(orders=(2,)), ["C-4.1-reverse"])
     fails = report.counterexamples()

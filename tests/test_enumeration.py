@@ -1,6 +1,6 @@
 """Exhaustive enumeration and canonical forms."""
 
-import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -16,7 +16,9 @@ from semivar.enumeration import (
     iter_corpus,
 )
 from .conftest import full_corpus
-from .oracles import canonical, naive_tables
+from .oracles import automorphism_count, canonical, naive_tables, relabel
+
+LABELED_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}  # OEIS A023814
 
 
 def collect(n):
@@ -51,22 +53,40 @@ def test_canonical_form_matches_oracle(corpus3):
 
 @given(st.sampled_from(full_corpus(1, 2, 3)), st.data())
 def test_canonical_form_is_relabeling_invariant(s, data):
-    n = s.order
-    perm = data.draw(st.permutations(range(n)))
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    relabeled = build_semigroup(
-        n,
-        [[perm[s.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)],
-    )
+    perm = data.draw(st.permutations(range(s.order)))
+    relabeled = build_semigroup(s.order, relabel(s.table, perm))
     assert canonical_form(relabeled) == canonical_form(s)
 
 
-@pytest.mark.parametrize("n,count", [(2, 5), (3, 24)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_stream_is_the_canonical_filter_of_the_labeled_stream(n):
+    classes = []
+    assert enumerate_semigroups(n, classes.append, classes=True) == len(classes)
+    expected = [t for t in collect(n) if canonical_form(build_semigroup(n, t)) == t]
+    assert classes == expected  # same tables in the same order
+
+
+# class counts are OEIS A027851
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 5), (3, 24), (4, 188)])
 def test_dedup_counts(n, count):
     spec = CorpusSpec(orders=(n,), dedup=DEDUP_ISO)
     assert sum(1 for _ in iter_corpus(spec)) == count
+
+
+def test_order5_class_count(classes5):
+    assert len(classes5) == 1915
+
+
+def test_orbits_of_the_classes_give_back_the_labeled_counts(classes5):
+    # orbit-stabilizer: a class of order n holds n!/|Aut S| labeled tables
+    for n in range(1, 6):
+        if n == 5:
+            tables = [s.table for s in classes5]
+        else:
+            tables = []
+            enumerate_semigroups(n, tables.append, classes=True)
+        orbits = sum(math.factorial(n) // automorphism_count(t) for t in tables)
+        assert orbits == LABELED_COUNTS[n]
 
 
 def test_dedup_emits_only_canonical_tables():
