@@ -8,12 +8,15 @@ re-checker:
 * observed claims record whatever the corpus shows; FAILS results are
   findings, not errors, and never abort a run.
 
-An evaluator lists the claim's instances as params dicts (elements,
-idempotents, subsets U of E(S) under the U-policy; ``[{}]`` for a claim
-without parameters) and passes them to the driver ``_each`` with a check.
-``check(**params)`` returns ``_NA`` (not applicable), None (HOLDS) or a
-witness dict (FAILS).  The witness is the first in the check's fixed
-scan order (``_first`` over a generator), so reports are deterministic.
+``_claim`` builds a claim's evaluator from an instance domain and a
+check.  The domain lists the claim's instances on one semigroup as params
+dicts: ``_once`` (``[{}]``, a claim without parameters),
+``_per_element("a")`` (or ``"u"``), ``_per_idempotent``, ``_per_u``
+(subsets U of E(S) under the U-policy), and the products of three claims
+(C-NONCONG, C-2.6, C-3.5).  ``check(s, opts, **params)`` returns ``_NA``
+(not applicable), None (HOLDS) or a witness dict (FAILS).  The witness is
+the first in the check's fixed scan order (``_first`` over a generator),
+so reports are deterministic.
 
 ``recheck_result`` reproduces a FAILS result from the serialized table,
 params, and witness alone.  Re-checkers are definitional: they scan raw
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from . import congruences, core, relations, variants, orders
@@ -142,29 +145,52 @@ U_POLICY = "all non-empty subsets of E(S) when |E(S)| <= 4, else singletons and 
 
 
 # ---------------------------------------------------------------------------
-# the evaluator driver and the witness searches claims share
+# instance domains, the claim constructor, and the witness searches claims
+# share
 
 #: what a check returns for an instance the claim does not apply to
 _NA = object()
 
 
+def _once(s):
+    return [{}]
+
+
+def _per_element(name):
+    """The instances {name: x}, one per element x of S."""
+    return lambda s: [{name: x} for x in range(s.order)]
+
+
+def _per_idempotent(s):
+    return [{"e": e} for e in sorted(_idem(s))]
+
+
+def _per_u(s):
+    return [{"U": list(us)} for us in u_subsets(s)]
+
+
+def _claim(cid, kind, summary, instances, check, recheck) -> Claim:
+    """The claim whose evaluator gives one result per params dict of
+    instances(s), from check(s, opts, **params): _NA, None (HOLDS) or a
+    witness (FAILS)."""
+
+    def evaluate(s, opts):
+        table = inline_table(s)
+        out = []
+        for p in instances(s):
+            w = check(s, opts, **p)
+            status = STATUS_FAILS if w else STATUS_HOLDS
+            if w is _NA:
+                status, w = STATUS_NOT_APPLICABLE, None
+            out.append(ClaimResult(cid, table, p, status, w))
+        return out
+
+    return Claim(cid, kind, summary, evaluate, recheck)
+
+
 def _first(witnesses):
     """The first witness a generator yields, or None."""
     return next(witnesses, None)
-
-
-def _each(cid, s, params, check) -> list[ClaimResult]:
-    """One result per params dict, from check(**params): _NA, None
-    (HOLDS) or a witness (FAILS)."""
-    table = inline_table(s)
-    out = []
-    for p in params:
-        w = check(**p)
-        status = STATUS_FAILS if w else STATUS_HOLDS
-        if w is _NA:
-            status, w = STATUS_NOT_APPLICABLE, None
-        out.append(ClaimResult(cid, table, p, status, w))
-    return out
 
 
 def _bare_classes(rels, target):
@@ -372,15 +398,12 @@ def _usub_table_lit(table, u):
 #        all meet E(S))
 
 
-def _eval_c11(s, opts):
-    def check():
-        if not core.is_regular(s):
-            return _NA
-        g, st = _green(s), _star(s)
-        rels = ((g.l, "L"), (g.r, "R"), (st.l_star, "L*"), (st.r_star, "R*"))
-        return _first(_bare_classes(rels, _idem(s)))
-
-    return _each("C-1.1", s, [{}], check)
+def _check_c11(s, opts):
+    if not core.is_regular(s):
+        return _NA
+    g, st = _green(s), _star(s)
+    rels = ((g.l, "L"), (g.r, "R"), (st.l_star, "L*"), (st.r_star, "R*"))
+    return _first(_bare_classes(rels, _idem(s)))
 
 
 def _recheck_c11(s, params, w, opts):
@@ -394,17 +417,17 @@ def _recheck_c11(s, params, w, opts):
 #        pairwise cancellation condition over S^1
 
 
-def _eval_c12(s, opts):
+def _check_c12(s, opts):
     n = s.order
     sides = _star_sides(_star(s), s.table)
-    return _each("C-1.2", s, [{}], lambda: _first(
+    return _first(
         {"side": side, "a": a, "b": b,
          "bundle": rel.same(a, b), "literal": not rel.same(a, b)}
         for a in range(n)
         for b in range(a + 1, n)
         for side, rel, t in sides
         if rel.same(a, b) != _rstar_same_lit(t, a, b)
-    ))
+    )
 
 
 def _recheck_c12(s, params, w, opts):
@@ -427,17 +450,17 @@ def _c13_rhs(table, a, e):
     return all(t1[x][a] != t1[y][a] or t1[x][e] == t1[y][e] for x in r for y in r)
 
 
-def _eval_c13(s, opts):
+def _check_c13(s, opts):
     es = sorted(_idem(s))
     sides = _star_sides(_star(s), s.table)
-    return _each("C-1.3", s, [{}], lambda: _first(
+    return _first(
         {"side": side, "a": a, "e": e,
          "star": rel.same(a, e), "characterization": not rel.same(a, e)}
         for a in range(s.order)
         for e in es
         for side, rel, t in sides
         if rel.same(a, e) != _c13_rhs(t, a, e)
-    ))
+    )
 
 
 def _recheck_c13(s, params, w, opts):
@@ -450,28 +473,22 @@ def _recheck_c13(s, params, w, opts):
 #         regular semigroups when U = E(S)
 
 
-def _eval_cincl(s, opts):
-    g, st = _green(s), _star(s)
-    regular = core.is_regular(s)
-
-    def check(U):
-        td = _tilde(s, frozenset(U))
-        links = (
-            ("L", "L*", g.l, st.l_star), ("L*", "L~", st.l_star, td.l_tilde),
-            ("R", "R*", g.r, st.r_star), ("R*", "R~", st.r_star, td.r_tilde),
-        )
-        equal = regular and set(U) == _idem(s)
-        return _first(itertools.chain(
-            ({"part": f"{m}<={k}", "x": x, "y": y}
-             for m, k, p, q in links
-             for x, y in _diff_pairs(p, q)
-             if p.same(x, y)),
-            ({"part": f"eq:{m}={k}", "x": x, "y": y}
-             for m, k, p, q in (links if equal else ())
-             for x, y in _diff_pairs(p, q)),
-        ))
-
-    return _each("C-INCL", s, [{"U": list(us)} for us in u_subsets(s)], check)
+def _check_cincl(s, opts, U):
+    g, st, td = _green(s), _star(s), _tilde(s, frozenset(U))
+    links = (
+        ("L", "L*", g.l, st.l_star), ("L*", "L~", st.l_star, td.l_tilde),
+        ("R", "R*", g.r, st.r_star), ("R*", "R~", st.r_star, td.r_tilde),
+    )
+    equal = set(U) == _idem(s) and core.is_regular(s)
+    return _first(itertools.chain(
+        ({"part": f"{m}<={k}", "x": x, "y": y}
+         for m, k, p, q in links
+         for x, y in _diff_pairs(p, q)
+         if p.same(x, y)),
+        ({"part": f"eq:{m}={k}", "x": x, "y": y}
+         for m, k, p, q in (links if equal else ())
+         for x, y in _diff_pairs(p, q)),
+    ))
 
 
 def _recheck_cincl(s, params, w, opts):
@@ -490,22 +507,19 @@ def _recheck_cincl(s, params, w, opts):
 #        collapse to the starred ones, and S is weakly E(S)-abundant
 
 
-def _eval_c14(s, opts):
-    def check():
-        if not _abundant(s):
-            return _NA
-        es = _idem(s)
-        st, td = _star(s), _tilde(s, es)
-        pairs = ((st.l_star, td.l_tilde, "L*=L~"), (st.r_star, td.r_tilde, "R*=R~"))
-        tildes = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
-        return _first(itertools.chain(
-            ({"part": name, "x": x, "y": y}
-             for p, q, name in pairs
-             for x, y in _diff_pairs(p, q)),
-            ({"part": "weakly-abundant", **w} for w in _bare_classes(tildes, es)),
-        ))
-
-    return _each("C-1.4", s, [{}], check)
+def _check_c14(s, opts):
+    if not _abundant(s):
+        return _NA
+    es = _idem(s)
+    st, td = _star(s), _tilde(s, es)
+    pairs = ((st.l_star, td.l_tilde, "L*=L~"), (st.r_star, td.r_tilde, "R*=R~"))
+    tildes = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
+    return _first(itertools.chain(
+        ({"part": name, "x": x, "y": y}
+         for p, q, name in pairs
+         for x, y in _diff_pairs(p, q)),
+        ({"part": "weakly-abundant", **w} for w in _bare_classes(tildes, es)),
+    ))
 
 
 def _recheck_c14(s, params, w, opts):
@@ -524,27 +538,23 @@ def _recheck_c14(s, params, w, opts):
 #            expected to fail on some instances.
 
 
-def _eval_noncong(s, opts):
-    n = s.order
+def _per_u_relation(s):
+    return [{"U": list(us), "relation": r} for us in u_subsets(s) for r in ("L~", "R~")]
 
-    def check(U, relation):
-        td = _tilde(s, frozenset(U))
-        rel = td.l_tilde if relation == "L~" else td.r_tilde
-        # L~ is tested on right translates x.z, R~ on left translates z.x
-        t = s.table if relation == "L~" else _dual(s.table)
-        return _first(
-            {"x": x, "y": y, "z": z}
-            for block in rel.classes
-            for i, x in enumerate(block)
-            for y in block[i + 1:]
-            for z in range(n)
-            if not rel.same(t[x][z], t[y][z])
-        )
 
-    params = [
-        {"U": list(us), "relation": r} for us in u_subsets(s) for r in ("L~", "R~")
-    ]
-    return _each("C-NONCONG", s, params, check)
+def _check_noncong(s, opts, U, relation):
+    td = _tilde(s, frozenset(U))
+    rel = td.l_tilde if relation == "L~" else td.r_tilde
+    # L~ is tested on right translates x.z, R~ on left translates z.x
+    t = s.table if relation == "L~" else _dual(s.table)
+    return _first(
+        {"x": x, "y": y, "z": z}
+        for block in rel.classes
+        for i, x in enumerate(block)
+        for y in block[i + 1:]
+        for z in range(s.order)
+        if not rel.same(t[x][z], t[y][z])
+    )
 
 
 def _recheck_noncong(s, params, w, opts):
@@ -561,18 +571,13 @@ def _recheck_noncong(s, params, w, opts):
 # C-2.1  the sandwich operation x * y = x a y is associative
 
 
-def _eval_c21(s, opts):
-    n = s.order
-
-    def check(a):
-        vt = _sandwich_table(s.table, a)
-        return _first(
-            {"x": x, "y": y, "z": z}
-            for x, y, z in itertools.product(range(n), repeat=3)
-            if vt[vt[x][y]][z] != vt[x][vt[y][z]]
-        )
-
-    return _each("C-2.1", s, [{"a": a} for a in range(n)], check)
+def _check_c21(s, opts, a):
+    vt = _sandwich_table(s.table, a)
+    return _first(
+        {"x": x, "y": y, "z": z}
+        for x, y, z in itertools.product(range(s.order), repeat=3)
+        if vt[vt[x][y]][z] != vt[x][vt[y][z]]
+    )
 
 
 def _recheck_c21(s, params, w, opts):
@@ -595,17 +600,14 @@ def _plain_r_star(vt):
     ])
 
 
-def _eval_c22q(s, opts):
-    def check(a):
-        v = _variant(s, a).variant
-        return _first(
-            {"side": side, "x": x, "y": y,
-             "adjoined": rel.same(x, y), "plain": not rel.same(x, y)}
-            for side, rel, t in _star_sides(_star(v), v.table)
-            for x, y in _diff_pairs(rel, _plain_r_star(t))
-        )
-
-    return _each("C-2.2-quantifier", s, [{"a": a} for a in range(s.order)], check)
+def _check_c22q(s, opts, a):
+    v = _variant(s, a).variant
+    return _first(
+        {"side": side, "x": x, "y": y,
+         "adjoined": rel.same(x, y), "plain": not rel.same(x, y)}
+        for side, rel, t in _star_sides(_star(v), v.table)
+        for x, y in _diff_pairs(rel, _plain_r_star(t))
+    )
 
 
 def _recheck_c22q(s, params, w, opts):
@@ -620,25 +622,21 @@ def _recheck_c22q(s, params, w, opts):
 #                    R* o L* (= L* o R*)?  Observed.
 
 
-def _eval_c22c(s, opts):
+def _check_c22c(s, opts, a):
     n = s.order
-
-    def check(a):
-        st = _star(_variant(s, a).variant)
-        if st.composition_is_join:
-            return None
-        jp = st.d_star.pairs()
-        rl = relations.compose(st.r_star, st.l_star)
-        lr = relations.compose(st.l_star, st.r_star)
-        return _first(
-            {"x": x, "y": y, "in_join": j, "in_rl": p, "in_lr": q}
-            for x in range(n)
-            for y in range(n)
-            for j, p, q in [((x, y) in jp, (x, y) in rl, (x, y) in lr)]
-            if len({j, p, q}) > 1
-        )
-
-    return _each("C-2.2-composition", s, [{"a": a} for a in range(n)], check)
+    st = _star(_variant(s, a).variant)
+    jp = st.d_star.pairs()
+    rl = relations.compose(st.r_star, st.l_star)
+    lr = relations.compose(st.l_star, st.r_star)
+    if rl == jp == lr:
+        return None
+    return _first(
+        {"x": x, "y": y, "in_join": j, "in_rl": p, "in_lr": q}
+        for x in range(n)
+        for y in range(n)
+        for j, p, q in [((x, y) in jp, (x, y) in rl, (x, y) in lr)]
+        if len({j, p, q}) > 1
+    )
 
 
 def _recheck_c22c(s, params, w, opts):
@@ -680,17 +678,14 @@ def _c23_sides(s, a):
     )
 
 
-def _eval_c23r(s, opts):
-    def check(a):
-        return _first(
-            {"side": side, "x": x, "y": y,
-             "variant_related": vrel.same(x, y), "base_related": not vrel.same(x, y)}
-            for side, pset, vrel, brel in _c23_sides(s, a)
-            for x, y in _diff_pairs(vrel, brel)
-            if x in pset and y in pset
-        )
-
-    return _each("C-2.3-restricted", s, [{"a": a} for a in range(s.order)], check)
+def _check_c23r(s, opts, a):
+    return _first(
+        {"side": side, "x": x, "y": y,
+         "variant_related": vrel.same(x, y), "base_related": not vrel.same(x, y)}
+        for side, pset, vrel, brel in _c23_sides(s, a)
+        for x, y in _diff_pairs(vrel, brel)
+        if x in pset and y in pset
+    )
 
 
 def _in_p1_lit(table, a, x):
@@ -707,19 +702,16 @@ def _recheck_c23r(s, params, w, opts):
     return _rstar_same_lit(vt, x, y) != _rstar_same_lit(t, x, y)
 
 
-def _eval_c23l(s, opts):
-    def check(a):
-        for side, pset, vrel, brel in _c23_sides(s, a):
-            for x in range(s.order):
-                lhs = pset.intersection(vrel.class_of(x))
-                rhs = set(brel.class_of(x))
-                if lhs != rhs:
-                    y = min(lhs ^ rhs)
-                    return {"side": side, "x": x, "y": y,
-                            "in_variant_cap_p": y in lhs, "in_base": y in rhs}
-        return None
-
-    return _each("C-2.3-literal", s, [{"a": a} for a in range(s.order)], check)
+def _check_c23l(s, opts, a):
+    for side, pset, vrel, brel in _c23_sides(s, a):
+        for x in range(s.order):
+            lhs = pset.intersection(vrel.class_of(x))
+            rhs = set(brel.class_of(x))
+            if lhs != rhs:
+                y = min(lhs ^ rhs)
+                return {"side": side, "x": x, "y": y,
+                        "in_variant_cap_p": y in lhs, "in_base": y in rhs}
+    return None
 
 
 def _recheck_c23l(s, params, w, opts):
@@ -735,18 +727,13 @@ def _recheck_c23l(s, params, w, opts):
 #        are abundant
 
 
-def _eval_c24(s, opts):
-    applicable = s.identity is not None and _abundant(s)
-
-    def check(a):
-        if not (applicable and core.is_invertible(s, a)):
-            return _NA
-        v = _variant(s, a).variant
-        vst = _star(v)
-        rels = ((vst.l_star, "L*"), (vst.r_star, "R*"))
-        return _first(_bare_classes(rels, idempotents(v)))
-
-    return _each("C-2.4", s, [{"a": a} for a in range(s.order)], check)
+def _check_c24(s, opts, a):
+    if not (s.identity is not None and _abundant(s) and core.is_invertible(s, a)):
+        return _NA
+    v = _variant(s, a).variant
+    vst = _star(v)
+    rels = ((vst.l_star, "L*"), (vst.r_star, "R*"))
+    return _first(_bare_classes(rels, idempotents(v)))
 
 
 def _recheck_c24(s, params, w, opts):
@@ -764,14 +751,10 @@ def _recheck_c24(s, params, w, opts):
 # C-2.5  an idempotent sandwich element is idempotent in its own variant
 
 
-def _eval_c25(s, opts):
+def _check_c25(s, opts, e):
     t = s.table
-
-    def check(e):
-        eee = t[t[e][e]][e]
-        return None if eee == e else {"e_star_e": eee}
-
-    return _each("C-2.5", s, [{"e": e} for e in sorted(_idem(s))], check)
+    eee = t[t[e][e]][e]
+    return None if eee == e else {"e_star_e": eee}
 
 
 def _recheck_c25(s, params, w, opts):
@@ -784,48 +767,41 @@ def _recheck_c25(s, params, w, opts):
 #        of the inherited idempotent set.  Observed.
 
 
-def _eval_c26(reading):
-    cid = f"C-2.6-{reading}"
-
-    def evaluate(s, opts):
-        def unabundant(v, us):
-            """The first L~/R~ class of v at U = us without a target idempotent."""
-            td = _tilde(v, frozenset(us))
-            target = frozenset(us) if opts.strict_u else idempotents(v)
-            rels = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
-            return _first(_bare_classes(rels, target))
-
-        def check(U, e):
-            if unabundant(s, U) is not None:
-                return _NA
-            v = _variant(s, e).variant
-            uprime = sorted(set(U) & idempotents(v)) if reading == "inter" else [e]
-            w = unabundant(v, uprime)
-            return w and {"Uprime": uprime, **w}
-
-        params = [{"U": list(us), "e": e} for us in u_subsets(s) for e in us]
-        return _each(cid, s, params, check)
-
-    return evaluate
+def _per_u_idempotent(s):
+    return [{"U": list(us), "e": e} for us in u_subsets(s) for e in us]
 
 
-def _recheck_c26(reading):
-    def recheck(s, params, w, opts):
-        us = tuple(sorted(params["U"]))
-        e = params["e"]
-        target = set(us) if opts.strict_u else set(_idems_lit(s.table))
-        if not _classes_meet_lit(s.table, ("L~", "R~"), target, us):
-            return False
-        vt = _sandwich_table(s.table, e)
-        uprime = (e,)
-        if reading == "inter":
-            uprime = tuple(sorted(set(us) & set(_idems_lit(vt))))
-        if tuple(sorted(w["Uprime"])) != uprime:
-            return False
-        target = set(uprime) if opts.strict_u else set(_idems_lit(vt))
-        return _bare_class_lit(vt, w["relation"], w["element"], target, uprime)
+def _unabundant(v, us, opts):
+    """The first L~/R~ class of v at U = us without a target idempotent."""
+    td = _tilde(v, frozenset(us))
+    target = frozenset(us) if opts.strict_u else idempotents(v)
+    rels = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
+    return _first(_bare_classes(rels, target))
 
-    return recheck
+
+def _check_c26(s, opts, U, e, reading):
+    if _unabundant(s, U, opts) is not None:
+        return _NA
+    v = _variant(s, e).variant
+    uprime = sorted(set(U) & idempotents(v)) if reading == "inter" else [e]
+    w = _unabundant(v, uprime, opts)
+    return w and {"Uprime": uprime, **w}
+
+
+def _recheck_c26(s, params, w, opts, reading):
+    us = tuple(sorted(params["U"]))
+    e = params["e"]
+    target = set(us) if opts.strict_u else set(_idems_lit(s.table))
+    if not _classes_meet_lit(s.table, ("L~", "R~"), target, us):
+        return False
+    vt = _sandwich_table(s.table, e)
+    uprime = (e,)
+    if reading == "inter":
+        uprime = tuple(sorted(set(us) & set(_idems_lit(vt))))
+    if tuple(sorted(w["Uprime"])) != uprime:
+        return False
+    target = set(uprime) if opts.strict_u else set(_idems_lit(vt))
+    return _bare_class_lit(vt, w["relation"], w["element"], target, uprime)
 
 
 # C-3.1  the congruence lattice: join-closure of principal congruences
@@ -857,27 +833,23 @@ def _lit_congruences(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
     return tuple(ci for ci in partitions if _is_congruence_lit(s.table, ci))
 
 
-def _eval_c31(s, opts):
+def _check_c31(s, opts):
     t, n = s.table, s.order
-
-    def check():
-        produced = _congruences(s)
-        made = {p.class_index for p in produced}
-        brute = set(_lit_congruences(s))
-        if made != brute:
-            return {"part": "lattice",
-                    "only_production": [list(k) for k in sorted(made - brute)[:1]],
-                    "only_bruteforce": [list(k) for k in sorted(brute - made)[:1]]}
-        return _first(
-            {"part": "welldef", "partition": list(ci), "x": x, "y": y}
-            for p in produced
-            for ci, q in [(p.class_index, quotient(s, p)[0])]
-            for x in range(n)
-            for y in range(n)
-            if q.table[ci[x]][ci[y]] != ci[t[x][y]]
-        )
-
-    return _each("C-3.1", s, [{}], check)
+    produced = _congruences(s)
+    made = {p.class_index for p in produced}
+    brute = set(_lit_congruences(s))
+    if made != brute:
+        return {"part": "lattice",
+                "only_production": [list(k) for k in sorted(made - brute)[:1]],
+                "only_bruteforce": [list(k) for k in sorted(brute - made)[:1]]}
+    return _first(
+        {"part": "welldef", "partition": list(ci), "x": x, "y": y}
+        for p in produced
+        for ci, q in [(p.class_index, quotient(s, p)[0])]
+        for x in range(n)
+        for y in range(n)
+        if q.table[ci[x]][ci[y]] != ci[t[x][y]]
+    )
 
 
 def _recheck_c31(s, params, w, opts):
@@ -914,32 +886,30 @@ def _translation_lit(t, u, relation, side):
     return related, moved
 
 
-def _eval_c32(s, opts):
-    n = s.order
+def _translation_violation(s, u, relation, side):
+    """The first x, y, z showing relation is not compatible with side."""
+    related, moved = _translation_lit(s.table, u, relation, side)
+    r = range(s.order)
+    return _first(
+        {"relation": relation, "requirement": side, "x": x, "y": y, "z": z}
+        for x in r
+        for y in r
+        if x != y and related(x, y)
+        for z in r
+        if not related(moved(x, z), moved(y, z))
+    )
 
-    def violation(u, relation, side):
-        related, moved = _translation_lit(s.table, u, relation, side)
-        return _first(
-            {"relation": relation, "requirement": side, "x": x, "y": y, "z": z}
-            for x in range(n)
-            for y in range(n)
-            if x != y and related(x, y)
-            for z in range(n)
-            if not related(moved(x, z), moved(y, z))
-        )
 
-    def check(u):
-        v = _variant(s, u).variant
-        lam_kind = congruence_kind(v, sandwich_lambda(s, u))
-        if lam_kind not in (KIND_LEFT, KIND_TWO_SIDED):
-            return violation(u, "lambda", "left")
-        if congruence_kind(v, sandwich_rho(s, u)) not in (KIND_RIGHT, KIND_TWO_SIDED):
-            return violation(u, "rho", "right")
-        if lam_kind != KIND_TWO_SIDED:
-            return violation(u, "lambda", "right")
-        return None
-
-    return _each("C-3.2", s, [{"u": u} for u in range(n)], check)
+def _check_c32(s, opts, u):
+    v = _variant(s, u).variant
+    lam_kind = congruence_kind(v, sandwich_lambda(s, u))
+    if lam_kind not in (KIND_LEFT, KIND_TWO_SIDED):
+        return _translation_violation(s, u, "lambda", "left")
+    if congruence_kind(v, sandwich_rho(s, u)) not in (KIND_RIGHT, KIND_TWO_SIDED):
+        return _translation_violation(s, u, "rho", "right")
+    if lam_kind != KIND_TWO_SIDED:
+        return _translation_violation(s, u, "lambda", "right")
+    return None
 
 
 def _recheck_c32(s, params, w, opts):
@@ -958,16 +928,13 @@ def _lambda_quotient(s, u):
     return quotient(_variant(s, u).variant, sandwich_lambda(s, u))[0]
 
 
-def _eval_c34(s, opts):
-    def check(u):
-        try:
-            q = _lambda_quotient(s, u)
-        except NotACongruence as err:
-            return {"part": "lambda-not-congruence", "kind": err.kind}
-        image, _ = induced_subsemigroup(s, core.translate_set(s, u, "left"))
-        return _iso_witness(q, image, "quotient", "image")
-
-    return _each("C-3.4", s, [{"u": u} for u in range(s.order)], check)
+def _check_c34(s, opts, u):
+    try:
+        q = _lambda_quotient(s, u)
+    except NotACongruence as err:
+        return {"part": "lambda-not-congruence", "kind": err.kind}
+    image, _ = induced_subsemigroup(s, core.translate_set(s, u, "left"))
+    return _iso_witness(q, image, "quotient", "image")
 
 
 def _recheck_c34(s, params, w, opts):
@@ -983,16 +950,15 @@ def _recheck_c34(s, params, w, opts):
 #        S^a/lambda^a and S^b/lambda^b.  Observed.
 
 
-def _eval_c35(s, opts):
-    def check(a, b):
-        qa, qb = _lambda_quotient(s, a), _lambda_quotient(s, b)
-        return _iso_witness(qa, qb, "quotient_a", "quotient_b")
-
+def _per_l_pair(s):
+    """The pairs a < b of L-related elements, class by class."""
     classes = _green(s).l.classes
-    params = [
-        {"a": a, "b": b} for c in classes for i, a in enumerate(c) for b in c[i + 1:]
-    ]
-    return _each("C-3.5", s, params, check)
+    return [{"a": a, "b": b} for c in classes for i, a in enumerate(c) for b in c[i + 1:]]
+
+
+def _check_c35(s, opts, a, b):
+    qa, qb = _lambda_quotient(s, a), _lambda_quotient(s, b)
+    return _iso_witness(qa, qb, "quotient_a", "quotient_b")
 
 
 def _recheck_c35(s, params, w, opts):
@@ -1007,35 +973,29 @@ def _recheck_c35(s, params, w, opts):
 #        domain / kernel is isomorphic to the image
 
 
-def _eval_cfht(s, opts):
-    def check(u):
-        h = u_translate_hom(s, u)
-        q, _ = quotient(h.domain, h.kernel())
-        image, _ = induced_subsemigroup(h.codomain, h.image())
-        return _iso_witness(q, image, "quotient", "image")
-
-    return _each("C-FHT", s, [{"u": u} for u in range(s.order)], check)
+def _check_cfht(s, opts, u):
+    h = u_translate_hom(s, u)
+    q, _ = quotient(h.domain, h.kernel())
+    image, _ = induced_subsemigroup(h.codomain, h.image())
+    return _iso_witness(q, image, "quotient", "image")
 
 
 # C-FUND  the no-nontrivial-idempotent-separating-congruence predicate
 #         agrees with a brute-force scan over all partitions
 
 
-def _eval_cfund(s, opts):
-    def check():
-        es = _idems_lit(s.table)
-        found = _first(
-            list(ci)
-            for ci in _lit_congruences(s)
-            if max(ci) + 1 != s.order and _separating_lit(ci, es)
-        )
-        production, brute = fundamental_among(s, _congruences(s)), found is None
-        if production == brute:
-            return None
-        return {"production": production, "bruteforce": brute,
-                "witness_partition": found}
-
-    return _each("C-FUND", s, [{}], check)
+def _check_cfund(s, opts):
+    es = _idems_lit(s.table)
+    found = _first(
+        list(ci)
+        for ci in _lit_congruences(s)
+        if max(ci) + 1 != s.order and _separating_lit(ci, es)
+    )
+    production, brute = fundamental_among(s, _congruences(s)), found is None
+    if production == brute:
+        return None
+    return {"production": production, "bruteforce": brute,
+            "witness_partition": found}
 
 
 def _recheck_cfund(s, params, w, opts):
@@ -1051,15 +1011,15 @@ def _recheck_cfund(s, params, w, opts):
 #        idempotent order ef = fe = e
 
 
-def _eval_c40(s, opts):
+def _check_c40(s, opts):
     t, leq = s.table, _natural(s).leq
     es = sorted(_idem(s))
-    return _each("C-4.0", s, [{}], lambda: _first(
+    return _first(
         {"e": e, "f": f, "natural": leq[e][f], "usual": not leq[e][f]}
         for e in es
         for f in es
         if leq[e][f] != (t[e][f] == e and t[f][e] == e)
-    ))
+    )
 
 
 def _recheck_c40(s, params, w, opts):
@@ -1075,18 +1035,14 @@ def _recheck_c40(s, params, w, opts):
 #        hard, the reverse is observed (counterexamples expected)
 
 
-def _eval_c41f(s, opts):
-    t, es = s.table, sorted(_idem(s))
-
-    def check(e):
-        vt = _variant(s, e).variant.table
-        return _first(
-            {"f": f, "f_star_f": vt[f][f]}
-            for f in es
-            if t[f][e] == f and t[e][f] == f and vt[f][f] != f
-        )
-
-    return _each("C-4.1-forward", s, [{"e": e} for e in es], check)
+def _check_c41f(s, opts, e):
+    t = s.table
+    vt = _variant(s, e).variant.table
+    return _first(
+        {"f": f, "f_star_f": vt[f][f]}
+        for f in sorted(_idem(s))
+        if t[f][e] == f and t[e][f] == f and vt[f][f] != f
+    )
 
 
 def _recheck_c41f(s, params, w, opts):
@@ -1097,19 +1053,15 @@ def _recheck_c41f(s, params, w, opts):
     return t[f][e] == f and t[e][f] == f and t[t[f][e]][f] != f
 
 
-def _eval_c41r(s, opts):
+def _check_c41r(s, opts, e):
     t = s.table
-
-    def check(e):
-        vt = _variant(s, e).variant.table
-        return _first(
-            {"f": f, "ff": t[f][f], "fe": t[f][e], "ef": t[e][f]}
-            for f in s.elements
-            if vt[f][f] == f
-            and not (t[f][f] == f and t[f][e] == f and t[e][f] == f)
-        )
-
-    return _each("C-4.1-reverse", s, [{"e": e} for e in sorted(_idem(s))], check)
+    vt = _variant(s, e).variant.table
+    return _first(
+        {"f": f, "ff": t[f][f], "fe": t[f][e], "ef": t[e][f]}
+        for f in s.elements
+        if vt[f][f] == f
+        and not (t[f][f] == f and t[f][e] == f and t[e][f] == f)
+    )
 
 
 def _recheck_c41r(s, params, w, opts):
@@ -1125,11 +1077,8 @@ def _recheck_c41r(s, params, w, opts):
 # C-4.2  <=_e is a partial order on E(S^e)
 
 
-def _eval_c42(s, opts):
-    def check(e):
-        return _law_violation(orders.variant_idempotent_leq(_variant(s, e)))
-
-    return _each("C-4.2", s, [{"e": e} for e in sorted(_idem(s))], check)
+def _check_c42(s, opts, e):
+    return _law_violation(orders.variant_idempotent_leq(_variant(s, e)))
 
 
 def _recheck_c42(s, params, w, opts):
@@ -1145,19 +1094,14 @@ def _recheck_c42(s, params, w, opts):
 # C-4.3  a <=_e b in the variant implies a <= b in the base
 
 
-def _eval_c43(s, opts):
-    nat = _natural(s)
-
-    def check(e):
-        vle = _variant_leq(s, e)
-        return _first(
-            {"a": a, "b": b}
-            for a in s.elements
-            for b in s.elements
-            if vle.leq[a][b] and not nat.leq[a][b]
-        )
-
-    return _each("C-4.3", s, [{"e": e} for e in sorted(_idem(s))], check)
+def _check_c43(s, opts, e):
+    nat, vle = _natural(s), _variant_leq(s, e)
+    return _first(
+        {"a": a, "b": b}
+        for a in s.elements
+        for b in s.elements
+        if vle.leq[a][b] and not nat.leq[a][b]
+    )
 
 
 def _recheck_c43(s, params, w, opts):
@@ -1171,19 +1115,15 @@ def _recheck_c43(s, params, w, opts):
 #        there (a); below a regular element everything is regular (b)
 
 
-def _eval_c44a(s, opts):
-    def check(e):
-        vt = _variant(s, e).variant.table
-        vle = _variant_leq(s, e)
-        return _first(
-            {"a": a, "f": f}
-            for f in s.elements
-            if vt[f][f] == f
-            for a in s.elements
-            if vle.leq[a][f] and vt[a][a] != a
-        )
-
-    return _each("C-4.4a", s, [{"e": e} for e in sorted(_idem(s))], check)
+def _check_c44a(s, opts, e):
+    vt, vle = _variant(s, e).variant.table, _variant_leq(s, e)
+    return _first(
+        {"a": a, "f": f}
+        for f in s.elements
+        if vt[f][f] == f
+        for a in s.elements
+        if vle.leq[a][f] and vt[a][a] != a
+    )
 
 
 def _recheck_c44a(s, params, w, opts):
@@ -1192,19 +1132,15 @@ def _recheck_c44a(s, params, w, opts):
     return vt[f][f] == f and _natural_leq_lit(vt, a, f) and vt[a][a] != a
 
 
-def _eval_c44b(s, opts):
-    def check(e):
-        v = _variant(s, e).variant
-        vle = _variant_leq(s, e)
-        regular = [core.is_regular_element(v, x) for x in s.elements]
-        return _first(
-            {"a": a, "b": b}
-            for a in s.elements
-            for b in s.elements
-            if vle.leq[a][b] and regular[b] and not regular[a]
-        )
-
-    return _each("C-4.4b", s, [{"e": e} for e in sorted(_idem(s))], check)
+def _check_c44b(s, opts, e):
+    v, vle = _variant(s, e).variant, _variant_leq(s, e)
+    regular = [core.is_regular_element(v, x) for x in s.elements]
+    return _first(
+        {"a": a, "b": b}
+        for a in s.elements
+        for b in s.elements
+        if vle.leq[a][b] and regular[b] and not regular[a]
+    )
 
 
 def _recheck_c44b(s, params, w, opts):
@@ -1218,8 +1154,8 @@ def _recheck_c44b(s, params, w, opts):
 # C-NAT-PO  is the natural order actually a partial order?  Measured.
 
 
-def _eval_cnatpo(s, opts):
-    return _each("C-NAT-PO", s, [{}], lambda: _law_violation(_natural(s)))
+def _check_cnatpo(s, opts):
+    return _law_violation(_natural(s))
 
 
 def _recheck_cnatpo(s, params, w, opts):
@@ -1228,99 +1164,101 @@ def _recheck_cnatpo(s, params, w, opts):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: id, class, summary, instance domain, check, re-checker
 
 
 REGISTRY: dict[str, Claim] = {
     c.claim_id: c
     for c in [
-        Claim("C-1.1", KIND_HARD,
-              "in a regular semigroup, every L/R and L*/R* class contains an idempotent",
-              _eval_c11, _recheck_c11),
-        Claim("C-1.2", KIND_HARD,
-              "kernel-computed starred relations match the literal cancellation condition over S^1",
-              _eval_c12, _recheck_c12),
-        Claim("C-1.3", KIND_HARD,
-              "for idempotent e: a R* e iff ea = a and xa = ya implies xe = ye (dually for L*)",
-              _eval_c13, _recheck_c13),
-        Claim("C-INCL", KIND_HARD,
-              "L refines L* refines L~ (dually R), with equality on regular semigroups at U = E(S)",
-              _eval_cincl, _recheck_cincl),
-        Claim("C-1.4", KIND_HARD,
-              "on abundant semigroups the U = E(S) tilde relations equal the starred ones and S is weakly E(S)-abundant",
-              _eval_c14, _recheck_c14),
-        Claim("C-NONCONG", KIND_OBSERVED,
-              "is L~ a right congruence (R~ a left congruence)?  fails on some instances by design",
-              _eval_noncong, _recheck_noncong),
-        Claim("C-2.1", KIND_HARD,
-              "the sandwich operation x * y = x.a.y is associative for every a",
-              _eval_c21, _recheck_c21),
-        Claim("C-2.2-quantifier", KIND_OBSERVED,
-              "variant starred relations: quantifying over S^a only versus over (S^a)^1",
-              _eval_c22q, _recheck_c22q),
-        Claim("C-2.2-composition", KIND_OBSERVED,
-              "is D* of the variant the relational composition R* o L* = L* o R*?",
-              _eval_c22c, _recheck_c22c),
-        Claim("C-2.3-restricted", KIND_HARD,
-              "restricted to P1, the variant's R* agrees with the base's R* (dually P2/L*)",
-              _eval_c23r, _recheck_c23r),
-        Claim("C-2.3-literal", KIND_OBSERVED,
-              "unrestricted reading: R*^a-class(x) intersected with P1 equals R*-class(x) for every x",
-              _eval_c23l, _recheck_c23l),
-        Claim("C-2.4", KIND_HARD,
-              "variants of an abundant monoid at invertible elements are abundant",
-              _eval_c24, _recheck_c24),
-        Claim("C-2.5", KIND_HARD,
-              "an idempotent sandwich element is idempotent in its own variant",
-              _eval_c25, _recheck_c25),
-        Claim("C-2.6-inter", KIND_OBSERVED,
-              "weak U-abundance passes to idempotent variants with U' = U intersect E(S^e)",
-              _eval_c26("inter"), _recheck_c26("inter")),
-        Claim("C-2.6-sandwich", KIND_OBSERVED,
-              "weak U-abundance passes to idempotent variants with U' = {e}",
-              _eval_c26("sandwich"), _recheck_c26("sandwich")),
-        Claim("C-3.1", KIND_HARD,
-              "the congruence lattice matches a brute-force partition filter and quotients are well defined",
-              _eval_c31, _recheck_c31),
-        Claim("C-3.2", KIND_HARD,
-              "lambda^u (rho^u) is a left (right) congruence on S^u; lambda^u is two-sided there",
-              _eval_c32, _recheck_c32),
-        Claim("C-3.4", KIND_HARD,
-              "S^u / lambda^u is isomorphic to uS",
-              _eval_c34, _recheck_c34),
-        Claim("C-3.5", KIND_OBSERVED,
-              "L-related sandwich elements give isomorphic quotients S^a/lambda^a and S^b/lambda^b",
-              _eval_c35, _recheck_c35),
-        Claim("C-FHT", KIND_HARD,
-              "domain/kernel of the u-translation homomorphism is isomorphic to its image",
-              _eval_cfht, _recheck_c34),
-        Claim("C-FUND", KIND_HARD,
-              "the fundamentality predicate agrees with a brute-force scan over all partitions",
-              _eval_cfund, _recheck_cfund),
-        Claim("C-4.0", KIND_HARD,
-              "the natural order restricted to E(S) is the usual idempotent order",
-              _eval_c40, _recheck_c40),
-        Claim("C-4.1-forward", KIND_HARD,
-              "every idempotent below e lies in E(S^e)",
-              _eval_c41f, _recheck_c41f),
-        Claim("C-4.1-reverse", KIND_OBSERVED,
-              "is every member of E(S^e) an idempotent of S below e?  counterexamples expected",
-              _eval_c41r, _recheck_c41r),
-        Claim("C-4.2", KIND_HARD,
-              "<=_e is a partial order on E(S^e)",
-              _eval_c42, _recheck_c42),
-        Claim("C-4.3", KIND_HARD,
-              "a <=_e b in the variant implies a <= b in the base",
-              _eval_c43, _recheck_c43),
-        Claim("C-4.4a", KIND_HARD,
-              "anything <=_e-below an idempotent of S^e is idempotent in S^e",
-              _eval_c44a, _recheck_c44a),
-        Claim("C-4.4b", KIND_HARD,
-              "anything <=_e-below a regular element of S^e is regular in S^e",
-              _eval_c44b, _recheck_c44b),
-        Claim("C-NAT-PO", KIND_OBSERVED,
-              "is the natural order reflexive, antisymmetric, and transitive?  measured",
-              _eval_cnatpo, _recheck_cnatpo),
+        _claim("C-1.1", KIND_HARD,
+               "in a regular semigroup, every L/R and L*/R* class contains an idempotent",
+               _once, _check_c11, _recheck_c11),
+        _claim("C-1.2", KIND_HARD,
+               "kernel-computed starred relations match the literal cancellation condition over S^1",
+               _once, _check_c12, _recheck_c12),
+        _claim("C-1.3", KIND_HARD,
+               "for idempotent e: a R* e iff ea = a and xa = ya implies xe = ye (dually for L*)",
+               _once, _check_c13, _recheck_c13),
+        _claim("C-INCL", KIND_HARD,
+               "L refines L* refines L~ (dually R), with equality on regular semigroups at U = E(S)",
+               _per_u, _check_cincl, _recheck_cincl),
+        _claim("C-1.4", KIND_HARD,
+               "on abundant semigroups the U = E(S) tilde relations equal the starred ones and S is weakly E(S)-abundant",
+               _once, _check_c14, _recheck_c14),
+        _claim("C-NONCONG", KIND_OBSERVED,
+               "is L~ a right congruence (R~ a left congruence)?  fails on some instances by design",
+               _per_u_relation, _check_noncong, _recheck_noncong),
+        _claim("C-2.1", KIND_HARD,
+               "the sandwich operation x * y = x.a.y is associative for every a",
+               _per_element("a"), _check_c21, _recheck_c21),
+        _claim("C-2.2-quantifier", KIND_OBSERVED,
+               "variant starred relations: quantifying over S^a only versus over (S^a)^1",
+               _per_element("a"), _check_c22q, _recheck_c22q),
+        _claim("C-2.2-composition", KIND_OBSERVED,
+               "is D* of the variant the relational composition R* o L* = L* o R*?",
+               _per_element("a"), _check_c22c, _recheck_c22c),
+        _claim("C-2.3-restricted", KIND_HARD,
+               "restricted to P1, the variant's R* agrees with the base's R* (dually P2/L*)",
+               _per_element("a"), _check_c23r, _recheck_c23r),
+        _claim("C-2.3-literal", KIND_OBSERVED,
+               "unrestricted reading: R*^a-class(x) intersected with P1 equals R*-class(x) for every x",
+               _per_element("a"), _check_c23l, _recheck_c23l),
+        _claim("C-2.4", KIND_HARD,
+               "variants of an abundant monoid at invertible elements are abundant",
+               _per_element("a"), _check_c24, _recheck_c24),
+        _claim("C-2.5", KIND_HARD,
+               "an idempotent sandwich element is idempotent in its own variant",
+               _per_idempotent, _check_c25, _recheck_c25),
+        _claim("C-2.6-inter", KIND_OBSERVED,
+               "weak U-abundance passes to idempotent variants with U' = U intersect E(S^e)",
+               _per_u_idempotent, partial(_check_c26, reading="inter"),
+               partial(_recheck_c26, reading="inter")),
+        _claim("C-2.6-sandwich", KIND_OBSERVED,
+               "weak U-abundance passes to idempotent variants with U' = {e}",
+               _per_u_idempotent, partial(_check_c26, reading="sandwich"),
+               partial(_recheck_c26, reading="sandwich")),
+        _claim("C-3.1", KIND_HARD,
+               "the congruence lattice matches a brute-force partition filter and quotients are well defined",
+               _once, _check_c31, _recheck_c31),
+        _claim("C-3.2", KIND_HARD,
+               "lambda^u (rho^u) is a left (right) congruence on S^u; lambda^u is two-sided there",
+               _per_element("u"), _check_c32, _recheck_c32),
+        _claim("C-3.4", KIND_HARD,
+               "S^u / lambda^u is isomorphic to uS",
+               _per_element("u"), _check_c34, _recheck_c34),
+        _claim("C-3.5", KIND_OBSERVED,
+               "L-related sandwich elements give isomorphic quotients S^a/lambda^a and S^b/lambda^b",
+               _per_l_pair, _check_c35, _recheck_c35),
+        _claim("C-FHT", KIND_HARD,
+               "domain/kernel of the u-translation homomorphism is isomorphic to its image",
+               _per_element("u"), _check_cfht, _recheck_c34),
+        _claim("C-FUND", KIND_HARD,
+               "the fundamentality predicate agrees with a brute-force scan over all partitions",
+               _once, _check_cfund, _recheck_cfund),
+        _claim("C-4.0", KIND_HARD,
+               "the natural order restricted to E(S) is the usual idempotent order",
+               _once, _check_c40, _recheck_c40),
+        _claim("C-4.1-forward", KIND_HARD,
+               "every idempotent below e lies in E(S^e)",
+               _per_idempotent, _check_c41f, _recheck_c41f),
+        _claim("C-4.1-reverse", KIND_OBSERVED,
+               "is every member of E(S^e) an idempotent of S below e?  counterexamples expected",
+               _per_idempotent, _check_c41r, _recheck_c41r),
+        _claim("C-4.2", KIND_HARD,
+               "<=_e is a partial order on E(S^e)",
+               _per_idempotent, _check_c42, _recheck_c42),
+        _claim("C-4.3", KIND_HARD,
+               "a <=_e b in the variant implies a <= b in the base",
+               _per_idempotent, _check_c43, _recheck_c43),
+        _claim("C-4.4a", KIND_HARD,
+               "anything <=_e-below an idempotent of S^e is idempotent in S^e",
+               _per_idempotent, _check_c44a, _recheck_c44a),
+        _claim("C-4.4b", KIND_HARD,
+               "anything <=_e-below a regular element of S^e is regular in S^e",
+               _per_idempotent, _check_c44b, _recheck_c44b),
+        _claim("C-NAT-PO", KIND_OBSERVED,
+               "is the natural order reflexive, antisymmetric, and transitive?  measured",
+               _once, _check_cnatpo, _recheck_cnatpo),
     ]
 }
 

@@ -29,7 +29,7 @@ from .enumeration import (
     iter_corpus,
 )
 from .orders import natural_leq
-from .relations import green, star, tilde
+from .relations import compose, green, star, tilde
 from .runner import hard_failures, run_corpus
 from .sgt import inline_table, parse_table, serialize_table
 from .variants import idempotent_variant, variant
@@ -175,7 +175,9 @@ def _cmd_inspect(args) -> int:
             print(f"R* {_fmt_partition(st.r_star)}")
             print(f"H* {_fmt_partition(st.h_star)}")
             print(f"D* {_fmt_partition(st.d_star)}")
-            print(f"D* is R*oL* = L*oR*: {'yes' if st.composition_is_join else 'no'}")
+            dp = st.d_star.pairs()
+            same = compose(st.r_star, st.l_star) == dp == compose(st.l_star, st.r_star)
+            print(f"D* is R*oL* = L*oR*: {'yes' if same else 'no'}")
         elif section == "tilde":
             us = frozenset(ids) if ids is not None else idempotents(s)
             td = tilde(s, us)

@@ -25,6 +25,7 @@ table, is kept as the test suite's oracle for the pruned search.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -195,21 +196,33 @@ class CorpusSpec:
             raise ValueError("limit must be positive when given")
 
 
+class _LimitReached(Exception):
+    """Stops the search once iter_corpus has the tables its limit allows."""
+
+
 def iter_corpus(spec: CorpusSpec) -> Iterator[FiniteSemigroup]:
     """Validated semigroups for a corpus spec, in enumeration order.
 
     With DEDUP_ISO the enumerator emits one table per isomorphism class.
     Every emitted table, class representative or not, goes through
     build_semigroup, the check of the enumerator that shares none of its
-    code.
+    code.  With a limit the search stops at the limit-th table.
     """
-    emitted = 0
+    remaining = spec.limit
     classes = spec.dedup == DEDUP_ISO
     for n in spec.orders:
         tables: list[Table] = []
-        enumerate_semigroups(n, tables.append, classes=classes)
+
+        def collect(table: Table) -> None:
+            tables.append(table)
+            if len(tables) == remaining:
+                raise _LimitReached
+
+        with contextlib.suppress(_LimitReached):
+            enumerate_semigroups(n, collect, classes=classes)
         for table in tables:
             yield build_semigroup(n, table)
-            emitted += 1
-            if spec.limit is not None and emitted >= spec.limit:
+        if remaining is not None:
+            remaining -= len(tables)
+            if remaining == 0:
                 return

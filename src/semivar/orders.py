@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteSemigroup, NotIdempotent, adjoin_identity
+from .core import FiniteSemigroup, NotIdempotent
 from .variants import VariantDescriptor
 
 
@@ -57,17 +57,18 @@ class OrderRelation:
 
 
 def _leq_matrix(s: FiniteSemigroup) -> OrderRelation:
-    # a <= b iff a = xb = by and xa = a for some x, y in S^1
-    one, _ = adjoin_identity(s)
-    t1 = one.table
-    n1 = one.order
+    # a <= b iff a = xb = by and xa = a for some x, y in S^1.  x = 1 or
+    # y = 1 needs a = b, which also settles the other side, so S^1 adds
+    # exactly the case a = b; when S has an identity that case is already
+    # covered by x = y = e.
+    t = s.table
     n = s.order
     rows = []
     for a in range(n):
         row = []
         for b in range(n):
-            left = any(t1[x][b] == a and t1[x][a] == a for x in range(n1))
-            row.append(left and any(t1[b][y] == a for y in range(n1)))
+            left = any(t[x][b] == a and t[x][a] == a for x in range(n))
+            row.append(a == b or (left and any(t[b][y] == a for y in range(n))))
         rows.append(tuple(row))
     return OrderRelation(tuple(range(n)), tuple(rows))
 

@@ -15,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .core import (
-    ElementSubset,
-    FiniteSemigroup,
-    SemigroupError,
-    adjoin_identity,
-    idempotents,
-)
+from .core import ElementSubset, FiniteSemigroup, SemigroupError, idempotents
 
 
 class CarrierMismatch(SemigroupError):
@@ -171,9 +165,6 @@ class StarBundle:
     r_star: Equivalence
     h_star: Equivalence
     d_star: Equivalence
-    #: whether R* o L* = L* o R* = D* held for this semigroup (D* is
-    #: always the join; the composition can be strictly smaller).
-    composition_is_join: bool
 
 
 @dataclass(frozen=True)
@@ -181,8 +172,6 @@ class TildeBundle:
     u: ElementSubset
     l_tilde: Equivalence
     r_tilde: Equivalence
-    h_tilde: Equivalence
-    d_tilde: Equivalence
 
 
 def green(s: FiniteSemigroup) -> GreenBundle:
@@ -224,21 +213,14 @@ def star(s: FiniteSemigroup) -> StarBundle:
     kernels, which is the cancellation condition xa = ya <=> xb = yb.
     """
     n = s.order
-    one, _ = adjoin_identity(s)
-    t1 = one.table
-    n1 = one.order
-    r_keys = []
-    l_keys = []
-    for a in range(n):
-        r_keys.append(_kernel_key([t1[x][a] for x in range(n1)]))
-        l_keys.append(_kernel_key([t1[a][x] for x in range(n1)]))
+    t = s.table
+    # the last value is the adjoined identity's, 1a = a1 = a; when S has an
+    # identity e it repeats e's value, so the kernels are unchanged
+    r_keys = [_kernel_key([t[x][a] for x in range(n)] + [a]) for a in range(n)]
+    l_keys = [_kernel_key([t[a][x] for x in range(n)] + [a]) for a in range(n)]
     r = Equivalence.from_keys(n, r_keys)
     l = Equivalence.from_keys(n, l_keys)
-    d = join(l, r)
-    dp = d.pairs()
-    comp_ok = compose(r, l) == dp and compose(l, r) == dp
-    return StarBundle(l_star=l, r_star=r, h_star=meet(l, r), d_star=d,
-                      composition_is_join=comp_ok)
+    return StarBundle(l_star=l, r_star=r, h_star=meet(l, r), d_star=join(l, r))
 
 
 def _checked_u(s: FiniteSemigroup, u: Iterable[int]) -> tuple[int, ...]:
@@ -266,8 +248,7 @@ def tilde(s: FiniteSemigroup, u: Iterable[int]) -> TildeBundle:
     r = Equivalence.from_keys(
         n, [tuple(t[e][a] == a for e in members) for a in range(n)]
     )
-    return TildeBundle(u=frozenset(members), l_tilde=l, r_tilde=r,
-                       h_tilde=meet(l, r), d_tilde=join(l, r))
+    return TildeBundle(u=frozenset(members), l_tilde=l, r_tilde=r)
 
 
 def is_abundant(s: FiniteSemigroup) -> bool:

@@ -114,6 +114,19 @@ def test_inspect_green_and_star(tmp_path, capsys):
     assert "L* {0,1}" in out
 
 
+@pytest.mark.parametrize("text,answer", [
+    # the first order-4 table whose D* is not R*oL*
+    ("4\n0 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 1 0\n", "no"),
+    ("2\n0 0\n1 1\n", "yes"),
+])
+def test_inspect_star_composition_line(tmp_path, capsys, text, answer):
+    sgt = tmp_path / "t.sgt"
+    sgt.write_text(text)
+    code, out, err = run_cli(capsys, "inspect", str(sgt), "--show", "star")
+    assert code == 0
+    assert f"D* is R*oL* = L*oR*: {answer}\n" in out
+
+
 def test_inspect_tilde_and_congruences(tmp_path, capsys):
     sgt = tmp_path / "t.sgt"
     sgt.write_text("2\n0 0\n0 1\n")

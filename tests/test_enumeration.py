@@ -112,9 +112,28 @@ def test_corpus_spec_opt_in_ceiling():
     assert spec.orders == (2,)
 
 
-def test_iter_corpus_limit():
-    spec = CorpusSpec(orders=(3,), limit=10)
-    assert sum(1 for _ in iter_corpus(spec)) == 10
+def test_iter_corpus_limit(monkeypatch):
+    # the search itself stops at the limit: count what the enumerator emits
+    import semivar.enumeration as enumeration
+
+    original = enumeration.enumerate_semigroups
+    emitted = []
+
+    def counting(n, consumer, classes=False):
+        def count(table):
+            emitted.append(n)
+            consumer(table)
+        return original(n, count, classes=classes)
+
+    monkeypatch.setattr(enumeration, "enumerate_semigroups", counting)
+    assert sum(1 for _ in iter_corpus(CorpusSpec(orders=(3,), limit=10))) == 10
+    assert emitted == [3] * 10
+    emitted.clear()
+    assert len(list(iter_corpus(CorpusSpec(orders=(4,), limit=1)))) == 1
+    assert emitted == [4]                     # not all 3,492 tables
+    emitted.clear()
+    orders = [s.order for s in iter_corpus(CorpusSpec(orders=(2, 3), limit=10))]
+    assert orders == emitted == [2] * 8 + [3] * 2
 
 
 def test_iter_corpus_multiple_orders():
