@@ -15,7 +15,7 @@ from pathlib import Path
 
 from semivar.claims import HARD_CLAIM_IDS, Options
 from semivar.enumeration import DEDUP_ISO, DEDUP_NONE, ENUMERATION_HARD_CAP, CorpusSpec
-from semivar.runner import hard_failures, run_corpus
+from semivar.runner import write_report
 
 
 def main() -> int:
@@ -32,14 +32,13 @@ def main() -> int:
         dedup=DEDUP_ISO if args.dedup else DEDUP_NONE,
         max_order=ENUMERATION_HARD_CAP,
     )
+    out = Path(args.out) if args.out else Path(__file__).parent / "survey.jsonl"
     t0 = time.time()
-    report = run_corpus(spec, "all", Options(strict_u=args.strict_u))
+    run = write_report(spec, lambda: out.open("w"), "all",
+                       Options(strict_u=args.strict_u))
     elapsed = time.time() - t0
 
-    out = Path(args.out) if args.out else Path(__file__).parent / "survey.jsonl"
-    out.write_text(report.dumps())
-
-    tallies = report.tallies()
+    tallies = run.summary.tallies
     print(f"{'claim':<20} {'kind':<9} {'holds':>7} {'fails':>7} {'n/a':>6}")
     for cid in sorted(tallies):
         kind = "hard" if cid in HARD_CLAIM_IDS else "observed"
@@ -48,14 +47,12 @@ def main() -> int:
             f"{cid:<20} {kind:<9} {t['holds']:>7} {t['fails']:>7}"
             f" {t['not_applicable']:>6}"
         )
-    total = sum(report.corpus["tables"].values())
-    print(
-        f"\n{total} tables, {len(report.results)} results in {elapsed:.1f}s"
-        f" -> {out}"
-    )
-    bad = hard_failures(report)
-    if bad:
-        print(f"{len(bad)} HARD-CLAIM FAILURES -- see the report", file=sys.stderr)
+    total = sum(run.summary.corpus["tables"].values())
+    results = sum(sum(t.values()) for t in tallies.values())
+    print(f"\n{total} tables, {results} results in {elapsed:.1f}s -> {out}")
+    if run.hard_failure_count:
+        print(f"{run.hard_failure_count} HARD-CLAIM FAILURES -- see the report",
+              file=sys.stderr)
         return 2
     return 0
 

@@ -40,6 +40,7 @@ from typing import Callable, Iterator
 
 from . import congruences, core, relations, variants, orders
 from .congruences import (
+    CONGRUENCE_ORDER_BOUND,
     KIND_LEFT,
     KIND_RIGHT,
     KIND_TWO_SIDED,
@@ -53,9 +54,9 @@ from .congruences import (
     quotient,
     sandwich_lambda,
     sandwich_rho,
-    u_translate_hom,
+    translation_hom,
 )
-from .core import FiniteSemigroup, SemigroupError, idempotents
+from .core import FiniteSemigroup, OrderTooLarge, SemigroupError, idempotents
 from .relations import Equivalence
 from .report import (
     STATUS_FAILS,
@@ -88,7 +89,8 @@ class Claim:
     claim_id: str
     kind: str
     summary: str
-    evaluate: Callable[[FiniteSemigroup, Options], list[ClaimResult]]
+    #: evaluate(s, opts, table=None); table is inline_table(s), built when omitted
+    evaluate: Callable[..., list[ClaimResult]]
     recheck: Callable[[FiniteSemigroup, dict, dict, Options], bool]
 
 
@@ -174,8 +176,10 @@ def _claim(cid, kind, summary, instances, check, recheck) -> Claim:
     instances(s), from check(s, opts, **params): _NA, None (HOLDS) or a
     witness (FAILS)."""
 
-    def evaluate(s, opts):
-        table = inline_table(s)
+    def evaluate(s, opts, table=None):
+        # the runner passes the table key it already built for this table
+        if table is None:
+            table = inline_table(s)
         out = []
         for p in instances(s):
             w = check(s, opts, **p)
@@ -828,13 +832,19 @@ def _set_partitions(n):
 @lru_cache(maxsize=512)
 def _lit_congruences(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
     """The partitions passing the literal congruence test, in
-    _set_partitions order: the brute-force side of C-3.1 and C-FUND."""
+    _set_partitions order: the brute-force side of C-3.1 and C-FUND.
+    Refuses carriers above CONGRUENCE_ORDER_BOUND, as all_congruences
+    does: there are Bell(n) partitions."""
+    if s.order > CONGRUENCE_ORDER_BOUND:
+        raise OrderTooLarge(s.order, CONGRUENCE_ORDER_BOUND)
     partitions = _set_partitions(s.order)
     return tuple(ci for ci in partitions if _is_congruence_lit(s.table, ci))
 
 
 def _check_c31(s, opts):
     t, n = s.table, s.order
+    if n > CONGRUENCE_ORDER_BOUND:  # no lattice is computed past the bound
+        return _NA
     produced = _congruences(s)
     made = {p.class_index for p in produced}
     brute = set(_lit_congruences(s))
@@ -974,7 +984,7 @@ def _recheck_c35(s, params, w, opts):
 
 
 def _check_cfht(s, opts, u):
-    h = u_translate_hom(s, u)
+    h = translation_hom(_variant(s, u))
     q, _ = quotient(h.domain, h.kernel())
     image, _ = induced_subsemigroup(h.codomain, h.image())
     return _iso_witness(q, image, "quotient", "image")
@@ -985,6 +995,8 @@ def _check_cfht(s, opts, u):
 
 
 def _check_cfund(s, opts):
+    if s.order > CONGRUENCE_ORDER_BOUND:  # no lattice is computed past the bound
+        return _NA
     es = _idems_lit(s.table)
     found = _first(
         list(ci)

@@ -14,6 +14,7 @@ Exit codes: 0 on success, 2 when a hard claim FAILS during ``check``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .enumeration import (
 )
 from .orders import natural_leq
 from .relations import compose, green, star, tilde
-from .runner import hard_failures, run_corpus
+from .runner import write_report
 from .sgt import inline_table, parse_table, serialize_table
 from .variants import idempotent_variant, variant
 
@@ -116,20 +117,18 @@ def _cmd_check(args) -> int:
         limit=args.limit,
         max_order=ENUMERATION_HARD_CAP,
     )
-    report = run_corpus(spec, claim_ids, Options(strict_u=args.strict_u))
-    text = report.dumps()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    failures = hard_failures(report)
-    if failures:
-        for r in failures[:10]:
+
+    def open_out():
+        return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+
+    run = write_report(spec, open_out, claim_ids, Options(strict_u=args.strict_u))
+    if run.hard_failure_count:
+        for r in run.hard_failures:
             print(
                 f"hard claim {r.claim_id} FAILS on {r.table} params={r.params}",
                 file=sys.stderr,
             )
-        print(f"{len(failures)} hard-claim failure(s)", file=sys.stderr)
+        print(f"{run.hard_failure_count} hard-claim failure(s)", file=sys.stderr)
         return 2
     return 0
 

@@ -13,7 +13,7 @@ from .core import (
     translate_set,
 )
 from .relations import CarrierMismatch, Equivalence, join
-from .variants import variant
+from .variants import VariantDescriptor, variant
 
 #: all_congruences / is_fundamental refuse carriers larger than this by default
 CONGRUENCE_ORDER_BOUND = 8
@@ -191,7 +191,13 @@ def induced_subsemigroup(
 
 def u_translate_hom(s: FiniteSemigroup, u: int) -> Hom:
     """x -> ux as a homomorphism from the variant S^u onto uS."""
-    v = variant(s, u)
+    return translation_hom(variant(s, u))
+
+
+def translation_hom(v: VariantDescriptor) -> Hom:
+    """u_translate_hom(v.base, v.sandwich), for a caller that already
+    holds the variant."""
+    s, u = v.base, v.sandwich
     codomain, old_ids = induced_subsemigroup(s, translate_set(s, u, "left"))
     index = {e: i for i, e in enumerate(old_ids)}
     mapping = tuple(index[s.table[u][x]] for x in s.elements)

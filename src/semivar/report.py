@@ -4,7 +4,10 @@ A report is UTF-8 JSON lines: one record per claim result, with fields
 claim_id / table / params / status / witness, followed by a single
 summary record carrying tallies, corpus description, configuration,
 tool version, and a timestamp.  Apart from the timestamp the output is a
-pure function of the inputs.
+pure function of the inputs.  Records are sorted by claim id, then table
+key, then params (``ClaimResult.sort_key``).  ``record_line`` and
+``Summary.line`` are the one serialization of each line, shared by
+``Report.dumps`` and the streaming writer in ``runner``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,16 @@ from . import __version__
 STATUS_HOLDS = "HOLDS"
 STATUS_FAILS = "FAILS"
 STATUS_NOT_APPLICABLE = "NOT_APPLICABLE"
+
+#: the summary's tally field of each status
+TALLY_FIELDS = {
+    STATUS_HOLDS: "holds",
+    STATUS_FAILS: "fails",
+    STATUS_NOT_APPLICABLE: "not_applicable",
+}
+
+#: compact JSON with sorted keys, the encoding of every report line
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -51,8 +64,35 @@ class ClaimResult:
         )
 
 
+def record_line(r: ClaimResult) -> str:
+    """The report line of one result, without its newline."""
+    return _encode(r.to_record())
+
+
 def _utcnow() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+@dataclass
+class Summary:
+    """The last record of a report.  tallies holds the claims that have
+    at least one result."""
+
+    tallies: dict
+    corpus: dict
+    config: dict
+    version: str = __version__
+    timestamp: str = field(default_factory=_utcnow)
+
+    def line(self) -> str:
+        """The summary's report line, without its newline."""
+        return _encode({
+            "tallies": self.tallies,
+            "corpus": self.corpus,
+            "config": self.config,
+            "version": self.version,
+            "timestamp": self.timestamp,
+        })
 
 
 @dataclass
@@ -65,16 +105,10 @@ class Report:
 
     def tallies(self) -> dict:
         out: dict[str, dict[str, int]] = {}
-        key = {
-            STATUS_HOLDS: "holds",
-            STATUS_FAILS: "fails",
-            STATUS_NOT_APPLICABLE: "not_applicable",
-        }
         for r in self.results:
-            t = out.setdefault(
-                r.claim_id, {"holds": 0, "fails": 0, "not_applicable": 0}
-            )
-            t[key[r.status]] += 1
+            if r.claim_id not in out:
+                out[r.claim_id] = dict.fromkeys(TALLY_FIELDS.values(), 0)
+            out[r.claim_id][TALLY_FIELDS[r.status]] += 1
         return out
 
     def counterexamples(self) -> list[ClaimResult]:
@@ -84,18 +118,10 @@ class Report:
         return sorted({r.claim_id for r in self.counterexamples()})
 
     def dumps(self) -> str:
-        lines = [
-            json.dumps(r.to_record(), sort_keys=True, separators=(",", ":"))
-            for r in self.results
-        ]
-        summary = {
-            "tallies": self.tallies(),
-            "corpus": self.corpus,
-            "config": self.config,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
-        lines.append(json.dumps(summary, sort_keys=True, separators=(",", ":")))
+        lines = [record_line(r) for r in self.results]
+        summary = Summary(self.tallies(), self.corpus, self.config,
+                          self.version, self.timestamp)
+        lines.append(summary.line())
         return "\n".join(lines) + "\n"
 
     @classmethod

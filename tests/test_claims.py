@@ -1,9 +1,12 @@
 """The claim registry: evaluation, witnesses, and independent re-checking."""
 
 import dataclasses
+import itertools
+import time
 
 import pytest
 
+from semivar import OrderTooLarge, build_semigroup, claims
 from semivar.claims import (
     HARD_CLAIM_IDS,
     KIND_HARD,
@@ -136,3 +139,30 @@ def test_strict_u_changes_applicability(min2):
     )
     assert lax[0].status != STATUS_NOT_APPLICABLE
     assert strict[0].status == STATUS_NOT_APPLICABLE
+
+
+def full_transformation_monoid(k):
+    """T_k: all maps of 0..k-1 into itself, f.g = apply f, then g."""
+    maps = list(itertools.product(range(k), repeat=k))
+    index = {f: i for i, f in enumerate(maps)}
+    return build_semigroup(len(maps), [
+        [index[tuple(g[f[i]] for i in range(k))] for g in maps] for f in maps
+    ])
+
+
+def test_every_claim_finishes_beyond_the_enumerable_orders():
+    # T_3 has 27 elements, far past CONGRUENCE_ORDER_BOUND: the lattice
+    # claims must say NOT_APPLICABLE instead of raising or scanning
+    # Bell(27) partitions
+    t3 = full_transformation_monoid(3)
+    t0 = time.time()
+    results = {cid: claim.evaluate(t3, Options()) for cid, claim in REGISTRY.items()}
+    elapsed = time.time() - t0
+    assert elapsed < 10.0, f"29 claims on T_3 took {elapsed:.1f}s"
+    assert all(results.values())
+    for cid in ("C-3.1", "C-FUND"):
+        assert [r.status for r in results[cid]] == [STATUS_NOT_APPLICABLE]
+    with pytest.raises(OrderTooLarge):
+        claims._lit_congruences(t3)
+    fails = [r for rs in results.values() for r in rs if r.status == STATUS_FAILS]
+    assert fails and all(recheck_result(r) for r in fails)

@@ -1,19 +1,30 @@
-"""The corpus runner: claim selection, result ordering, exit codes."""
+"""The corpus runner: claim selection, result ordering, exit codes, and
+the streaming report writer behind ``semivar check``."""
 
+import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import semivar
-from semivar.claims import REGISTRY, Options, UnknownClaim
+from semivar import cli
+from semivar.claims import HARD_CLAIM_IDS, REGISTRY, Options, UnknownClaim
 from semivar.enumeration import CorpusSpec
-from semivar.report import STATUS_FAILS
+from semivar.report import STATUS_FAILS, Report
 from semivar.runner import (
     exit_code_for,
     hard_failures,
     resolve_claim_ids,
     run_corpus,
 )
+
+SRC = Path(semivar.__file__).resolve().parent.parent
 
 
 def test_resolve_claim_ids():
@@ -71,3 +82,124 @@ def test_report_matches_golden_digest(strict_u):
     report.timestamp = ""
     digest = hashlib.sha256(report.dumps().encode()).hexdigest()
     assert digest == GOLDEN_REPORTS[strict_u]
+
+
+def _check(tmp_path, *argv):
+    """(exit code, report text) of semivar check --out; text is None when
+    no report was written."""
+    out = tmp_path / "report.jsonl"
+    out.unlink(missing_ok=True)
+    code = cli.main(["check", *argv, "--out", str(out)])
+    return code, out.read_text() if out.exists() else None
+
+
+def _blank_timestamp(text):
+    lines = text.split("\n")
+    summary = json.loads(lines[-2])
+    summary["timestamp"] = ""
+    lines[-2] = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_cli_report_matches_golden_digest(tmp_path, strict_u):
+    argv = ["--orders", "1,2,3", "--claims", "all"] + ["--strict-u"] * strict_u
+    code, text = _check(tmp_path, *argv)
+    assert code == 0
+    digest = hashlib.sha256(_blank_timestamp(text).encode()).hexdigest()
+    assert digest == GOLDEN_REPORTS[strict_u]
+
+
+def test_report_order_is_independent_of_arrival_order(tmp_path):
+    records = {}
+    for orders in ("2,3", "3,2", "2,2", "2"):
+        code, text = _check(tmp_path, "--orders", orders, "--claims", "all")
+        assert code == 0
+        records[orders] = text.split("\n")[:-2]
+    assert records["3,2"] == records["2,3"]
+    # a table listed twice: each record twice in place, as a sort of all
+    # records gives
+    assert records["2,2"] == [line for line in records["2"] for _ in range(2)]
+
+
+def _forced_to_fail(claim):
+    def evaluate(s, opts, table=None):
+        return [dataclasses.replace(r, status=STATUS_FAILS, witness={"forced": 1})
+                for r in claim.evaluate(s, opts, table)]
+    return dataclasses.replace(claim, evaluate=evaluate)
+
+
+def test_hard_failures_are_reported_in_report_order(tmp_path, capsys, monkeypatch):
+    for cid in ("C-2.5", "C-1.1"):
+        monkeypatch.setitem(REGISTRY, cid, _forced_to_fail(REGISTRY[cid]))
+    # order 3 arrives first but its tables sort after those of order 2
+    code, text = _check(tmp_path, "--orders", "3,2", "--claims", "C-2.5,C-1.1,C-4.1-reverse")
+    assert code == 2
+    failures = [r for r in Report.loads(text).results
+                if r.status == STATUS_FAILS and r.claim_id in HARD_CLAIM_IDS]
+    assert len(failures) > 10
+    expected = [f"hard claim {r.claim_id} FAILS on {r.table} params={r.params}"
+                for r in failures[:10]]
+    expected.append(f"{len(failures)} hard-claim failure(s)")
+    assert capsys.readouterr().err.splitlines() == expected
+
+
+def test_a_raising_claim_leaves_no_report(tmp_path, monkeypatch):
+    claim = REGISTRY["C-2.5"]
+
+    def evaluate(s, opts, table=None):
+        if s.order == 3:
+            raise RuntimeError("claim broke")
+        return claim.evaluate(s, opts, table)
+
+    monkeypatch.setitem(REGISTRY, "C-2.5", dataclasses.replace(claim, evaluate=evaluate))
+    with pytest.raises(RuntimeError):
+        _check(tmp_path, "--orders", "2,3", "--claims", "C-2.1,C-2.5")
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_check_memory_is_flat_in_corpus_size(tmp_path):
+    argv = ["check", "--orders", "4", "--claims", "C-2.5", "--out", str(tmp_path / "r")]
+
+    def peak(*limit):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + list(limit)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    first = peak("--limit", "600")
+    every = peak()
+    # what may grow is one key and one index entry per table, and the
+    # enumerator's list of the order's tables: under 1 KB a table.  Held
+    # records take about 2 KB a table here.
+    assert every <= first + 1000 * (3492 - 600), (first, every)
+
+
+@pytest.mark.slow
+def test_order5_classes_run_in_flat_memory(tmp_path):
+    # a fresh interpreter whose only child is the check, so that
+    # RUSAGE_CHILDREN is the check's own peak
+    measure = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.call(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    out = tmp_path / "report.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", measure, sys.executable, "-m", "semivar.cli", "check",
+         "--orders", "5", "--dedup", "--claims", "all", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=900,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024
+    with out.open() as lines:
+        for records, last in enumerate(lines):  # records: the lines before the summary
+            pass
+    tallies = json.loads(last)["tallies"]
+    assert records == sum(sum(t.values()) for t in tallies.values()) == 253185
+    assert sum(t["fails"] for cid, t in tallies.items() if cid in HARD_CLAIM_IDS) == 0
+    assert peak_mb < 100, peak_mb
