@@ -54,7 +54,8 @@ def _build_parser() -> _Parser:
 
     check = sub.add_parser("check", help="run claims over an enumerated corpus")
     check.add_argument("--orders", default="2,3",
-                       help="comma-separated table orders (default: 2,3)")
+                       help="comma-separated table orders, sorted with repeats "
+                            "dropped (default: 2,3)")
     check.add_argument("--claims", default="all",
                        help="'all' or comma-separated claim ids")
     check.add_argument("--strict-u", action="store_true",
@@ -62,7 +63,8 @@ def _build_parser() -> _Parser:
     check.add_argument("--dedup", action="store_true",
                        help="one table per isomorphism class")
     check.add_argument("--limit", type=int, default=None,
-                       help="cap the total number of tables")
+                       help="cap the total number of tables, counted from "
+                            "the smallest order")
     check.add_argument("--out", default=None,
                        help="write the report here instead of stdout")
     check.set_defaults(func=_cmd_check)

@@ -120,20 +120,20 @@ def all_congruences(
     n = s.order
     if n > max_order:
         raise OrderTooLarge(n, max_order)
-    found: dict[tuple[int, ...], Equivalence] = {}
-    identity = Equivalence.identity(n)
-    found[identity.class_index] = identity
-    work = [identity]
+    principals: dict[tuple[int, ...], Equivalence] = {}
     for x in range(n):
         for y in range(x + 1, n):
             p = principal_congruence(s, x, y)
-            if p.class_index not in found:
-                found[p.class_index] = p
-                work.append(p)
-
+            principals.setdefault(p.class_index, p)
+    identity = Equivalence.identity(n)
+    found = {identity.class_index: identity, **principals}
+    work = list(principals.values())
+    # every congruence is a join of principal ones, so joining each new
+    # congruence with the principals alone closes the lattice (R. Freese,
+    # "Computing congruences efficiently", Algebra Universalis 59, 2008)
     while work:
         p = work.pop()
-        for q in list(found.values()):
+        for q in principals.values():
             j = join(p, q)
             if j.class_index not in found:
                 found[j.class_index] = j

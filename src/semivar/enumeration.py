@@ -172,7 +172,8 @@ def canonical_form(s: FiniteSemigroup) -> Table:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Which orders to enumerate and how."""
+    """Which orders to enumerate and how.  orders is stored sorted, with
+    repeats dropped: the order in which the corpus arrives."""
 
     orders: tuple[int, ...]
     dedup: str = DEDUP_NONE
@@ -180,7 +181,7 @@ class CorpusSpec:
     max_order: int = ENUMERATION_DEFAULT_MAX
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", tuple(self.orders))
+        object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
         if not self.orders:
             raise ValueError("a corpus needs at least one order")
         if self.dedup not in (DEDUP_NONE, DEDUP_ISO):

@@ -105,6 +105,8 @@ def test_corpus_spec_validation():
         CorpusSpec(orders=(5,))  # default ceiling is 4
     with pytest.raises(OrderTooLarge):
         CorpusSpec(orders=(2,), max_order=6)
+    # orders are stored sorted, repeats dropped
+    assert CorpusSpec(orders=(3, 2, 3)).orders == (2, 3)
 
 
 def test_corpus_spec_opt_in_ceiling():

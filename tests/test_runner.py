@@ -1,5 +1,5 @@
-"""The corpus runner: claim selection, result ordering, exit codes, and
-the streaming report writer behind ``semivar check``."""
+"""The corpus runner: claim selection, result ordering, hard failures,
+and the streaming report writer behind ``semivar check``."""
 
 import dataclasses
 import hashlib
@@ -13,16 +13,11 @@ from pathlib import Path
 import pytest
 
 import semivar
-from semivar import cli
+from semivar import cli, runner
 from semivar.claims import HARD_CLAIM_IDS, REGISTRY, Options, UnknownClaim
 from semivar.enumeration import CorpusSpec
 from semivar.report import STATUS_FAILS, Report
-from semivar.runner import (
-    exit_code_for,
-    hard_failures,
-    resolve_claim_ids,
-    run_corpus,
-)
+from semivar.runner import resolve_claim_ids, run_corpus
 
 SRC = Path(semivar.__file__).resolve().parent.parent
 
@@ -47,21 +42,17 @@ def test_run_corpus_counts_and_sorting():
     assert sum(1 for r in report.results if r.claim_id == "C-2.1") == 16
 
 
-def test_exit_codes_reflect_hard_failures():
-    # observed failures alone keep the exit code at zero
-    report = run_corpus(CorpusSpec(orders=(2,)), ["C-4.1-reverse"])
-    assert any(r.status == STATUS_FAILS for r in report.results)
-    assert hard_failures(report) == []
-    assert exit_code_for(report) == 0
-
-    clean = run_corpus(CorpusSpec(orders=(2,)), ["C-2.5"])
-    assert exit_code_for(clean) == 0
-
-
 def test_run_corpus_respects_limit():
     report = run_corpus(CorpusSpec(orders=(2,), limit=3), ["C-2.5"])
     assert report.corpus["tables"] == {"2": 3}
     assert report.corpus["limit"] == 3
+
+
+def test_run_corpus_orders_are_sorted():
+    # the limit counts from the smallest order, whatever order is asked first
+    report = run_corpus(CorpusSpec(orders=(3, 2), limit=10), ["C-2.5"])
+    assert report.corpus["orders"] == [2, 3]
+    assert report.corpus["tables"] == {"2": 8, "3": 2}
 
 
 # sha256 of the orders 1-3 report over all claims, timestamp blanked.
@@ -111,15 +102,23 @@ def test_cli_report_matches_golden_digest(tmp_path, strict_u):
 
 
 def test_report_order_is_independent_of_arrival_order(tmp_path):
-    records = {}
+    reports = {}
     for orders in ("2,3", "3,2", "2,2", "2"):
         code, text = _check(tmp_path, "--orders", orders, "--claims", "all")
         assert code == 0
-        records[orders] = text.split("\n")[:-2]
-    assert records["3,2"] == records["2,3"]
-    # a table listed twice: each record twice in place, as a sort of all
-    # records gives
-    assert records["2,2"] == [line for line in records["2"] for _ in range(2)]
+        reports[orders] = _blank_timestamp(text)
+    assert reports["3,2"] == reports["2,3"]
+    # a repeated order is dropped: the same corpus, summary included
+    assert reports["2,2"] == reports["2"]
+
+
+def test_tables_out_of_report_order_are_refused(tmp_path, capsys, monkeypatch):
+    tables = list(runner.iter_corpus(CorpusSpec(orders=(2,))))
+    monkeypatch.setattr(runner, "iter_corpus", lambda spec: reversed(tables))
+    code, text = _check(tmp_path, "--orders", "2", "--claims", "C-2.5")
+    assert code == 1
+    assert text is None
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _forced_to_fail(claim):
@@ -132,7 +131,7 @@ def _forced_to_fail(claim):
 def test_hard_failures_are_reported_in_report_order(tmp_path, capsys, monkeypatch):
     for cid in ("C-2.5", "C-1.1"):
         monkeypatch.setitem(REGISTRY, cid, _forced_to_fail(REGISTRY[cid]))
-    # order 3 arrives first but its tables sort after those of order 2
+    # asked for first, order 3 still arrives and reports after order 2
     code, text = _check(tmp_path, "--orders", "3,2", "--claims", "C-2.5,C-1.1,C-4.1-reverse")
     assert code == 2
     failures = [r for r in Report.loads(text).results
@@ -171,9 +170,8 @@ def test_check_memory_is_flat_in_corpus_size(tmp_path):
 
     first = peak("--limit", "600")
     every = peak()
-    # what may grow is one key and one index entry per table, and the
-    # enumerator's list of the order's tables: under 1 KB a table.  Held
-    # records take about 2 KB a table here.
+    # what may grow is the enumerator's list of the order's tables:
+    # under 1 KB a table.  Held records take about 2 KB a table here.
     assert every <= first + 1000 * (3492 - 600), (first, every)
 
 
