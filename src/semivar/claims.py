@@ -261,12 +261,17 @@ def _side(table, name):
     return table if name[0] == "R" else _dual(table)
 
 
+def _identity_lit(table):
+    """The two-sided identity of the table, or None."""
+    r = range(len(table))
+    return next((e for e in r if all(table[e][x] == x == table[x][e] for x in r)), None)
+
+
 def _s1_table(table):
     """(table, size) of S^1: S itself when an identity exists."""
     n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return table, n
+    if _identity_lit(table) is not None:
+        return table, n
     rows = [tuple(row) + (x,) for x, row in enumerate(table)]
     rows.append(tuple(range(n + 1)))
     return tuple(rows), n + 1
@@ -742,8 +747,7 @@ def _check_c24(s, opts, a):
 
 def _recheck_c24(s, params, w, opts):
     t, n, a = s.table, s.order, params["a"]
-    e = next((x for x in range(n) if all(t[x][y] == y == t[y][x] for y in range(n))),
-             None)
+    e = _identity_lit(t)
     if e is None or not _abundant_lit(t):
         return False
     if not any(t[a][b] == e == t[b][a] for b in range(n)):

@@ -24,7 +24,6 @@ from .core import SemigroupError, idempotents
 from .enumeration import (
     DEDUP_ISO,
     DEDUP_NONE,
-    ENUMERATION_HARD_CAP,
     CorpusSpec,
     enumerate_semigroups,
     iter_corpus,
@@ -117,7 +116,6 @@ def _cmd_check(args) -> int:
         orders=orders,
         dedup=DEDUP_ISO if args.dedup else DEDUP_NONE,
         limit=args.limit,
-        max_order=ENUMERATION_HARD_CAP,
     )
 
     def open_out():
@@ -204,11 +202,7 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(enumerate_semigroups(args.order, lambda t: None, classes=args.dedup))
         return 0
-    spec = CorpusSpec(
-        orders=(args.order,),
-        dedup=DEDUP_ISO if args.dedup else DEDUP_NONE,
-        max_order=ENUMERATION_HARD_CAP,
-    )
+    spec = CorpusSpec(orders=(args.order,), dedup=DEDUP_ISO if args.dedup else DEDUP_NONE)
     for s in iter_corpus(spec):
         print(inline_table(s))
     return 0

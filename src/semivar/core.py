@@ -11,7 +11,7 @@ by construction and are built as ``FiniteSemigroup(n, rows)`` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -64,7 +64,6 @@ class FiniteSemigroup:
 
     order: int
     table: Table
-    labels: tuple[str, ...] | None = None
     identity: int | None = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,9 +80,6 @@ class FiniteSemigroup:
     def is_monoid(self) -> bool:
         return self.identity is not None
 
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
-
 
 def _find_identity(table: Table, order: int) -> int | None:
     for e in range(order):
@@ -92,11 +88,7 @@ def _find_identity(table: Table, order: int) -> int | None:
     return None
 
 
-def build_semigroup(
-    order: int,
-    table: Iterable[Iterable[int]],
-    labels: Sequence[str] | None = None,
-) -> FiniteSemigroup:
+def build_semigroup(order: int, table: Iterable[Iterable[int]]) -> FiniteSemigroup:
     """Validate a Cayley table and freeze it into a FiniteSemigroup.
 
     Raises OutOfRange for the first bad entry and NotAssociative for the
@@ -118,12 +110,7 @@ def build_semigroup(
             for z in range(order):
                 if rows[xy][z] != rows[x][rows[y][z]]:
                     raise NotAssociative(x, y, z)
-    frozen_labels = None
-    if labels is not None:
-        frozen_labels = tuple(labels)
-        if len(frozen_labels) != order:
-            raise ValueError("labels must have one entry per element")
-    return FiniteSemigroup(order, rows, frozen_labels)
+    return FiniteSemigroup(order, rows)
 
 
 def adjoin_identity(s: FiniteSemigroup) -> tuple[FiniteSemigroup, tuple[int, ...]]:
@@ -134,10 +121,7 @@ def adjoin_identity(s: FiniteSemigroup) -> tuple[FiniteSemigroup, tuple[int, ...
     n = s.order
     rows = [row + (x,) for x, row in enumerate(s.table)]
     rows.append(tuple(range(n + 1)))
-    labels = None
-    if s.labels is not None:
-        labels = s.labels + ("1",)
-    return FiniteSemigroup(n + 1, tuple(rows), labels), tuple(range(n))
+    return FiniteSemigroup(n + 1, tuple(rows)), tuple(range(n))
 
 
 def idempotents(s: FiniteSemigroup) -> ElementSubset:

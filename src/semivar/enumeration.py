@@ -32,10 +32,10 @@ from typing import Callable, Iterator
 
 from .core import FiniteSemigroup, OrderTooLarge, Table, build_semigroup
 
-#: default bound for corpus specs; enumeration beyond this is opt-in
-ENUMERATION_DEFAULT_MAX = 4
-#: absolute cap for enumerate_semigroups
-ENUMERATION_HARD_CAP = 5
+#: largest order enumerated as labeled tables: order 6 has 17,061,118 (A023814)
+ENUMERATION_LABELED_CAP = 5
+#: largest order enumerated as isomorphism classes: 28,634 at order 6 (A027851)
+ENUMERATION_CLASSES_CAP = 6
 
 DEDUP_NONE = "none"
 DEDUP_ISO = "up_to_isomorphism"
@@ -49,10 +49,12 @@ def enumerate_semigroups(
     isomorphism class.
 
     Returns the number of tables emitted.  Counts for n = 1..5 are
-    1, 8, 113, 3492, 183732 labeled and 1, 5, 24, 188, 1915 classes.
+    1, 8, 113, 3492, 183732 labeled and 1, 5, 24, 188, 1915 classes, and
+    28634 classes for n = 6.  Larger orders raise OrderTooLarge.
     """
-    if not 1 <= n <= ENUMERATION_HARD_CAP:
-        raise OrderTooLarge(n, ENUMERATION_HARD_CAP)
+    cap = ENUMERATION_CLASSES_CAP if classes else ENUMERATION_LABELED_CAP
+    if not 1 <= n <= cap:
+        raise OrderTooLarge(n, cap)
     t = [[-1] * n for _ in range(n)]
     rng = range(n)
     total = n * n
@@ -173,12 +175,12 @@ def canonical_form(s: FiniteSemigroup) -> Table:
 @dataclass(frozen=True)
 class CorpusSpec:
     """Which orders to enumerate and how.  orders is stored sorted, with
-    repeats dropped: the order in which the corpus arrives."""
+    repeats dropped: the order in which the corpus arrives.  Each order
+    must be within the enumerator's cap for the dedup mode."""
 
     orders: tuple[int, ...]
     dedup: str = DEDUP_NONE
     limit: int | None = None
-    max_order: int = ENUMERATION_DEFAULT_MAX
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
@@ -186,13 +188,12 @@ class CorpusSpec:
             raise ValueError("a corpus needs at least one order")
         if self.dedup not in (DEDUP_NONE, DEDUP_ISO):
             raise ValueError(f"dedup must be {DEDUP_NONE!r} or {DEDUP_ISO!r}")
-        if self.max_order > ENUMERATION_HARD_CAP:
-            raise OrderTooLarge(self.max_order, ENUMERATION_HARD_CAP)
+        cap = ENUMERATION_CLASSES_CAP if self.dedup == DEDUP_ISO else ENUMERATION_LABELED_CAP
         for n in self.orders:
             if n < 1:
                 raise ValueError(f"orders must be positive, got {n}")
-            if n > self.max_order:
-                raise OrderTooLarge(n, self.max_order)
+            if n > cap:
+                raise OrderTooLarge(n, cap)
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be positive when given")
 

@@ -78,7 +78,7 @@ def corpus2():
 @pytest.fixture(scope="session")
 def classes5():
     """One table per isomorphism class of order 5 (1,915 tables)."""
-    return tuple(iter_corpus(CorpusSpec(orders=(5,), dedup=DEDUP_ISO, max_order=5)))
+    return tuple(iter_corpus(CorpusSpec(orders=(5,), dedup=DEDUP_ISO)))
 
 
 def rectangular_band(rows: int, cols: int):

@@ -19,6 +19,8 @@ from semivar.claims import (
 )
 from semivar.report import STATUS_FAILS, STATUS_HOLDS, STATUS_NOT_APPLICABLE
 
+from .conftest import full_corpus
+
 
 EXPECTED_IDS = {
     "C-1.1", "C-1.2", "C-1.3", "C-1.4", "C-INCL", "C-NONCONG",
@@ -38,6 +40,8 @@ def test_registry_contents():
     assert "C-4.1-reverse" not in HARD_CLAIM_IDS
     assert len(HARD_CLAIM_IDS) == 20
     assert len(REGISTRY) == 29
+    observed = {cid for cid, c in REGISTRY.items() if c.kind == KIND_OBSERVED}
+    assert set(SMALLEST_COUNTEREXAMPLES) == observed
 
 
 def test_unknown_claim(z2):
@@ -120,6 +124,46 @@ def test_every_corpus_failure_survives_recheck(corpus3):
                     assert recheck_result(r), (cid, r.table, r.params, r.witness)
                     checked += 1
     assert checked > 1000  # the corpus is known to produce many findings
+
+
+# The first FAILS of each observed claim in corpus order: the labeled
+# tables of orders 1-4, then the order-5 classes.  (table, params, witness)
+SMALLEST_COUNTEREXAMPLES = {
+    "C-2.2-quantifier": ("2;0 0;0 0", {"a": 0},
+                         {"side": "R", "x": 0, "y": 1, "adjoined": False, "plain": True}),
+    "C-2.3-literal": ("2;0 0;0 0", {"a": 0},
+                      {"side": "R", "x": 1, "y": 1, "in_variant_cap_p": False,
+                       "in_base": True}),
+    "C-2.6-inter": ("2;0 0;0 1", {"U": [0], "e": 0},
+                    {"Uprime": [0], "relation": "L~", "element": 1}),
+    "C-2.6-sandwich": ("2;0 0;0 1", {"U": [0], "e": 0},
+                       {"Uprime": [0], "relation": "L~", "element": 1}),
+    "C-4.1-reverse": ("2;0 0;1 1", {"e": 0}, {"f": 1, "ff": 1, "fe": 1, "ef": 0}),
+    "C-NONCONG": ("3;0 0 0;0 0 0;0 0 1", {"U": [0], "relation": "L~"},
+                  {"x": 1, "y": 2, "z": 2}),
+    "C-2.2-composition": ("4;0 0 0 0;0 0 0 0;0 0 0 0;0 0 2 3", {"a": 3},
+                          {"x": 1, "y": 3, "in_join": True, "in_rl": False,
+                           "in_lr": True}),
+    "C-3.5": ("5;0 0 0 0 0;0 0 0 0 2;0 0 0 2 2;0 1 2 3 3;0 1 2 4 4", {"a": 3, "b": 4},
+              {"quotient_a": "4;0 0 0 0;0 0 0 0;0 0 0 2;0 1 2 3",
+               "quotient_b": "4;0 0 0 0;0 0 0 2;0 0 0 2;0 1 2 3"}),
+    "C-NAT-PO": None,  # no FAILS through the order-5 classes
+}
+
+
+@pytest.mark.parametrize("cid", sorted(SMALLEST_COUNTEREXAMPLES))
+def test_smallest_counterexample(cid, corpus3, classes5):
+    first = next(
+        (r for s in itertools.chain(corpus3, full_corpus(4), classes5)
+         for r in evaluate_claim(cid, s) if r.status == STATUS_FAILS),
+        None,
+    )
+    expected = SMALLEST_COUNTEREXAMPLES[cid]
+    if expected is None:
+        assert first is None, (first.table, first.params)
+        return
+    assert (first.table, first.params, first.witness) == expected
+    assert recheck_result(first)
 
 
 def test_hard_claims_hold_on_corpus(corpus3):

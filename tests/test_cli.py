@@ -1,11 +1,18 @@
 """The command line interface: exit codes, determinism, output shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semivar
 from semivar.cli import main
 from semivar.report import Report
+
+SRC = Path(semivar.__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +106,21 @@ def test_check_writes_file(tmp_path, capsys):
     assert out == ""
     report = Report.loads(out_path.read_text())
     assert report.corpus["orders"] == [2]
+
+
+def test_check_runs_as_a_module(tmp_path):
+    # the entry point in an interpreter of its own, not through main()
+    out_path = tmp_path / "report.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "semivar.cli", "check", "--orders", "1,2",
+         "--out", str(out_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *records, summary = out_path.read_text().splitlines()
+    assert json.loads(summary)["corpus"]["tables"] == {"1": 1, "2": 8}
+    assert len(records) == 412
 
 
 def test_inspect_green_and_star(tmp_path, capsys):

@@ -68,13 +68,6 @@ def test_identity_detection(z2, left_zero, min2):
         FiniteSemigroup(2, Z2, identity=1)
 
 
-def test_labels_default_and_custom():
-    s = build_semigroup(2, Z2, labels=("e", "g"))
-    assert s.label(1) == "g"
-    t = build_semigroup(2, Z2)
-    assert t.label(1) == "1"
-
-
 def test_adjoin_identity_monoid_is_noop(z2):
     s1, embedding = adjoin_identity(z2)
     assert s1 is z2

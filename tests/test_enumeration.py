@@ -42,8 +42,11 @@ def test_enumerate_returns_count():
 def test_enumerate_rejects_bad_orders():
     with pytest.raises(OrderTooLarge):
         enumerate_semigroups(0, lambda t: None)
+    # one cap per mode: labeled tables up to order 5, classes up to 6
     with pytest.raises(OrderTooLarge):
         enumerate_semigroups(6, lambda t: None)
+    with pytest.raises(OrderTooLarge):
+        enumerate_semigroups(7, lambda t: None, classes=True)
 
 
 def test_canonical_form_matches_oracle(corpus3):
@@ -101,17 +104,15 @@ def test_corpus_spec_validation():
         CorpusSpec(orders=(2,), limit=0)
     with pytest.raises(ValueError):
         CorpusSpec(orders=())
+    # the enumerator's caps: labeled tables up to order 5, classes up to 6
+    assert CorpusSpec(orders=(5,)).orders == (5,)
     with pytest.raises(OrderTooLarge):
-        CorpusSpec(orders=(5,))  # default ceiling is 4
+        CorpusSpec(orders=(6,))
+    assert CorpusSpec(orders=(6,), dedup=DEDUP_ISO).orders == (6,)
     with pytest.raises(OrderTooLarge):
-        CorpusSpec(orders=(2,), max_order=6)
+        CorpusSpec(orders=(7,), dedup=DEDUP_ISO)
     # orders are stored sorted, repeats dropped
     assert CorpusSpec(orders=(3, 2, 3)).orders == (2, 3)
-
-
-def test_corpus_spec_opt_in_ceiling():
-    spec = CorpusSpec(orders=(2,), max_order=5)
-    assert spec.orders == (2,)
 
 
 def test_iter_corpus_limit(monkeypatch):

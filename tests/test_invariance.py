@@ -1,4 +1,5 @@
-"""Claims do not depend on element names.
+"""Claims do not depend on element names, and the relations respect
+duality.
 
 A claim's statuses on a table are the same for every relabeling of it,
 so running the claims on one representative per isomorphism class (the
@@ -10,8 +11,10 @@ from collections import Counter
 
 import pytest
 
-from semivar import build_semigroup
+from semivar import build_semigroup, green, star, tilde
 from semivar.claims import REGISTRY, Options
+from semivar.core import idempotents
+from semivar.orders import natural_leq
 
 from .oracles import relabel
 
@@ -33,3 +36,20 @@ def test_claim_statuses_are_relabeling_invariant(corpus3, strict_u):
         for perm in itertools.permutations(range(s.order)):
             relabeled = build_semigroup(s.order, relabel(s.table, perm))
             assert _statuses(relabeled, options) == expected, (s.table, perm)
+
+
+def test_transposition_swaps_left_and_right(corpus3, classes5):
+    # the transposed table is the dual semigroup, x.y read as y.x: the
+    # one-sided relations trade places, the two-sided ones and the
+    # natural order stay
+    for s in itertools.chain(corpus3, classes5):
+        d = build_semigroup(s.order, zip(*s.table))
+        g, gd = green(s), green(d)
+        assert (gd.l, gd.r, gd.h, gd.d, gd.j) == (g.r, g.l, g.h, g.d, g.j), s.table
+        st, sd = star(s), star(d)
+        assert (sd.l_star, sd.r_star, sd.h_star, sd.d_star) == (
+            st.r_star, st.l_star, st.h_star, st.d_star), s.table
+        e = idempotents(s)
+        td, ts = tilde(d, e), tilde(s, e)
+        assert (td.l_tilde, td.r_tilde) == (ts.r_tilde, ts.l_tilde), s.table
+        assert natural_leq(d) == natural_leq(s), s.table

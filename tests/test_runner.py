@@ -175,10 +175,10 @@ def test_check_memory_is_flat_in_corpus_size(tmp_path):
     assert every <= first + 1000 * (3492 - 600), (first, every)
 
 
-@pytest.mark.slow
-def test_order5_classes_run_in_flat_memory(tmp_path):
-    # a fresh interpreter whose only child is the check, so that
-    # RUSAGE_CHILDREN is the check's own peak
+def _check_in_child(tmp_path, timeout, *argv):
+    """(peak RSS in MB, report path) of semivar check --out, run by
+    a fresh interpreter whose only child is the check, so that
+    RUSAGE_CHILDREN is the check's own peak."""
     measure = (
         "import resource, subprocess, sys\n"
         "code = subprocess.call(sys.argv[1:])\n"
@@ -188,16 +188,36 @@ def test_order5_classes_run_in_flat_memory(tmp_path):
     out = tmp_path / "report.jsonl"
     proc = subprocess.run(
         [sys.executable, "-c", measure, sys.executable, "-m", "semivar.cli", "check",
-         "--orders", "5", "--dedup", "--claims", "all", "--out", str(out)],
+         *argv, "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=900,
+        capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout) / 1024
+    return int(proc.stdout) / 1024, out
+
+
+@pytest.mark.slow
+def test_order5_classes_run_in_flat_memory(tmp_path):
+    peak_mb, out = _check_in_child(
+        tmp_path, 900, "--orders", "5", "--dedup", "--claims", "all")
     with out.open() as lines:
         for records, last in enumerate(lines):  # records: the lines before the summary
             pass
     tallies = json.loads(last)["tallies"]
     assert records == sum(sum(t.values()) for t in tallies.values()) == 253185
     assert sum(t["fails"] for cid, t in tallies.items() if cid in HARD_CLAIM_IDS) == 0
+    assert peak_mb < 100, peak_mb
+
+
+@pytest.mark.slow
+def test_order6_classes_hold_the_hard_claims(tmp_path):
+    # 28,634 classes (A027851), the largest corpus the class cap admits
+    peak_mb, out = _check_in_child(
+        tmp_path, 1800, "--orders", "6", "--dedup", "--claims", ",".join(sorted(HARD_CLAIM_IDS)))
+    with out.open() as lines:
+        for last in lines:
+            pass
+    summary = json.loads(last)
+    assert summary["corpus"]["tables"] == {"6": 28634}
+    assert sum(t["fails"] for t in summary["tallies"].values()) == 0
     assert peak_mb < 100, peak_mb
