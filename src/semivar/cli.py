@@ -18,7 +18,7 @@ import contextlib
 import sys
 from pathlib import Path
 
-from .claims import Options
+from .claims import HARD_CLAIM_IDS, Options
 from .congruences import all_congruences
 from .core import SemigroupError, idempotents
 from .enumeration import (
@@ -121,14 +121,15 @@ def _cmd_check(args) -> int:
     def open_out():
         return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
-    run = write_report(spec, open_out, claim_ids, Options(strict_u=args.strict_u))
-    if run.hard_failure_count:
-        for r in run.hard_failures:
+    tallies, kept = write_report(spec, open_out, claim_ids, Options(strict_u=args.strict_u))
+    failures = sum(t["fails"] for cid, t in tallies.items() if cid in HARD_CLAIM_IDS)
+    if failures:
+        for r in kept:
             print(
                 f"hard claim {r.claim_id} FAILS on {r.table} params={r.params}",
                 file=sys.stderr,
             )
-        print(f"{run.hard_failure_count} hard-claim failure(s)", file=sys.stderr)
+        print(f"{failures} hard-claim failure(s)", file=sys.stderr)
         return 2
     return 0
 

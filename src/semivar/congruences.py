@@ -109,17 +109,15 @@ def principal_congruence(s: FiniteSemigroup, x: int, y: int) -> Equivalence:
     return Equivalence.from_keys(n, [find(a) for a in range(n)])
 
 
-def all_congruences(
-    s: FiniteSemigroup, max_order: int = CONGRUENCE_ORDER_BOUND
-) -> list[Equivalence]:
+def all_congruences(s: FiniteSemigroup) -> list[Equivalence]:
     """The full congruence lattice: join closure of the principal congruences.
 
     Sorted by class-index encoding; always contains the identity and the
     universal partition (orders >= 2).
     """
     n = s.order
-    if n > max_order:
-        raise OrderTooLarge(n, max_order)
+    if n > CONGRUENCE_ORDER_BOUND:
+        raise OrderTooLarge(n, CONGRUENCE_ORDER_BOUND)
     principals: dict[tuple[int, ...], Equivalence] = {}
     for x in range(n):
         for y in range(x + 1, n):
@@ -259,13 +257,13 @@ def are_isomorphic(s: FiniteSemigroup, t: FiniteSemigroup) -> tuple[int, ...] | 
     return tuple(f) if extend(0) else None
 
 
-def is_fundamental(s: FiniteSemigroup, max_order: int = CONGRUENCE_ORDER_BOUND) -> bool:
+def is_fundamental(s: FiniteSemigroup) -> bool:
     """No congruence other than the identity separates no idempotents.
 
     That is: every congruence whose restriction to E(S) is trivial is the
     identity congruence.
     """
-    return fundamental_among(s, all_congruences(s, max_order=max_order))
+    return fundamental_among(s, all_congruences(s))
 
 
 def fundamental_among(s: FiniteSemigroup, congruences: Iterable[Equivalence]) -> bool:

@@ -41,6 +41,16 @@ DEDUP_NONE = "none"
 DEDUP_ISO = "up_to_isomorphism"
 
 
+def _check_order(n: int, classes: bool) -> None:
+    """Refuse an order below 1 (ValueError) or above the mode's cap
+    (OrderTooLarge)."""
+    if n < 1:
+        raise ValueError(f"orders must be positive, got {n}")
+    cap = ENUMERATION_CLASSES_CAP if classes else ENUMERATION_LABELED_CAP
+    if n > cap:
+        raise OrderTooLarge(n, cap)
+
+
 def enumerate_semigroups(
     n: int, consumer: Callable[[Table], None], classes: bool = False
 ) -> int:
@@ -50,11 +60,10 @@ def enumerate_semigroups(
 
     Returns the number of tables emitted.  Counts for n = 1..5 are
     1, 8, 113, 3492, 183732 labeled and 1, 5, 24, 188, 1915 classes, and
-    28634 classes for n = 6.  Larger orders raise OrderTooLarge.
+    28634 classes for n = 6.  Larger orders raise OrderTooLarge, orders
+    below 1 ValueError.
     """
-    cap = ENUMERATION_CLASSES_CAP if classes else ENUMERATION_LABELED_CAP
-    if not 1 <= n <= cap:
-        raise OrderTooLarge(n, cap)
+    _check_order(n, classes)
     t = [[-1] * n for _ in range(n)]
     rng = range(n)
     total = n * n
@@ -188,12 +197,8 @@ class CorpusSpec:
             raise ValueError("a corpus needs at least one order")
         if self.dedup not in (DEDUP_NONE, DEDUP_ISO):
             raise ValueError(f"dedup must be {DEDUP_NONE!r} or {DEDUP_ISO!r}")
-        cap = ENUMERATION_CLASSES_CAP if self.dedup == DEDUP_ISO else ENUMERATION_LABELED_CAP
         for n in self.orders:
-            if n < 1:
-                raise ValueError(f"orders must be positive, got {n}")
-            if n > cap:
-                raise OrderTooLarge(n, cap)
+            _check_order(n, self.dedup == DEDUP_ISO)
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be positive when given")
 

@@ -6,8 +6,9 @@ summary record carrying tallies, corpus description, configuration,
 tool version, and a timestamp.  Apart from the timestamp the output is a
 pure function of the inputs.  Records are sorted by claim id, then table
 key, then params (``ClaimResult.sort_key``).  ``record_line`` and
-``Summary.line`` are the one serialization of each line, shared by
-``Report.dumps`` and the streaming writer in ``runner``.
+``summary_line`` are the one serialization of each line, and
+``add_tallies`` the one count of statuses, shared by ``Report`` and the
+streaming writer in ``runner``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ STATUS_FAILS = "FAILS"
 STATUS_NOT_APPLICABLE = "NOT_APPLICABLE"
 
 #: the summary's tally field of each status
-TALLY_FIELDS = {
+_TALLY_FIELDS = {
     STATUS_HOLDS: "holds",
     STATUS_FAILS: "fails",
     STATUS_NOT_APPLICABLE: "not_applicable",
@@ -73,26 +74,27 @@ def _utcnow() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-@dataclass
-class Summary:
-    """The last record of a report.  tallies holds the claims that have
-    at least one result."""
+def add_tallies(tallies: dict, results) -> dict:
+    """Count results by status into tallies[claim_id], which a claim gets
+    the first time it has a result; returns tallies."""
+    for r in results:
+        if r.claim_id not in tallies:
+            tallies[r.claim_id] = dict.fromkeys(_TALLY_FIELDS.values(), 0)
+        tallies[r.claim_id][_TALLY_FIELDS[r.status]] += 1
+    return tallies
 
-    tallies: dict
-    corpus: dict
-    config: dict
-    version: str = __version__
-    timestamp: str = field(default_factory=_utcnow)
 
-    def line(self) -> str:
-        """The summary's report line, without its newline."""
-        return _encode({
-            "tallies": self.tallies,
-            "corpus": self.corpus,
-            "config": self.config,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        })
+def summary_line(tallies: dict, corpus: dict, config: dict,
+                 version: str = __version__, timestamp: str | None = None) -> str:
+    """The last record of a report, without its newline.  tallies holds
+    the claims that have at least one result; timestamp defaults to now."""
+    return _encode({
+        "tallies": tallies,
+        "corpus": corpus,
+        "config": config,
+        "version": version,
+        "timestamp": _utcnow() if timestamp is None else timestamp,
+    })
 
 
 @dataclass
@@ -104,12 +106,7 @@ class Report:
     timestamp: str = field(default_factory=_utcnow)
 
     def tallies(self) -> dict:
-        out: dict[str, dict[str, int]] = {}
-        for r in self.results:
-            if r.claim_id not in out:
-                out[r.claim_id] = dict.fromkeys(TALLY_FIELDS.values(), 0)
-            out[r.claim_id][TALLY_FIELDS[r.status]] += 1
-        return out
+        return add_tallies({}, self.results)
 
     def counterexamples(self) -> list[ClaimResult]:
         return [r for r in self.results if r.status == STATUS_FAILS]
@@ -119,9 +116,8 @@ class Report:
 
     def dumps(self) -> str:
         lines = [record_line(r) for r in self.results]
-        summary = Summary(self.tallies(), self.corpus, self.config,
-                          self.version, self.timestamp)
-        lines.append(summary.line())
+        lines.append(summary_line(self.tallies(), self.corpus, self.config,
+                                  self.version, self.timestamp))
         return "\n".join(lines) + "\n"
 
     @classmethod

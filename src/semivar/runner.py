@@ -8,8 +8,8 @@ at once, sorts them within that (claim, table) group and appends the
 group to the claim's own spill file.  At the end it copies the spills to
 the output in claim order, then writes the summary line.  Memory holds
 one table's results, the tallies and the first hard failures, so it
-stays flat as the corpus grows.  ``run_corpus`` reads the same output
-back into a ``Report``.
+stays flat as the corpus grows; the tallies and those failures are what
+it returns.  ``run_corpus`` reads the same output back into a ``Report``.
 """
 
 from __future__ import annotations
@@ -18,18 +18,17 @@ import contextlib
 import io
 import shutil
 import tempfile
-from dataclasses import dataclass
 from typing import Callable, TextIO
 
 from .claims import HARD_CLAIM_IDS, REGISTRY, U_POLICY, Options, UnknownClaim
 from .enumeration import CorpusSpec, iter_corpus
 from .report import (
     STATUS_FAILS,
-    TALLY_FIELDS,
     ClaimResult,
     Report,
-    Summary,
+    add_tallies,
     record_line,
+    summary_line,
 )
 from .sgt import inline_table
 
@@ -52,31 +51,20 @@ def resolve_claim_ids(claim_ids) -> list[str]:
     return sorted(out)
 
 
-@dataclass
-class CheckRun:
-    """What write_report keeps of a run besides the report itself."""
-
-    summary: Summary
-    #: the first HARD_FAILURES_KEPT hard-claim failures, in report order
-    hard_failures: list[ClaimResult]
-
-    @property
-    def hard_failure_count(self) -> int:
-        return sum(t["fails"] for cid, t in self.summary.tallies.items()
-                   if cid in HARD_CLAIM_IDS)
-
-
 def write_report(
     spec: CorpusSpec,
     open_out: Callable[[], contextlib.AbstractContextManager[TextIO]],
     claim_ids="all",
     options: Options | None = None,
-) -> CheckRun:
+) -> tuple[dict, list[ClaimResult]]:
     """Evaluate the selected claims over every table in the corpus and
     write the report to the stream open_out() gives.  open_out is called
     only once every table is evaluated, so an exception during evaluation
     leaves no output behind.  Raises ValueError when the corpus does not
-    arrive in increasing table-key order."""
+    arrive in increasing table-key order.
+
+    Returns the summary's tallies and the first HARD_FAILURES_KEPT
+    hard-claim failures, in report order."""
     options = options or Options()
     ids = resolve_claim_ids(claim_ids)
     hard = {cid: [] for cid in ids if cid in HARD_CLAIM_IDS}
@@ -97,16 +85,13 @@ def write_report(
                 # lines of one group share the '{"claim_id":…,"params":' prefix,
                 # so they sort as sort_key's params JSON does
                 spills[cid].writelines(sorted(record_line(r) + "\n" for r in results))
-                if results and cid not in tallies:
-                    tallies[cid] = dict.fromkeys(TALLY_FIELDS.values(), 0)
-                for r in results:
-                    tallies[cid][TALLY_FIELDS[r.status]] += 1
+                add_tallies(tallies, results)
                 if cid in hard:
                     fails = [r for r in results if r.status == STATUS_FAILS]
                     hard[cid] += sorted(fails, key=record_line)
                     del hard[cid][HARD_FAILURES_KEPT:]
-        summary = Summary(
-            tallies=tallies,
+        summary = summary_line(
+            tallies,
             corpus={
                 "orders": list(spec.orders),
                 "dedup": spec.dedup,
@@ -123,9 +108,9 @@ def write_report(
             for cid in ids:
                 spills[cid].seek(0)
                 shutil.copyfileobj(spills[cid], out)
-            out.write(summary.line() + "\n")
+            out.write(summary + "\n")
     kept = [r for cid in ids if cid in hard for r in hard[cid]]
-    return CheckRun(summary, kept[:HARD_FAILURES_KEPT])
+    return tallies, kept[:HARD_FAILURES_KEPT]
 
 
 def run_corpus(

@@ -49,6 +49,12 @@ def test_enumerate_rejects_large_order(capsys):
     assert "error" in err
 
 
+def test_enumerate_rejects_order_zero(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--order", "0", "--count-only")
+    assert code == 1
+    assert err == "error: orders must be positive, got 0\n"
+
+
 def test_check_emits_report(capsys):
     code, out, err = run_cli(
         capsys, "check", "--orders", "2", "--claims", "C-2.5,C-3.4"

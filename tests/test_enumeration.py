@@ -40,7 +40,7 @@ def test_enumerate_returns_count():
 
 
 def test_enumerate_rejects_bad_orders():
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(ValueError, match="orders must be positive, got 0"):
         enumerate_semigroups(0, lambda t: None)
     # one cap per mode: labeled tables up to order 5, classes up to 6
     with pytest.raises(OrderTooLarge):

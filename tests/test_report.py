@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from semivar.report import (
     STATUS_FAILS,
     STATUS_HOLDS,
@@ -57,6 +59,19 @@ def test_round_trip():
     report = sample_report()
     again = Report.loads(report.dumps())
     assert again == report
+
+
+def test_loads_refuses_an_empty_report():
+    with pytest.raises(ValueError, match="empty report"):
+        Report.loads("")
+
+
+def test_loads_refuses_a_report_without_its_summary():
+    # a report cut before its summary ends on a result record
+    text = sample_report().dumps()
+    cut = text[: text.rstrip("\n").rindex("\n") + 1]
+    with pytest.raises(ValueError, match="missing its summary record"):
+        Report.loads(cut)
 
 
 def test_counterexamples_and_failed_ids():
