@@ -21,10 +21,10 @@ so reports are deterministic.
 ``recheck_result`` reproduces a FAILS result from the serialized table,
 params, and witness alone.  Re-checkers are definitional: they scan raw
 tables instead of calling production code, except where the claim is
-about that code (C-1.2 ``star``, C-3.1 ``all_congruences``, C-FUND
-``is_fundamental``).  Literal helpers decide the right-hand side (R, R*,
-R~, P1); the left-hand side is the same helper on the transposed table,
-the table of the dual semigroup.
+about that code (C-1.2 ``star``, C-3.1 ``all_congruences`` and
+``quotient``, C-FUND ``is_fundamental``).  Literal helpers decide the
+right-hand side (R, R*, R~, P1); the left-hand side is the same helper on
+the transposed table, the table of the dual semigroup.
 
 U-policy: claims parameterized by a subset U of E(S) iterate all
 non-empty subsets when |E(S)| <= 4, otherwise the singletons plus E(S)
@@ -57,7 +57,7 @@ from .congruences import (
     translation_hom,
 )
 from .core import FiniteSemigroup, OrderTooLarge, SemigroupError, idempotents
-from .relations import Equivalence
+from .relations import Equivalence, bare_classes
 from .report import (
     STATUS_FAILS,
     STATUS_HOLDS,
@@ -195,17 +195,6 @@ def _claim(cid, kind, summary, instances, check, recheck) -> Claim:
 def _first(witnesses):
     """The first witness a generator yields, or None."""
     return next(witnesses, None)
-
-
-def _bare_classes(rels, target):
-    """Witnesses {relation, element} for the classes, in order, that have
-    no member in target; rels is a sequence of (Equivalence, name)."""
-    return (
-        {"relation": name, "element": block[0]}
-        for rel, name in rels
-        for block in rel.classes
-        if target.isdisjoint(block)
-    )
 
 
 def _diff_pairs(p: Equivalence, q: Equivalence):
@@ -412,7 +401,7 @@ def _check_c11(s, opts):
         return _NA
     g, st = _green(s), _star(s)
     rels = ((g.l, "L"), (g.r, "R"), (st.l_star, "L*"), (st.r_star, "R*"))
-    return _first(_bare_classes(rels, _idem(s)))
+    return _first(bare_classes(rels, _idem(s)))
 
 
 def _recheck_c11(s, params, w, opts):
@@ -527,7 +516,7 @@ def _check_c14(s, opts):
         ({"part": name, "x": x, "y": y}
          for p, q, name in pairs
          for x, y in _diff_pairs(p, q)),
-        ({"part": "weakly-abundant", **w} for w in _bare_classes(tildes, es)),
+        ({"part": "weakly-abundant", **w} for w in bare_classes(tildes, es)),
     ))
 
 
@@ -581,7 +570,7 @@ def _recheck_noncong(s, params, w, opts):
 
 
 def _check_c21(s, opts, a):
-    vt = _sandwich_table(s.table, a)
+    vt = _variant(s, a).variant.table
     return _first(
         {"x": x, "y": y, "z": z}
         for x, y, z in itertools.product(range(s.order), repeat=3)
@@ -742,7 +731,7 @@ def _check_c24(s, opts, a):
     v = _variant(s, a).variant
     vst = _star(v)
     rels = ((vst.l_star, "L*"), (vst.r_star, "R*"))
-    return _first(_bare_classes(rels, idempotents(v)))
+    return _first(bare_classes(rels, idempotents(v)))
 
 
 def _recheck_c24(s, params, w, opts):
@@ -760,8 +749,7 @@ def _recheck_c24(s, params, w, opts):
 
 
 def _check_c25(s, opts, e):
-    t = s.table
-    eee = t[t[e][e]][e]
+    eee = _variant(s, e).variant.table[e][e]
     return None if eee == e else {"e_star_e": eee}
 
 
@@ -784,7 +772,7 @@ def _unabundant(v, us, opts):
     td = _tilde(v, frozenset(us))
     target = frozenset(us) if opts.strict_u else idempotents(v)
     rels = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
-    return _first(_bare_classes(rels, target))
+    return _first(bare_classes(rels, target))
 
 
 def _check_c26(s, opts, U, e, reading):
@@ -859,7 +847,7 @@ def _check_c31(s, opts):
     return _first(
         {"part": "welldef", "partition": list(ci), "x": x, "y": y}
         for p in produced
-        for ci, q in [(p.class_index, quotient(s, p)[0])]
+        for ci, q in [(p.class_index, quotient(s, p))]
         for x in range(n)
         for y in range(n)
         if q.table[ci[x]][ci[y]] != ci[t[x][y]]
@@ -877,9 +865,9 @@ def _recheck_c31(s, params, w, opts):
     ci = w["partition"]
     if not _is_congruence_lit(t, ci):
         return False
-    reps = [ci.index(c) for c in range(max(ci) + 1)]
+    q = quotient(s, Equivalence.from_keys(len(ci), ci))
     x, y = w["x"], w["y"]
-    return ci[t[reps[ci[x]]][reps[ci[y]]]] != ci[t[x][y]]
+    return q.table[ci[x]][ci[y]] != ci[t[x][y]]
 
 
 # C-3.2  lambda^u is a left congruence and rho^u a right congruence on
@@ -939,7 +927,7 @@ def _recheck_c32(s, params, w, opts):
 
 def _lambda_quotient(s, u):
     """S^u / lambda^u; NotACongruence when lambda^u is not a congruence."""
-    return quotient(_variant(s, u).variant, sandwich_lambda(s, u))[0]
+    return quotient(_variant(s, u).variant, sandwich_lambda(s, u))
 
 
 def _check_c34(s, opts, u):
@@ -947,7 +935,7 @@ def _check_c34(s, opts, u):
         q = _lambda_quotient(s, u)
     except NotACongruence as err:
         return {"part": "lambda-not-congruence", "kind": err.kind}
-    image, _ = induced_subsemigroup(s, core.translate_set(s, u, "left"))
+    image = induced_subsemigroup(s, core.translate_set(s, u, "left"))
     return _iso_witness(q, image, "quotient", "image")
 
 
@@ -989,8 +977,8 @@ def _recheck_c35(s, params, w, opts):
 
 def _check_cfht(s, opts, u):
     h = translation_hom(_variant(s, u))
-    q, _ = quotient(h.domain, h.kernel())
-    image, _ = induced_subsemigroup(h.codomain, h.image())
+    q = quotient(h.domain, h.kernel())
+    image = induced_subsemigroup(h.codomain, h.image())
     return _iso_witness(q, image, "quotient", "image")
 
 

@@ -118,6 +118,11 @@ def _cmd_check(args) -> int:
         limit=args.limit,
     )
 
+    # the report is opened only after the whole corpus is evaluated, so a
+    # path that cannot be created is refused before the first claim runs
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise _CliError(f"--out {args.out}: not a file in an existing directory")
+
     def open_out():
         return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
@@ -224,10 +229,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (SemigroupError, OSError, ValueError) as err:
+    except (_CliError, SemigroupError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except SystemExit as err:  # --help

@@ -153,26 +153,22 @@ def sandwich_rho(s: FiniteSemigroup, u: int) -> Equivalence:
     return Equivalence.from_keys(s.order, [s.table[x][u] for x in s.elements])
 
 
-def quotient(s: FiniteSemigroup, p: Equivalence) -> tuple[FiniteSemigroup, Hom]:
-    """S/p with classes indexed by minimum representative, plus the projection."""
+def quotient(s: FiniteSemigroup, p: Equivalence) -> FiniteSemigroup:
+    """S/p with classes indexed by minimum representative; the projection
+    S -> S/p is p.class_index."""
     kind = congruence_kind(s, p)
     if kind != KIND_TWO_SIDED:
         raise NotACongruence(kind)
     reps = [block[0] for block in p.classes]
     t = s.table
     rows = tuple(tuple(p.class_index[t[a][b]] for b in reps) for a in reps)
-    q = FiniteSemigroup(p.num_classes, rows)
-    return q, Hom(domain=s, codomain=q, mapping=p.class_index)
+    return FiniteSemigroup(p.num_classes, rows)
 
 
-def induced_subsemigroup(
-    s: FiniteSemigroup, members: Iterable[int]
-) -> tuple[FiniteSemigroup, tuple[int, ...]]:
-    """Subsemigroup on a closed subset, re-indexed densely by ascending id.
-
-    Returns the new semigroup and the new-id -> old-id map.
-    """
-    old = tuple(sorted(set(members)))
+def induced_subsemigroup(s: FiniteSemigroup, members: Iterable[int]) -> FiniteSemigroup:
+    """Subsemigroup on a closed subset, re-indexed densely by ascending id:
+    its element i is the i-th of sorted(set(members))."""
+    old = sorted(set(members))
     index = {e: i for i, e in enumerate(old)}
     t = s.table
     rows = []
@@ -184,7 +180,7 @@ def induced_subsemigroup(
                 raise ValueError(f"subset not closed: {a}.{b} = {ab}")
             row.append(index[ab])
         rows.append(tuple(row))
-    return FiniteSemigroup(len(old), tuple(rows)), old
+    return FiniteSemigroup(len(old), tuple(rows))
 
 
 def u_translate_hom(s: FiniteSemigroup, u: int) -> Hom:
@@ -196,10 +192,10 @@ def translation_hom(v: VariantDescriptor) -> Hom:
     """u_translate_hom(v.base, v.sandwich), for a caller that already
     holds the variant."""
     s, u = v.base, v.sandwich
-    codomain, old_ids = induced_subsemigroup(s, translate_set(s, u, "left"))
-    index = {e: i for i, e in enumerate(old_ids)}
+    image = sorted(translate_set(s, u, "left"))
+    index = {e: i for i, e in enumerate(image)}
     mapping = tuple(index[s.table[u][x]] for x in s.elements)
-    return Hom(domain=v.variant, codomain=codomain, mapping=mapping)
+    return Hom(domain=v.variant, codomain=induced_subsemigroup(s, image), mapping=mapping)
 
 
 def are_isomorphic(s: FiniteSemigroup, t: FiniteSemigroup) -> tuple[int, ...] | None:

@@ -13,7 +13,7 @@ the oversemigroup definition and is decidable from the table alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .core import ElementSubset, FiniteSemigroup, SemigroupError, idempotents
 
@@ -175,7 +175,11 @@ class TildeBundle:
 
 
 def green(s: FiniteSemigroup) -> GreenBundle:
-    """Classical L, R, J (principal ideals) with H = meet and D = join."""
+    """Classical L and R (principal one-sided ideals), H = meet, D = join.
+
+    J is D: in a finite semigroup the two coincide (J. M. Howie,
+    *Fundamentals of Semigroup Theory*, 1995, §2.1), so ``j`` is ``d``.
+    """
     n = s.order
     t = s.table
     left_ideals = []
@@ -189,15 +193,8 @@ def green(s: FiniteSemigroup) -> GreenBundle:
         right_ideals.append(frozenset(as_))
     l = Equivalence.from_keys(n, left_ideals)
     r = Equivalence.from_keys(n, right_ideals)
-    two_sided = []
-    for a in range(n):
-        ideal = set(left_ideals[a]) | set(right_ideals[a])
-        for x in range(n):
-            xa = t[x][a]
-            ideal.update(t[xa][y] for y in range(n))
-        two_sided.append(frozenset(ideal))
-    j = Equivalence.from_keys(n, two_sided)
-    return GreenBundle(l=l, r=r, h=meet(l, r), d=join(l, r), j=j)
+    d = join(l, r)
+    return GreenBundle(l=l, r=r, h=meet(l, r), d=d, j=d)
 
 
 def _kernel_key(values: Sequence[int]) -> tuple[int, ...]:
@@ -251,29 +248,33 @@ def tilde(s: FiniteSemigroup, u: Iterable[int]) -> TildeBundle:
     return TildeBundle(u=frozenset(members), l_tilde=l, r_tilde=r)
 
 
+def bare_classes(
+    rels: Iterable[tuple[Equivalence, str]], target: ElementSubset
+) -> Iterator[dict]:
+    """Witnesses {relation, element} for the classes, in order, that have
+    no member in target; rels is a sequence of (Equivalence, name).  The
+    abundance predicates ask that it yields nothing."""
+    return (
+        {"relation": name, "element": block[0]}
+        for rel, name in rels
+        for block in rel.classes
+        if target.isdisjoint(block)
+    )
+
+
 def is_abundant(s: FiniteSemigroup) -> bool:
     """Every L*-class and every R*-class contains an idempotent."""
-    e_of_s = idempotents(s)
     bundle = star(s)
-    return all(
-        any(x in e_of_s for x in block)
-        for rel in (bundle.l_star, bundle.r_star)
-        for block in rel.classes
-    )
+    rels = ((bundle.l_star, "L*"), (bundle.r_star, "R*"))
+    return next(bare_classes(rels, idempotents(s)), None) is None
 
 
 def is_weakly_u_abundant(
     s: FiniteSemigroup, u: Iterable[int], strict: bool = False
 ) -> bool:
-    """Every L~ and R~ class contains an idempotent.
-
-    Membership is tested against E(S); with strict=True the idempotent
-    must come from U itself.
-    """
+    """Every L~-class and every R~-class relative to U contains an
+    idempotent: one of E(S), or with strict=True one of U itself."""
     bundle = tilde(s, u)
-    target = frozenset(bundle.u) if strict else idempotents(s)
-    return all(
-        any(x in target for x in block)
-        for rel in (bundle.l_tilde, bundle.r_tilde)
-        for block in rel.classes
-    )
+    target = bundle.u if strict else idempotents(s)
+    rels = ((bundle.l_tilde, "L~"), (bundle.r_tilde, "R~"))
+    return next(bare_classes(rels, target), None) is None

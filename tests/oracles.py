@@ -153,6 +153,20 @@ def canonical(table):
     return best
 
 
+def j_classes(table):
+    """Green's J from its definition: a J b iff S^1aS^1 = S^1bS^1.  The
+    classes come back as a set of frozensets."""
+    n = len(table)
+    ideals = []
+    for a in range(n):
+        # S^1a, then S^1aS^1: a's left multiples and a, closed on the right
+        left = {a} | {table[x][a] for x in range(n)}
+        ideals.append(frozenset(left | {table[y][x] for y in left for x in range(n)}))
+    return {
+        frozenset(b for b in range(n) if ideals[b] == ideals[a]) for a in range(n)
+    }
+
+
 def natural_leq(table, a: int, b: int) -> bool:
     """a <= b iff a = xb = by with xa = a, for some x, y with an
     identity adjoined when S has none."""

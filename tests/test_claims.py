@@ -6,7 +6,9 @@ import time
 
 import pytest
 
-from semivar import OrderTooLarge, build_semigroup, claims
+from semivar import (
+    FiniteSemigroup, OrderTooLarge, build_semigroup, claims, cli, congruences,
+)
 from semivar.claims import (
     HARD_CLAIM_IDS,
     KIND_HARD,
@@ -17,7 +19,7 @@ from semivar.claims import (
     evaluate_claim,
     recheck_result,
 )
-from semivar.report import STATUS_FAILS, STATUS_HOLDS, STATUS_NOT_APPLICABLE
+from semivar.report import STATUS_FAILS, STATUS_HOLDS, STATUS_NOT_APPLICABLE, Report
 
 from .conftest import full_corpus
 
@@ -171,6 +173,29 @@ def test_hard_claims_hold_on_corpus(corpus3):
         for cid in sorted(HARD_CLAIM_IDS):
             for r in evaluate_claim(cid, s):
                 assert r.status != STATUS_FAILS, (cid, r.table, r.params, r.witness)
+
+
+def _quotient_with_a_wrong_entry(s, p):
+    q = congruences.quotient(s, p)
+    rows = [list(row) for row in q.table]
+    rows[0][0] = (rows[0][0] + 1) % q.order
+    return FiniteSemigroup(q.order, tuple(map(tuple, rows)))
+
+
+def test_c31_catches_a_quotient_that_is_not_well_defined(tmp_path, monkeypatch):
+    # a quotient whose table breaks the projection must show up as C-3.1
+    # welldef FAILS that the re-checker confirms, not as a crash
+    monkeypatch.setattr(claims, "quotient", _quotient_with_a_wrong_entry)
+    out = tmp_path / "r.jsonl"
+    argv = ["check", "--orders", "2", "--claims", "C-3.1", "--out", str(out)]
+    assert cli.main(argv) == 2
+    fails = [r for r in Report.loads(out.read_text()).results if r.status == STATUS_FAILS]
+    assert len(fails) == 8
+    assert all(r.witness["part"] == "welldef" for r in fails)
+    assert all(recheck_result(r) for r in fails)
+    # against the real quotient the same witnesses do not recheck
+    monkeypatch.undo()
+    assert not any(recheck_result(r) for r in fails)
 
 
 def test_strict_u_changes_applicability(min2):

@@ -82,9 +82,8 @@ def test_all_congruences_matches_partition_filter(s):
 
 def test_quotient_of_chain(chain3):
     p = Equivalence.from_blocks(3, [[0, 1], [2]])
-    q, proj = quotient(chain3, p)
+    q = quotient(chain3, p)
     assert q.order == 2
-    assert proj.mapping == (0, 0, 1)
     assert q.table == ((0, 0), (0, 1))
 
 
@@ -105,8 +104,7 @@ def test_hom_validates_mapping(z2, null2):
 
 
 def test_induced_subsemigroup(z2, chain3):
-    sub, old = induced_subsemigroup(chain3, {0, 2})
-    assert old == (0, 2)
+    sub = induced_subsemigroup(chain3, {0, 2})
     assert sub.table == ((0, 0), (0, 1))
     with pytest.raises(ValueError):
         induced_subsemigroup(z2, {1})  # 1*1 = 0 escapes

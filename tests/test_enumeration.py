@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from semivar.core import OrderTooLarge, build_semigroup
 from semivar.enumeration import (
     DEDUP_ISO,
-    DEDUP_NONE,
     CorpusSpec,
     canonical_form,
     enumerate_semigroups,

@@ -1,5 +1,7 @@
 """Green's relations, starred and tilde relations, abundance."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from semivar.relations import (
     tilde,
 )
 from .conftest import full_corpus
+from .oracles import j_classes
 
 
 # --- the Equivalence container -------------------------------------------
@@ -164,10 +167,12 @@ def test_h_is_meet_and_d_is_join(s):
     assert st_.d_star == join(st_.l_star, st_.r_star)
 
 
-@given(st.sampled_from(full_corpus(1, 2, 3)))
-def test_d_refines_j(s):
-    g = green(s)
-    assert g.d.refines(g.j)
+def test_j_matches_the_principal_ideal_oracle(classes5):
+    # J is taken to be D; the oracle builds J from S^1aS^1 directly
+    for s in itertools.chain(full_corpus(1, 2, 3, 4), classes5):
+        g = green(s)
+        assert g.j is g.d
+        assert set(map(frozenset, g.j.classes)) == j_classes(s.table), s.table
 
 
 # --- tilde relations -------------------------------------------------------

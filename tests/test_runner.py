@@ -157,6 +157,23 @@ def test_a_raising_claim_leaves_no_report(tmp_path, monkeypatch):
     assert not (tmp_path / "report.jsonl").exists()
 
 
+def test_an_unwritable_out_path_is_refused_before_evaluation(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def evaluate(s, opts, table=None):
+        calls.append(s)
+        raise RuntimeError("claim ran")
+
+    claim = dataclasses.replace(REGISTRY["C-2.5"], evaluate=evaluate)
+    monkeypatch.setitem(REGISTRY, "C-2.5", claim)
+    for out in (tmp_path / "missing" / "r.jsonl", tmp_path):
+        argv = ["check", "--orders", "2", "--claims", "C-2.5", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_memory_is_flat_in_corpus_size(tmp_path):
     argv = ["check", "--orders", "4", "--claims", "C-2.5", "--out", str(tmp_path / "r")]
 
