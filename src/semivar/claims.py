@@ -1291,6 +1291,15 @@ def evaluate_claim(
     return results
 
 
+# A report's records of one claim arrive in table order, so the witnesses
+# on one table form a run and its key is parsed once per run.  Each distinct
+# key still goes through the validating parse_inline, and a key that fails
+# to parse is not cached.
+@lru_cache(maxsize=1)
+def _parse_witness_table(key: str) -> FiniteSemigroup:
+    return parse_inline(key)
+
+
 def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
     witness alone.  True means the failure is confirmed."""
@@ -1299,5 +1308,5 @@ def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
         raise UnknownClaim(result.claim_id)
     if result.status != STATUS_FAILS or result.witness is None:
         return False
-    s = parse_inline(result.table)
+    s = _parse_witness_table(result.table)
     return claim.recheck(s, result.params, result.witness, options or Options())

@@ -3,22 +3,29 @@
 Subcommands:
 
 * ``check``      run claims over an enumerated corpus, print a JSONL report
+* ``recheck``    confirm a report from itself: every FAILS witness, the
+  claim-major order of its records, its tallies and its version
 * ``inspect``    print relations/congruences/orders of one .sgt table
 * ``enumerate``  list (or count) the associative tables of one order
 * ``variant``    print the sandwich variant of one .sgt table
 
-Exit codes: 0 on success, 2 when a hard claim FAILS during ``check``,
-1 on bad usage or bad input.
+Exit codes: 0 on success, 2 when a hard claim FAILS during ``check`` or
+when ``recheck`` finds a witness it cannot confirm, a record out of
+order, a wrong tally or another version, 1 on bad usage or bad input
+(for ``recheck``, a line that is not a record, a summary that is
+missing, or a table that is not a semigroup).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import sys
 from pathlib import Path
 
-from .claims import HARD_CLAIM_IDS, Options
+from . import __version__
+from .claims import HARD_CLAIM_IDS, Options, recheck_result
 from .congruences import all_congruences
 from .core import SemigroupError, idempotents
 from .enumeration import (
@@ -30,6 +37,7 @@ from .enumeration import (
 )
 from .orders import natural_leq
 from .relations import compose, green, star, tilde
+from .report import STATUS_FAILS, add_tallies, read_records, read_summary
 from .runner import write_report
 from .sgt import inline_table, parse_table, serialize_table
 from .variants import idempotent_variant, variant
@@ -67,6 +75,11 @@ def _build_parser() -> _Parser:
     check.add_argument("--out", default=None,
                        help="write the report here instead of stdout")
     check.set_defaults(func=_cmd_check)
+
+    recheck = sub.add_parser("recheck", help="confirm a report's witnesses, "
+                             "order and tallies from the report alone")
+    recheck.add_argument("report", help="a JSONL report written by check")
+    recheck.set_defaults(func=_cmd_recheck)
 
     inspect = sub.add_parser("inspect", help="print structure of one table")
     inspect.add_argument("path", help="an .sgt file")
@@ -136,6 +149,63 @@ def _cmd_check(args) -> int:
             )
         print(f"{failures} hard-claim failure(s)", file=sys.stderr)
         return 2
+    return 0
+
+
+def _named(r) -> str:
+    return f"{r.claim_id} on {r.table} params={r.params}"
+
+
+def _confirmed(r, options) -> bool:
+    try:
+        return recheck_result(r, options)
+    except SemigroupError as err:  # an unknown claim, or a table that is not one
+        raise _CliError(f"{r.claim_id} on {r.table}: {err}") from None
+    except (LookupError, TypeError, ValueError):
+        # params or a witness without what the claim's rechecker reads
+        return False
+
+
+def _cmd_recheck(args) -> int:
+    problems = []
+    with open(args.report) as f:
+        # the summary is the last line, and its config is needed first
+        summary_at = 0
+        for lineno, line in enumerate(f, start=1):
+            if not line.isspace():
+                summary_at, last = lineno, line
+        if not summary_at:
+            raise ValueError("empty report")
+        summary = read_summary(last)
+        options = Options(strict_u=summary["config"].get("strict_u") is True)
+        f.seek(0)
+        tallies, previous, confirmed = {}, None, 0
+        for r in read_records(itertools.islice(f, summary_at - 1)):
+            key = r.sort_key()
+            if previous is not None and key <= previous:
+                problems.append(f"{_named(r)} does not follow the record before it")
+            previous = key
+            add_tallies(tallies, (r,))
+            if r.status == STATUS_FAILS:
+                if _confirmed(r, options):
+                    confirmed += 1
+                else:
+                    problems.append(f"{_named(r)}: witness not confirmed")
+    for cid in sorted(set(tallies) | set(summary["tallies"])):
+        if tallies.get(cid) != summary["tallies"].get(cid):
+            problems.append(f"{cid}: the summary tallies {summary['tallies'].get(cid)}, "
+                            f"the records {tallies.get(cid)}")
+    if summary["version"] != __version__:
+        problems.append(f"the report is from semivar {summary['version']}, "
+                        f"this is {__version__}")
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        print(f"{len(problems)} problem(s)", file=sys.stderr)
+        return 2
+    records = sum(sum(t.values()) for t in tallies.values())
+    print(f"{records} records in order, {confirmed} FAILS witnesses confirmed, "
+          f"tallies match")
     return 0
 
 

@@ -8,13 +8,17 @@ pure function of the inputs.  Records are sorted by claim id, then table
 key, then params (``ClaimResult.sort_key``).  ``record_line`` and
 ``summary_line`` are the one serialization of each line, and
 ``add_tallies`` the one count of statuses, shared by ``Report`` and the
-streaming writer in ``runner``.
+streaming writer in ``runner``.  On the way in, ``read_summary`` checks
+the summary line and ``read_records`` is the one reader of record lines,
+shared by ``Report.loads`` and ``semivar recheck``; both hold one line
+at a time.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -29,6 +33,13 @@ _TALLY_FIELDS = {
     STATUS_FAILS: "fails",
     STATUS_NOT_APPLICABLE: "not_applicable",
 }
+
+#: the fields every record line carries, and their types
+_RECORD_FIELDS = {"claim_id": str, "table": str, "params": dict, "status": str}
+
+#: the fields of the summary line, and their types
+_SUMMARY_FIELDS = {"tallies": dict, "corpus": dict, "config": dict,
+                   "version": str, "timestamp": str}
 
 #: compact JSON with sorted keys, the encoding of every report line
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -56,13 +67,19 @@ class ClaimResult:
 
     @classmethod
     def from_record(cls, rec: dict) -> "ClaimResult":
-        return cls(
-            claim_id=rec["claim_id"],
-            table=rec["table"],
-            params=rec["params"],
-            status=rec["status"],
-            witness=rec.get("witness"),
-        )
+        """The result a decoded record line holds; ValueError when a field
+        is missing or of the wrong type."""
+        if not isinstance(rec, dict):
+            raise ValueError("a record must be a JSON object")
+        for name, kind in _RECORD_FIELDS.items():
+            if not isinstance(rec.get(name), kind):
+                raise ValueError(f"record field {name!r} is missing or not a {kind.__name__}")
+        if rec["status"] not in _TALLY_FIELDS:
+            raise ValueError(f"unknown status {rec['status']!r}")
+        witness = rec.get("witness")
+        if witness is not None and not isinstance(witness, dict):
+            raise ValueError("record field 'witness' is not an object")
+        return cls(rec["claim_id"], rec["table"], rec["params"], rec["status"], witness)
 
 
 def record_line(r: ClaimResult) -> str:
@@ -97,11 +114,71 @@ def summary_line(tallies: dict, corpus: dict, config: dict,
     })
 
 
+def read_records(lines: Iterable[str]) -> Iterator[ClaimResult]:
+    """The result of each record line of lines, numbered from 1.  Blank
+    lines are skipped; a line that is not a record raises ValueError
+    naming its number."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            result = ClaimResult.from_record(json.loads(line))
+        except json.JSONDecodeError as err:  # its own line number is always 1
+            raise ValueError(f"line {lineno}: not a report record: {err.msg} "
+                             f"at column {err.pos + 1}") from None
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: not a report record: {err}") from None
+        yield result
+
+
+def read_summary(line: str) -> dict:
+    """The summary record of a report from its last line."""
+    summary = json.loads(line)
+    if not isinstance(summary, dict) or "tallies" not in summary:
+        raise ValueError("report is missing its summary record")
+    for name, kind in _SUMMARY_FIELDS.items():
+        if not isinstance(summary.get(name), kind):
+            raise ValueError(f"summary field {name!r} is missing or not a {kind.__name__}")
+    return summary
+
+
+def _lines(text: str, stop: int) -> Iterator[str]:
+    """The lines of text[:stop], sliced out one at a time."""
+    start = 0
+    while start < stop:
+        end = text.find("\n", start, stop)
+        if end < 0:
+            end = stop
+        yield text[start:end]
+        start = end + 1
+
+
+class _Records:
+    """The records of a report text, decoded afresh each time it is
+    iterated; the text is shared, never copied."""
+
+    __slots__ = ("_text", "_stop")
+
+    def __init__(self, text: str, stop: int) -> None:
+        self._text = text
+        self._stop = stop
+
+    def __iter__(self) -> Iterator[ClaimResult]:
+        return read_records(_lines(self._text, self._stop))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, _Records)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass
 class Report:
     corpus: dict
     config: dict
-    results: list[ClaimResult]
+    #: a list, or the view Report.loads gives, which decodes its records
+    #: each time it is iterated
+    results: Iterable[ClaimResult]
     version: str = __version__
     timestamp: str = field(default_factory=_utcnow)
 
@@ -122,17 +199,20 @@ class Report:
 
     @classmethod
     def loads(cls, text: str) -> "Report":
-        lines = [line for line in text.split("\n") if line]
-        if not lines:
+        """The report in text.  The summary (the last non-blank line) is
+        decoded and checked here; the records are decoded, and a bad one
+        raises, only when results is iterated."""
+        end = len(text)
+        while end and text[end - 1].isspace():
+            end -= 1
+        if not end:
             raise ValueError("empty report")
-        summary = json.loads(lines[-1])
-        if "tallies" not in summary:
-            raise ValueError("report is missing its summary record")
-        results = [ClaimResult.from_record(json.loads(line)) for line in lines[:-1]]
+        start = text.rfind("\n", 0, end) + 1
+        summary = read_summary(text[start:end])
         return cls(
             corpus=summary["corpus"],
             config=summary["config"],
-            results=results,
+            results=_Records(text, start),
             version=summary["version"],
             timestamp=summary["timestamp"],
         )

@@ -94,3 +94,17 @@ def rectangular_band(rows: int, cols: int):
 def cyclic(n: int):
     """The cyclic group Z_n with identity 0."""
     return build_semigroup(n, [[(x + y) % n for y in range(n)] for x in range(n)])
+
+
+@pytest.fixture(scope="session")
+def cli_reports3(tmp_path_factory):
+    """{strict_u: path} of the reports `semivar check --orders 1,2,3
+    --claims all` writes without and with --strict-u."""
+    from semivar.cli import main
+
+    paths = {}
+    for strict_u in (False, True):
+        paths[strict_u] = tmp_path_factory.mktemp("reports") / f"strict{int(strict_u)}.jsonl"
+        argv = ["check", "--orders", "1,2,3", "--out", str(paths[strict_u])]
+        assert main(argv + ["--strict-u"] * strict_u) == 0
+    return paths

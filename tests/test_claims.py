@@ -1,13 +1,18 @@
 """The claim registry: evaluation, witnesses, and independent re-checking."""
 
+import ast
+import builtins
 import dataclasses
+import inspect
 import itertools
+import re
 import time
 
 import pytest
 
 from semivar import (
-    FiniteSemigroup, OrderTooLarge, build_semigroup, claims, cli, congruences,
+    FiniteSemigroup, NotAssociative, OrderTooLarge, build_semigroup, claims, cli,
+    congruences,
 )
 from semivar.claims import (
     HARD_CLAIM_IDS,
@@ -126,6 +131,80 @@ def test_every_corpus_failure_survives_recheck(corpus3):
                     assert recheck_result(r), (cid, r.table, r.params, r.witness)
                     checked += 1
     assert checked > 1000  # the corpus is known to produce many findings
+
+
+def test_recheck_validates_a_new_key_after_a_cached_one(left_zero):
+    r = evaluate_claim("C-4.1-reverse", left_zero, params={"e": 0})[0]
+    assert recheck_result(r)
+    bad = dataclasses.replace(r, table="2;1 0;0 0")  # (0.0).1 != 0.(0.1)
+    for _ in range(2):  # a key that fails to parse is not remembered
+        with pytest.raises(NotAssociative):
+            recheck_result(bad)
+    assert recheck_result(r)
+
+
+def test_recheck_parses_each_run_of_equal_keys_once(cli_reports3):
+    fails = [r for r in Report.loads(cli_reports3[False].read_text()).results
+             if r.status == STATUS_FAILS]
+    runs = sum(1 for _ in itertools.groupby(r.table for r in fails))
+    claims._parse_witness_table.cache_clear()
+    assert all(recheck_result(r) for r in fails)
+    info = claims._parse_witness_table.cache_info()
+    assert (info.misses, info.hits) == (runs, len(fails) - runs)
+    assert len(fails) == 1436 and runs < len(fails) / 2
+
+
+# The definitional helpers a re-checker may call, by name.
+_HELPER = re.compile(r"_dual|_side|_sandwich_table|_s1_table|_c13_rhs|_\w+_lit")
+
+# The production code a re-checker reads because its claim is about it.
+_PRODUCTION_READ = {
+    "C-1.2": {"relations.star", "rel.same"},
+    "C-3.1": {"all_congruences", "quotient", "Equivalence.from_keys"},
+    "C-FUND": {"is_fundamental"},
+}
+
+
+def _foreign_calls(fn):
+    """The calls in fn's source that are not to a builtin, a builtin
+    type's method, a definitional helper, itertools or a callable fn
+    holds in a local name (a parameter, a closure, what a helper
+    returned), written as in the source."""
+    tree = ast.parse(inspect.getsource(fn)).body[0]
+    local = {a.arg for a in ast.walk(tree.args) if isinstance(a, ast.arg)}
+    local |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Store)}
+    local |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)} - {fn.__name__}
+    # a local name that only aliases a global is not a closure
+    local -= {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+              and isinstance(n.value, (ast.Name, ast.Attribute))
+              for t in n.targets if isinstance(t, ast.Name)}
+    methods = {m for t in (str, list, tuple, dict, set, frozenset) for m in dir(t)}
+    foreign = set()
+    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        f = call.func
+        if isinstance(f, ast.Name):
+            ok = (f.id in local or hasattr(builtins, f.id) or _HELPER.fullmatch(f.id))
+        elif isinstance(f, ast.Attribute):
+            base = f.value.id if isinstance(f.value, ast.Name) else None
+            ok = base == "itertools" or (base not in vars(claims) and f.attr in methods)
+        else:
+            ok = False
+        if not ok:
+            foreign.add(ast.unparse(f))
+    return foreign
+
+
+def test_recheckers_call_only_definitional_code():
+    helpers = [fn for name, fn in vars(claims).items()
+               if _HELPER.fullmatch(name) and inspect.isfunction(fn)]
+    assert len(helpers) > 20
+    for fn in helpers:
+        assert _foreign_calls(fn) == set(), fn.__name__
+    for cid, claim in REGISTRY.items():
+        fn = getattr(claim.recheck, "func", claim.recheck)  # C-2.6 binds a reading
+        assert fn.__name__.startswith("_recheck_"), cid
+        assert _foreign_calls(fn) == _PRODUCTION_READ.get(cid, set()), cid
 
 
 # The first FAILS of each observed claim in corpus order: the labeled

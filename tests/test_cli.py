@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,3 +219,124 @@ def test_help_exits_zero(capsys):
     code, out, err = run_cli(capsys, "--help")
     assert code == 0
     assert "check" in out and "enumerate" in out
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_recheck_confirms_a_check_report(capsys, cli_reports3, strict_u):
+    code, out, err = run_cli(capsys, "recheck", str(cli_reports3[strict_u]))
+    assert (code, err) == (0, "")
+    fails = 1088 if strict_u else 1436
+    assert out == f"8693 records in order, {fails} FAILS witnesses confirmed, tallies match\n"
+
+
+def _tampered(tmp_path, source, edit):
+    """A copy of the report at source whose lines edit has changed in place."""
+    lines = source.read_text().split("\n")
+    edit(lines)
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("\n".join(lines))
+    return path
+
+
+def _edit_record(lines, index, change):
+    record = json.loads(lines[index])
+    change(record)
+    lines[index] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _first_fails(lines, claim_id):
+    return next(i for i, line in enumerate(lines)
+                if f'"claim_id":"{claim_id}"' in line and '"FAILS"' in line)
+
+
+def _wrong_witness(lines):
+    # C-4.1-reverse's witness is an idempotent f of S^e not below e
+    i = _first_fails(lines, "C-4.1-reverse")
+    _edit_record(lines, i, lambda r: r["witness"].update(f=r["params"]["e"]))
+
+
+def _witness_without_a_field(lines):
+    i = _first_fails(lines, "C-NONCONG")
+    _edit_record(lines, i, lambda r: r["witness"].pop("z"))
+
+
+def _wrong_tally(lines):
+    _edit_record(lines, -2, lambda s: s["tallies"]["C-2.5"].update(holds=0))
+
+
+def _swapped(lines):
+    lines[0], lines[1] = lines[1], lines[0]
+
+
+def _other_version(lines):
+    _edit_record(lines, -2, lambda s: s.update(version="0.0.0"))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_wrong_witness, "C-4.1-reverse on .* witness not confirmed"),
+    (_witness_without_a_field, "C-NONCONG on .* witness not confirmed"),
+    (_wrong_tally, "C-2.5: the summary tallies .*'holds': 0"),
+    (_swapped, "C-1.1 on 1;0 params={} does not follow the record before it$"),
+    (_other_version, "the report is from semivar 0.0.0, this is "),
+])
+def test_recheck_finds_a_tampered_report(tmp_path, capsys, cli_reports3, edit, message):
+    path = _tampered(tmp_path, cli_reports3[False], edit)
+    code, out, err = run_cli(capsys, "recheck", str(path))
+    assert code == 2
+    assert out == ""
+    problem, count = err.splitlines()
+    assert re.match(message, problem), problem
+    assert count == "1 problem(s)"
+
+
+def _truncated(lines):
+    lines[5] = lines[5][:40]
+
+
+def _garbled(lines):
+    lines[5] = "not json"
+
+
+def _missing_status(lines):
+    _edit_record(lines, 5, lambda r: r.pop("status"))
+
+
+def _no_summary(lines):
+    del lines[-2]
+
+
+def _not_a_semigroup(lines):
+    i = _first_fails(lines, "C-4.1-reverse")
+    _edit_record(lines, i, lambda r: r.update(table="2;1 0;0 0"))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_truncated, "line 6: not a report record: Expecting ':' delimiter"),
+    (_garbled, "line 6: not a report record: Expecting value at column 1"),
+    (_missing_status, "line 6: not a report record: record field 'status' is missing"),
+    (_no_summary, "report is missing its summary record"),
+    (_not_a_semigroup, "C-4.1-reverse on 2;1 0;0 0: (x.y).z != x.(y.z)"),
+])
+def test_recheck_refuses_malformed_input(tmp_path, capsys, cli_reports3, edit, message):
+    path = _tampered(tmp_path, cli_reports3[False], edit)
+    code, out, err = run_cli(capsys, "recheck", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_recheck_refuses_an_empty_or_missing_report(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n\n")
+    assert run_cli(capsys, "recheck", str(empty)) == (1, "", "error: empty report\n")
+    code, out, err = run_cli(capsys, "recheck", str(tmp_path / "missing.jsonl"))
+    assert code == 1 and err.startswith("error: ")
+
+
+def test_package_runs_as_a_module(cli_reports3):
+    proc = subprocess.run(
+        [sys.executable, "-m", "semivar", "recheck", str(cli_reports3[True])],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("8693 records in order")

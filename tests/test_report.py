@@ -1,6 +1,7 @@
 """JSONL report serialization and tallies."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -93,3 +94,70 @@ def test_sort_key_orders_by_claim_then_table_then_params():
     c = ClaimResult("C-1.1", "2;0 0;1 1", {"a": 1}, STATUS_HOLDS)
     d = ClaimResult("C-2.1", "1;0", {}, STATUS_HOLDS)
     assert sorted([d, c, b, a], key=lambda r: r.sort_key()) == [a, b, c, d]
+
+
+def test_results_iterate_twice_with_equal_results():
+    report = Report.loads(sample_report().dumps())
+    first = list(report.results)
+    assert first == list(report.results) == sample_report().results
+
+
+def test_a_bad_record_raises_when_results_are_iterated():
+    lines = sample_report().dumps().split("\n")
+    lines[1] = lines[1][:20]  # a truncated record line
+    report = Report.loads("\n".join(lines))  # the summary is still checked here
+    assert report.corpus["tables"] == {"2": 8}
+    with pytest.raises(ValueError, match="^line 2: not a report record"):
+        list(report.results)
+
+
+@pytest.mark.parametrize("name", ["claim_id", "table", "params", "status"])
+def test_a_record_missing_a_field_names_its_line(name):
+    lines = sample_report().dumps().split("\n")
+    record = json.loads(lines[2])
+    del record[name]
+    lines[2] = json.dumps(record)
+    report = Report.loads("\n".join(lines))
+    with pytest.raises(ValueError, match=f"^line 3: .*'{name}' is missing"):
+        list(report.results)
+
+
+def test_a_record_with_an_unknown_status_names_its_line():
+    text = sample_report().dumps().replace('"HOLDS"', '"MAYBE"', 1)
+    with pytest.raises(ValueError, match="^line 2: .*unknown status 'MAYBE'"):
+        list(Report.loads(text).results)
+
+
+def test_loads_refuses_a_summary_without_its_fields():
+    lines = sample_report().dumps().split("\n")
+    summary = json.loads(lines[-2])
+    del summary["version"]
+    lines[-2] = json.dumps(summary)
+    with pytest.raises(ValueError, match="'version' is missing"):
+        Report.loads("\n".join(lines))
+
+
+def test_blank_lines_are_skipped_and_counted():
+    text = "\n" + sample_report().dumps().replace("\n", "\n\n", 1) + "\n\n"
+    report = Report.loads(text)
+    assert report == sample_report()
+    broken = text.replace('"C-2.5"', "C-2.5", 1)  # the record on line 4
+    with pytest.raises(ValueError, match="^line 4: "):
+        list(Report.loads(broken).results)
+
+
+def test_loads_reads_a_large_text_in_place():
+    # records are decoded one at a time from slices of the text: nothing
+    # near the text's size is allocated, at loads or while iterating
+    text = sample_report().dumps()
+    cut = text.rindex("\n", 0, -1) + 1  # where the summary line starts
+    text = text[:cut] * 5000 + text[cut:]
+    tracemalloc.start()
+    try:
+        report = Report.loads(text)
+        assert sum(1 for _ in report.results) == 4 * 5000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak < 100_000, peak

@@ -192,25 +192,29 @@ def test_check_memory_is_flat_in_corpus_size(tmp_path):
     assert every <= first + 1000 * (3492 - 600), (first, every)
 
 
-def _check_in_child(tmp_path, timeout, *argv):
-    """(peak RSS in MB, report path) of semivar check --out, run by
-    a fresh interpreter whose only child is the check, so that
-    RUSAGE_CHILDREN is the check's own peak."""
+def _peak_rss_in_child(timeout, *argv):
+    """Peak RSS in MB of `semivar ARGV`, run by a fresh interpreter whose
+    only child is the command, so that RUSAGE_CHILDREN is its own peak.
+    The command must exit 0; its stdout goes to stderr."""
     measure = (
         "import resource, subprocess, sys\n"
-        "code = subprocess.call(sys.argv[1:])\n"
+        "code = subprocess.call(sys.argv[1:], stdout=sys.stderr)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         "sys.exit(code)\n"
     )
-    out = tmp_path / "report.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-c", measure, sys.executable, "-m", "semivar.cli", "check",
-         *argv, "--out", str(out)],
+        [sys.executable, "-c", measure, sys.executable, "-m", "semivar", *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout) / 1024, out
+    return int(proc.stdout) / 1024
+
+
+def _check_in_child(tmp_path, timeout, *argv):
+    """(peak RSS in MB, report path) of semivar check --out in a child."""
+    out = tmp_path / "report.jsonl"
+    return _peak_rss_in_child(timeout, "check", *argv, "--out", str(out)), out
 
 
 @pytest.mark.slow
@@ -238,3 +242,13 @@ def test_order6_classes_hold_the_hard_claims(tmp_path):
     assert summary["corpus"]["tables"] == {"6": 28634}
     assert sum(t["fails"] for t in summary["tallies"].values()) == 0
     assert peak_mb < 100, peak_mb
+
+
+@pytest.mark.slow
+def test_recheck_reads_the_order4_report_in_flat_memory(tmp_path):
+    # the 7 claims with FAILS at order 4: 180,588 records, 27 MB of JSONL
+    observed = ("C-2.2-composition", "C-2.2-quantifier", "C-2.3-literal", "C-2.6-inter",
+                "C-2.6-sandwich", "C-4.1-reverse", "C-NONCONG")
+    _, out = _check_in_child(tmp_path, 600, "--orders", "4", "--claims", ",".join(observed))
+    assert out.stat().st_size > 25_000_000
+    assert _peak_rss_in_child(600, "recheck", str(out)) < 40
