@@ -19,9 +19,10 @@ the first in the check's fixed scan order (``_first`` over a generator),
 so reports are deterministic.
 
 ``recheck_result`` reproduces a FAILS result from the serialized table,
-params, and witness alone.  Re-checkers are definitional: they scan raw
-tables instead of calling production code, except where the claim is
-about that code (C-1.2 ``star``, C-3.1 ``all_congruences`` and
+params, and witness alone; an element id outside the table refutes the
+witness before its re-checker runs.  Re-checkers are definitional: they
+scan raw tables instead of calling production code, except where the
+claim is about that code (C-1.2 ``star``, C-3.1 ``all_congruences`` and
 ``quotient``, C-FUND ``is_fundamental``).  Literal helpers decide the
 right-hand side (R, R*, R~, P1); the left-hand side is the same helper on
 the transposed table, the table of the dual semigroup.
@@ -54,7 +55,7 @@ from .congruences import (
     quotient,
     sandwich_lambda,
     sandwich_rho,
-    translation_hom,
+    u_translate_hom,
 )
 from .core import FiniteSemigroup, OrderTooLarge, SemigroupError, idempotents
 from .relations import Equivalence, bare_classes
@@ -105,13 +106,13 @@ _abundant = lru_cache(maxsize=512)(relations.is_abundant)
 
 
 @lru_cache(maxsize=2048)
-def _variant(s: FiniteSemigroup, a: int) -> variants.VariantDescriptor:
+def _variant(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
     return variants.variant(s, a)
 
 
 @lru_cache(maxsize=2048)
 def _variant_leq(s: FiniteSemigroup, e: int) -> orders.OrderRelation:
-    return orders.variant_leq(_variant(s, e))
+    return orders.variant_leq(s, e)
 
 
 # C-3.1 and C-FUND read it for the same table in one pass of the runner;
@@ -570,7 +571,7 @@ def _recheck_noncong(s, params, w, opts):
 
 
 def _check_c21(s, opts, a):
-    vt = _variant(s, a).variant.table
+    vt = _variant(s, a).table
     return _first(
         {"x": x, "y": y, "z": z}
         for x, y, z in itertools.product(range(s.order), repeat=3)
@@ -599,7 +600,7 @@ def _plain_r_star(vt):
 
 
 def _check_c22q(s, opts, a):
-    v = _variant(s, a).variant
+    v = _variant(s, a)
     return _first(
         {"side": side, "x": x, "y": y,
          "adjoined": rel.same(x, y), "plain": not rel.same(x, y)}
@@ -622,7 +623,7 @@ def _recheck_c22q(s, params, w, opts):
 
 def _check_c22c(s, opts, a):
     n = s.order
-    st = _star(_variant(s, a).variant)
+    st = _star(_variant(s, a))
     jp = st.d_star.pairs()
     rl = relations.compose(st.r_star, st.l_star)
     lr = relations.compose(st.l_star, st.r_star)
@@ -669,7 +670,7 @@ def _recheck_c22c(s, params, w, opts):
 def _c23_sides(s, a):
     """(side, P-set, variant relation, base relation) for R/P1 and L/P2."""
     ps, bst = _psets(s, a), _star(s)
-    vst = _star(_variant(s, a).variant)
+    vst = _star(_variant(s, a))
     return (
         ("R", ps.p1, vst.r_star, bst.r_star),
         ("L", ps.p2, vst.l_star, bst.l_star),
@@ -728,7 +729,7 @@ def _recheck_c23l(s, params, w, opts):
 def _check_c24(s, opts, a):
     if not (s.identity is not None and _abundant(s) and core.is_invertible(s, a)):
         return _NA
-    v = _variant(s, a).variant
+    v = _variant(s, a)
     vst = _star(v)
     rels = ((vst.l_star, "L*"), (vst.r_star, "R*"))
     return _first(bare_classes(rels, idempotents(v)))
@@ -749,14 +750,15 @@ def _recheck_c24(s, params, w, opts):
 
 
 def _check_c25(s, opts, e):
-    eee = _variant(s, e).variant.table[e][e]
+    eee = _variant(s, e).table[e][e]
     return None if eee == e else {"e_star_e": eee}
 
 
 def _recheck_c25(s, params, w, opts):
     t = s.table
     e = params["e"]
-    return t[e][e] == e and t[t[e][e]][e] != e
+    eee = t[t[e][e]][e]
+    return t[e][e] == e and eee != e and w["e_star_e"] == eee
 
 
 # C-2.6  weak abundance passed to idempotent variants, under two readings
@@ -778,7 +780,7 @@ def _unabundant(v, us, opts):
 def _check_c26(s, opts, U, e, reading):
     if _unabundant(s, U, opts) is not None:
         return _NA
-    v = _variant(s, e).variant
+    v = _variant(s, e)
     uprime = sorted(set(U) & idempotents(v)) if reading == "inter" else [e]
     w = _unabundant(v, uprime, opts)
     return w and {"Uprime": uprime, **w}
@@ -903,7 +905,7 @@ def _translation_violation(s, u, relation, side):
 
 
 def _check_c32(s, opts, u):
-    v = _variant(s, u).variant
+    v = _variant(s, u)
     lam_kind = congruence_kind(v, sandwich_lambda(s, u))
     if lam_kind not in (KIND_LEFT, KIND_TWO_SIDED):
         return _translation_violation(s, u, "lambda", "left")
@@ -927,7 +929,7 @@ def _recheck_c32(s, params, w, opts):
 
 def _lambda_quotient(s, u):
     """S^u / lambda^u; NotACongruence when lambda^u is not a congruence."""
-    return quotient(_variant(s, u).variant, sandwich_lambda(s, u))
+    return quotient(_variant(s, u), sandwich_lambda(s, u))
 
 
 def _check_c34(s, opts, u):
@@ -935,7 +937,7 @@ def _check_c34(s, opts, u):
         q = _lambda_quotient(s, u)
     except NotACongruence as err:
         return {"part": "lambda-not-congruence", "kind": err.kind}
-    image = induced_subsemigroup(s, core.translate_set(s, u, "left"))
+    image = induced_subsemigroup(s, core.translate_set(s, u))
     return _iso_witness(q, image, "quotient", "image")
 
 
@@ -976,7 +978,7 @@ def _recheck_c35(s, params, w, opts):
 
 
 def _check_cfht(s, opts, u):
-    h = translation_hom(_variant(s, u))
+    h = u_translate_hom(s, u)
     q = quotient(h.domain, h.kernel())
     image = induced_subsemigroup(h.codomain, h.image())
     return _iso_witness(q, image, "quotient", "image")
@@ -1041,7 +1043,7 @@ def _recheck_c40(s, params, w, opts):
 
 def _check_c41f(s, opts, e):
     t = s.table
-    vt = _variant(s, e).variant.table
+    vt = _variant(s, e).table
     return _first(
         {"f": f, "f_star_f": vt[f][f]}
         for f in sorted(_idem(s))
@@ -1054,12 +1056,13 @@ def _recheck_c41f(s, params, w, opts):
     e, f = params["e"], w["f"]
     if t[e][e] != e or t[f][f] != f:
         return False
-    return t[f][e] == f and t[e][f] == f and t[t[f][e]][f] != f
+    fef = t[t[f][e]][f]
+    return t[f][e] == f and t[e][f] == f and fef != f and w["f_star_f"] == fef
 
 
 def _check_c41r(s, opts, e):
     t = s.table
-    vt = _variant(s, e).variant.table
+    vt = _variant(s, e).table
     return _first(
         {"f": f, "ff": t[f][f], "fe": t[f][e], "ef": t[e][f]}
         for f in s.elements
@@ -1071,7 +1074,7 @@ def _check_c41r(s, opts, e):
 def _recheck_c41r(s, params, w, opts):
     t = s.table
     e, f = params["e"], w["f"]
-    if t[e][e] != e:
+    if t[e][e] != e or (w["ff"], w["fe"], w["ef"]) != (t[f][f], t[f][e], t[e][f]):
         return False
     in_variant = t[t[f][e]][f] == f
     below = t[f][f] == f and t[f][e] == f and t[e][f] == f
@@ -1082,7 +1085,7 @@ def _recheck_c41r(s, params, w, opts):
 
 
 def _check_c42(s, opts, e):
-    return _law_violation(orders.variant_idempotent_leq(_variant(s, e)))
+    return _law_violation(orders.variant_idempotent_leq(s, e))
 
 
 def _recheck_c42(s, params, w, opts):
@@ -1120,7 +1123,7 @@ def _recheck_c43(s, params, w, opts):
 
 
 def _check_c44a(s, opts, e):
-    vt, vle = _variant(s, e).variant.table, _variant_leq(s, e)
+    vt, vle = _variant(s, e).table, _variant_leq(s, e)
     return _first(
         {"a": a, "f": f}
         for f in s.elements
@@ -1137,7 +1140,7 @@ def _recheck_c44a(s, params, w, opts):
 
 
 def _check_c44b(s, opts, e):
-    v, vle = _variant(s, e).variant, _variant_leq(s, e)
+    v, vle = _variant(s, e), _variant_leq(s, e)
     regular = [core.is_regular_element(v, x) for x in s.elements]
     return _first(
         {"a": a, "b": b}
@@ -1300,13 +1303,30 @@ def _parse_witness_table(key: str) -> FiniteSemigroup:
     return parse_inline(key)
 
 
+def _out_of_range(values, n: int) -> bool:
+    """True when values hold an int outside 0..n-1, directly or in a list
+    at any depth (a bool is not an int here).  Every int in params and
+    witnesses is an element id or a class index, both below n; a negative
+    one would index a row from its end."""
+    for v in values:
+        if type(v) is list:
+            if _out_of_range(v, n):
+                return True
+        elif type(v) is int and not 0 <= v < n:
+            return True
+    return False
+
+
 def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
-    witness alone.  True means the failure is confirmed."""
+    witness alone.  True means the failure is confirmed; params or a
+    witness holding an element id outside the table never are."""
     claim = REGISTRY.get(result.claim_id)
     if claim is None:
         raise UnknownClaim(result.claim_id)
     if result.status != STATUS_FAILS or result.witness is None:
         return False
     s = _parse_witness_table(result.table)
+    if _out_of_range([*result.params.values(), *result.witness.values()], s.order):
+        return False
     return claim.recheck(s, result.params, result.witness, options or Options())

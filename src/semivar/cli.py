@@ -286,11 +286,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_variant(args) -> int:
     s = parse_table(Path(args.path).read_text())
-    if args.idempotent_only:
-        v = idempotent_variant(s, args.at)
-    else:
-        v = variant(s, args.at)
-    sys.stdout.write(serialize_table(v.variant))
+    build = idempotent_variant if args.idempotent_only else variant
+    sys.stdout.write(serialize_table(build(s, args.at)))
     return 0
 
 

@@ -13,7 +13,7 @@ from .core import (
     translate_set,
 )
 from .relations import CarrierMismatch, Equivalence, join
-from .variants import VariantDescriptor, variant
+from .variants import variant
 
 #: all_congruences / is_fundamental refuse carriers larger than this by default
 CONGRUENCE_ORDER_BOUND = 8
@@ -184,18 +184,12 @@ def induced_subsemigroup(s: FiniteSemigroup, members: Iterable[int]) -> FiniteSe
 
 
 def u_translate_hom(s: FiniteSemigroup, u: int) -> Hom:
-    """x -> ux as a homomorphism from the variant S^u onto uS."""
-    return translation_hom(variant(s, u))
-
-
-def translation_hom(v: VariantDescriptor) -> Hom:
-    """u_translate_hom(v.base, v.sandwich), for a caller that already
-    holds the variant."""
-    s, u = v.base, v.sandwich
-    image = sorted(translate_set(s, u, "left"))
+    """x -> ux as a homomorphism from the variant S^u onto uS, whose
+    elements are numbered by ascending id in S.  Its kernel is lambda^u."""
+    image = sorted(translate_set(s, u))
     index = {e: i for i, e in enumerate(image)}
-    mapping = tuple(index[s.table[u][x]] for x in s.elements)
-    return Hom(domain=v.variant, codomain=induced_subsemigroup(s, image), mapping=mapping)
+    mapping = tuple(index[ux] for ux in s.table[u])
+    return Hom(domain=variant(s, u), codomain=induced_subsemigroup(s, image), mapping=mapping)
 
 
 def are_isomorphic(s: FiniteSemigroup, t: FiniteSemigroup) -> tuple[int, ...] | None:

@@ -11,7 +11,7 @@ by construction and are built as ``FiniteSemigroup(n, rows)`` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from typing import Iterable
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -152,13 +152,8 @@ def is_invertible(s: FiniteSemigroup, a: int) -> bool:
     return any(t[a][b] == e and t[b][a] == e for b in s.elements)
 
 
-def translate_set(s: FiniteSemigroup, u: int, side: Literal["left", "right"]) -> ElementSubset:
-    """uS for side="left", Su for side="right" (u multiplied from that side)."""
+def translate_set(s: FiniteSemigroup, u: int) -> ElementSubset:
+    """uS: the products ux for x in S."""
     if not 0 <= u < s.order:
         raise ValueError(f"element id {u} out of range")
-    t = s.table
-    if side == "left":
-        return frozenset(t[u][x] for x in s.elements)
-    if side == "right":
-        return frozenset(t[x][u] for x in s.elements)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return frozenset(s.table[u])

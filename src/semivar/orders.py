@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteSemigroup, NotIdempotent
-from .variants import VariantDescriptor
+from .variants import idempotent_variant
 
 
 @dataclass(frozen=True)
@@ -89,24 +89,18 @@ def idempotent_leq(s: FiniteSemigroup, e: int, f: int) -> bool:
     return t[e][f] == e and t[f][e] == e
 
 
-def _check_sandwich_idempotent(v: VariantDescriptor) -> None:
-    e = v.sandwich
-    if v.base.table[e][e] != e:
-        raise NotIdempotent(e)
-
-
-def variant_idempotent_leq(v: VariantDescriptor) -> OrderRelation:
-    """<=_e restricted to E(S^e): x <= y iff x*y = y*x = x."""
-    _check_sandwich_idempotent(v)
-    t = v.variant.table
-    members = tuple(x for x in v.variant.elements if t[x][x] == x)
+def variant_idempotent_leq(s: FiniteSemigroup, e: int) -> OrderRelation:
+    """<=_e restricted to E(S^e): x <= y iff x*y = y*x = x.  ValueError
+    for an e out of range, NotIdempotent for a non-idempotent e."""
+    t = idempotent_variant(s, e).table
+    members = tuple(x for x in s.elements if t[x][x] == x)
     rows = tuple(
         tuple(t[x][y] == x and t[y][x] == x for y in members) for x in members
     )
     return OrderRelation(members, rows)
 
 
-def variant_leq(v: VariantDescriptor) -> OrderRelation:
-    """<=_e on all of S^e, quantified over (S^e)^1."""
-    _check_sandwich_idempotent(v)
-    return _leq_matrix(v.variant)
+def variant_leq(s: FiniteSemigroup, e: int) -> OrderRelation:
+    """<=_e on all of S^e, quantified over (S^e)^1; e must be an
+    idempotent of S, as for variant_idempotent_leq."""
+    return _leq_matrix(idempotent_variant(s, e))

@@ -1,4 +1,6 @@
-"""Sandwich variants: the semigroup S^a with x * y = x.a.y."""
+"""Sandwich variants: S^a, the semigroup on the carrier of S with
+x * y = x.a.y (J. B. Hickey, "Semigroups under a sandwich operation",
+1983), built as a plain FiniteSemigroup."""
 
 from __future__ import annotations
 
@@ -6,15 +8,6 @@ from dataclasses import dataclass
 
 from .core import ElementSubset, FiniteSemigroup, NotIdempotent
 from .relations import star
-
-
-@dataclass(frozen=True)
-class VariantDescriptor:
-    """The base semigroup, the sandwich element, and the variant table."""
-
-    base: FiniteSemigroup
-    sandwich: int
-    variant: FiniteSemigroup
 
 
 @dataclass(frozen=True)
@@ -26,17 +19,18 @@ class PSets:
     p: ElementSubset
 
 
-def variant(s: FiniteSemigroup, a: int) -> VariantDescriptor:
-    """Build S^a; the sandwich product is associative by construction."""
+def variant(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
+    """S^a; the sandwich product is associative by construction."""
     if not 0 <= a < s.order:
         raise ValueError(f"element id {a} out of range")
     t = s.table
     rows = tuple(tuple(t[t[x][a]][y] for y in s.elements) for x in s.elements)
-    return VariantDescriptor(base=s, sandwich=a, variant=FiniteSemigroup(s.order, rows))
+    return FiniteSemigroup(s.order, rows)
 
 
-def idempotent_variant(s: FiniteSemigroup, e: int) -> VariantDescriptor:
-    """Variant at an idempotent sandwich element."""
+def idempotent_variant(s: FiniteSemigroup, e: int) -> FiniteSemigroup:
+    """S^e at an idempotent e: ValueError for an id out of range,
+    NotIdempotent for any other e."""
     if not 0 <= e < s.order:
         raise ValueError(f"element id {e} out of range")
     if s.table[e][e] != e:

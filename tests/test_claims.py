@@ -154,6 +154,51 @@ def test_recheck_parses_each_run_of_equal_keys_once(cli_reports3):
     assert len(fails) == 1436 and runs < len(fails) / 2
 
 
+def _negated_ids(r):
+    """Copies of r with one positive id v of its params or witness, or of
+    a list there, replaced by v - n: both pick the same row of a table."""
+    n = int(r.table.split(";")[0])
+    for section in ("params", "witness"):
+        fields = getattr(r, section)
+        for key, value in fields.items():
+            items = value if isinstance(value, list) else [value]
+            for i, v in enumerate(items):
+                if type(v) is int and v > 0:
+                    bad = items[:i] + [v - n] + items[i + 1:]
+                    bad = bad if isinstance(value, list) else bad[0]
+                    yield dataclasses.replace(r, **{section: {**fields, key: bad}})
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_recheck_refuses_ids_outside_the_table(cli_reports3, strict_u):
+    opts = Options(strict_u=strict_u)
+    tampered = 0
+    for r in Report.loads(cli_reports3[strict_u].read_text()).results:
+        if r.status == STATUS_FAILS:
+            for bad in _negated_ids(r):
+                assert not recheck_result(bad, opts), (bad, r.witness)
+                tampered += 1
+    assert tampered > 1000
+
+
+def test_recheck_compares_the_witness_products(cli_reports3):
+    # C-2.5, C-4.1-forward and C-4.1-reverse report products of the table;
+    # any other value for one of them is not the failure the table shows
+    fields = {"C-2.5": ("e_star_e",), "C-4.1-forward": ("f_star_f",),
+              "C-4.1-reverse": ("ff", "fe", "ef")}
+    tampered = 0
+    for r in Report.loads(cli_reports3[False].read_text()).results:
+        if r.status != STATUS_FAILS or r.claim_id not in fields:
+            continue
+        n = int(r.table.split(";")[0])
+        for key in fields[r.claim_id]:
+            for other in set(range(n)) - {r.witness[key]}:
+                bad = dataclasses.replace(r, witness={**r.witness, key: other})
+                assert not recheck_result(bad), bad
+                tampered += 1
+    assert tampered > 100
+
+
 # The definitional helpers a re-checker may call, by name.
 _HELPER = re.compile(r"_dual|_side|_sandwich_table|_s1_table|_c13_rhs|_\w+_lit")
 

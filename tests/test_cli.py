@@ -255,6 +255,19 @@ def _wrong_witness(lines):
     _edit_record(lines, i, lambda r: r["witness"].update(f=r["params"]["e"]))
 
 
+def _negative_id(lines):
+    # y - n and y pick the same row of the table
+    i = _first_fails(lines, "C-2.2-quantifier")
+    _edit_record(lines, i, lambda r: r["witness"].update(
+        y=r["witness"]["y"] - int(r["table"].split(";")[0])))
+
+
+def _wrong_product(lines):
+    i = _first_fails(lines, "C-4.1-reverse")
+    _edit_record(lines, i, lambda r: r["witness"].update(
+        ff=(r["witness"]["ff"] + 1) % int(r["table"].split(";")[0])))
+
+
 def _witness_without_a_field(lines):
     i = _first_fails(lines, "C-NONCONG")
     _edit_record(lines, i, lambda r: r["witness"].pop("z"))
@@ -274,6 +287,8 @@ def _other_version(lines):
 
 @pytest.mark.parametrize("edit, message", [
     (_wrong_witness, "C-4.1-reverse on .* witness not confirmed"),
+    (_negative_id, "C-2.2-quantifier on .* witness not confirmed"),
+    (_wrong_product, "C-4.1-reverse on .* witness not confirmed"),
     (_witness_without_a_field, "C-NONCONG on .* witness not confirmed"),
     (_wrong_tally, "C-2.5: the summary tallies .*'holds': 0"),
     (_swapped, "C-1.1 on 1;0 params={} does not follow the record before it$"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semivar.core import OrderTooLarge, build_semigroup
+from semivar.core import OrderTooLarge, build_semigroup, translate_set
 from semivar.congruences import (
     KIND_LEFT,
     KIND_NONE,
@@ -24,6 +24,7 @@ from semivar.congruences import (
     u_translate_hom,
 )
 from semivar.relations import Equivalence
+from semivar.variants import variant
 from .conftest import full_corpus
 from .oracles import is_congruence, iso_exists, set_partitions
 
@@ -118,6 +119,17 @@ def test_u_translate_hom_on_null(null2):
     assert h.kernel().classes == ((0, 1),)
 
 
+def test_u_translate_hom_quotients_by_lambda():
+    # C-FHT quotients the hom's domain by its kernel and C-3.4 quotients
+    # S^u by lambda^u: the same relation on the same semigroup
+    for s in full_corpus(1, 2, 3):
+        for u in s.elements:
+            h = u_translate_hom(s, u)
+            assert h.domain == variant(s, u)
+            assert h.kernel() == sandwich_lambda(s, u)
+            assert h.codomain.order == len(translate_set(s, u))
+
+
 def test_sandwich_congruences(chain3):
     lam = sandwich_lambda(chain3, 1)
     # rows of 1: products 1x = (0, 1, 1)
@@ -144,10 +156,8 @@ def test_are_isomorphic_rejects_different_orders(z2, chain3):
 def test_isomorphism_search_matches_exhaustive_oracle(s):
     # compare against a few structured partners: itself, its variants
     assert (are_isomorphic(s, s) is not None) == iso_exists(s.table, s.table)
-    from semivar.variants import variant
-
     for a in range(s.order):
-        vt = variant(s, a).variant
+        vt = variant(s, a)
         got = are_isomorphic(s, vt)
         assert (got is not None) == iso_exists(s.table, vt.table)
         if got is not None:

@@ -109,12 +109,11 @@ def test_invertibility(z2, left_zero):
 
 
 def test_translate_sets(null2, left_zero):
-    assert translate_set(null2, 0, "left") == frozenset({0})
-    assert translate_set(null2, 0, "right") == frozenset({0})
-    assert translate_set(left_zero, 0, "left") == frozenset({0})
-    assert translate_set(left_zero, 0, "right") == frozenset({0, 1})
+    assert translate_set(null2, 0) == frozenset({0})
+    assert translate_set(left_zero, 0) == frozenset({0})
+    assert translate_set(left_zero, 1) == frozenset({1})
     with pytest.raises(ValueError):
-        translate_set(null2, 0, "middle")
+        translate_set(null2, 2)
 
 
 def test_tables_are_hashable(z2, left_zero):

@@ -11,7 +11,6 @@ from semivar.orders import (
     variant_idempotent_leq,
     variant_leq,
 )
-from semivar.variants import variant
 from .conftest import full_corpus
 from .oracles import natural_leq as natural_leq_oracle
 
@@ -73,21 +72,24 @@ def test_natural_order_extends_idempotent_order(s):
 def test_variant_idempotent_leq_on_left_zero(left_zero):
     # the variant at 0 is the left-zero band itself; x <= y there needs
     # y*x = y = x... so only reflexive pairs survive
-    rel = variant_idempotent_leq(variant(left_zero, 0))
+    rel = variant_idempotent_leq(left_zero, 0)
     assert rel.elements == (0, 1)
     assert rel.holds(0, 0) and rel.holds(1, 1)
     assert not rel.holds(0, 1) and not rel.holds(1, 0)
 
 
 def test_variant_idempotent_leq_rejects_bad_sandwich(z2):
-    with pytest.raises(NotIdempotent):
-        variant_idempotent_leq(variant(z2, 1))
+    for leq in (variant_idempotent_leq, variant_leq):
+        with pytest.raises(NotIdempotent):
+            leq(z2, 1)
+        with pytest.raises(ValueError):
+            leq(z2, 2)
 
 
 @given(st.sampled_from(full_corpus(1, 2, 3)))
 def test_variant_idempotent_order_is_partial_order(s):
     for e in sorted(idempotents(s)):
-        rel = variant_idempotent_leq(variant(s, e))
+        rel = variant_idempotent_leq(s, e)
         assert rel.check_reflexive() is None
         assert rel.check_antisymmetric() is None
         assert rel.check_transitive() is None
@@ -97,7 +99,7 @@ def test_variant_idempotent_order_is_partial_order(s):
 def test_variant_order_implies_base_order(s):
     nat = natural_leq(s)
     for e in sorted(idempotents(s)):
-        vle = variant_leq(variant(s, e))
+        vle = variant_leq(s, e)
         for a in range(s.order):
             for b in range(s.order):
                 if vle.holds(a, b):
@@ -107,7 +109,7 @@ def test_variant_order_implies_base_order(s):
 def test_variant_leq_matches_variant_natural_order(min2):
     # the variant at the identity of a monoid is the monoid itself
     assert min2.identity == 1
-    vle = variant_leq(variant(min2, 1))
+    vle = variant_leq(min2, 1)
     nat = natural_leq(min2)
     for a in range(2):
         for b in range(2):
