@@ -19,13 +19,14 @@ the first in the check's fixed scan order (``_first`` over a generator),
 so reports are deterministic.
 
 ``recheck_result`` reproduces a FAILS result from the serialized table,
-params, and witness alone; an element id outside the table refutes the
-witness before its re-checker runs.  Re-checkers are definitional: they
-scan raw tables instead of calling production code, except where the
-claim is about that code (C-1.2 ``star``, C-3.1 ``all_congruences`` and
-``quotient``, C-FUND ``is_fundamental``).  Literal helpers decide the
-right-hand side (R, R*, R~, P1); the left-hand side is the same helper on
-the transposed table, the table of the dual semigroup.
+params, and witness alone; an element id outside the table, or a bool
+outside the flag fields, refutes the witness before its re-checker runs.
+Re-checkers are definitional: they scan raw tables instead of calling
+production code, except where the claim is about that code (C-1.2
+``star``, C-3.1 ``all_congruences`` and ``quotient``, C-FUND
+``is_fundamental``).  Literal helpers decide the right-hand side (R, R*,
+R~, P1); the left-hand side is the same helper on the transposed table,
+the table of the dual semigroup.
 
 U-policy: claims parameterized by a subset U of E(S) iterate all
 non-empty subsets when |E(S)| <= 4, otherwise the singletons plus E(S)
@@ -1303,14 +1304,26 @@ def _parse_witness_table(key: str) -> FiniteSemigroup:
     return parse_inline(key)
 
 
-def _out_of_range(values, n: int) -> bool:
-    """True when values hold an int outside 0..n-1, directly or in a list
-    at any depth (a bool is not an int here).  Every int in params and
-    witnesses is an element id or a class index, both below n; a negative
-    one would index a row from its end."""
-    for v in values:
+#: the witness fields the evaluators write as JSON booleans
+_FLAG_FIELDS = frozenset({
+    "bundle", "literal", "star", "characterization", "adjoined", "plain",
+    "in_join", "in_rl", "in_lr", "variant_related", "base_related",
+    "in_variant_cap_p", "in_base", "natural", "usual",
+})
+
+
+def _out_of_range(fields, n: int) -> bool:
+    """True when a (name, value) field holds an int outside 0..n-1,
+    directly or in a list at any depth, or a bool outside _FLAG_FIELDS.
+    Every other int in params and witnesses is an element id or a class
+    index, both below n; a negative one would index a row from its end,
+    and True would pass for id 1."""
+    for name, v in fields:
         if type(v) is list:
-            if _out_of_range(v, n):
+            if _out_of_range(((name, x) for x in v), n):
+                return True
+        elif type(v) is bool:
+            if name not in _FLAG_FIELDS:
                 return True
         elif type(v) is int and not 0 <= v < n:
             return True
@@ -1320,13 +1333,14 @@ def _out_of_range(values, n: int) -> bool:
 def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
     witness alone.  True means the failure is confirmed; params or a
-    witness holding an element id outside the table never are."""
+    witness holding an element id outside the table, or a bool where an
+    id belongs, never are."""
     claim = REGISTRY.get(result.claim_id)
     if claim is None:
         raise UnknownClaim(result.claim_id)
     if result.status != STATUS_FAILS or result.witness is None:
         return False
     s = _parse_witness_table(result.table)
-    if _out_of_range([*result.params.values(), *result.witness.values()], s.order):
+    if _out_of_range([*result.params.items(), *result.witness.items()], s.order):
         return False
     return claim.recheck(s, result.params, result.witness, options or Options())

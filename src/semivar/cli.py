@@ -74,6 +74,10 @@ def _build_parser() -> _Parser:
                             "the smallest order")
     check.add_argument("--out", default=None,
                        help="write the report here instead of stdout")
+    check.add_argument("--jobs", type=int, default=None,
+                       help="worker processes; the report is the same at "
+                            "every count (default and cap: the CPUs this "
+                            "process may use)")
     check.set_defaults(func=_cmd_check)
 
     recheck = sub.add_parser("recheck", help="confirm a report's witnesses, "
@@ -139,7 +143,8 @@ def _cmd_check(args) -> int:
     def open_out():
         return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
-    tallies, kept = write_report(spec, open_out, claim_ids, Options(strict_u=args.strict_u))
+    tallies, kept = write_report(spec, open_out, claim_ids, Options(strict_u=args.strict_u),
+                                 args.jobs)
     failures = sum(t["fails"] for cid, t in tallies.items() if cid in HARD_CLAIM_IDS)
     if failures:
         for r in kept:

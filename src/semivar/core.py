@@ -21,7 +21,19 @@ ElementSubset = frozenset
 
 
 class SemigroupError(Exception):
-    """Base class for the domain errors raised by this package."""
+    """Base class for the domain errors raised by this package.
+
+    An error pickles as its type, message and attributes, and unpickles
+    without calling ``__init__``, whose parameters differ per subclass:
+    so it survives the trip from a worker process back to its parent."""
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args), self.__dict__
+
+
+def _rebuilt(cls: type, args: tuple) -> SemigroupError:
+    """An error of type cls with args, its attributes set by unpickling."""
+    return cls.__new__(cls, *args)
 
 
 class OutOfRange(SemigroupError):

@@ -169,6 +169,18 @@ def _negated_ids(r):
                     yield dataclasses.replace(r, **{section: {**fields, key: bad}})
 
 
+def test_recheck_refuses_bools_as_ids(left_zero):
+    r = evaluate_claim("C-4.1-reverse", left_zero, params={"e": 0})[0]
+    assert r.witness == {"f": 1, "ff": 1, "fe": 1, "ef": 0}
+    assert recheck_result(r)
+    for name in ("f", "ff", "fe"):
+        assert not recheck_result(dataclasses.replace(r, witness={**r.witness, name: True}))
+    assert not recheck_result(dataclasses.replace(r, params={"e": False}))
+    # a flag field holds a bool, and a list of ids no bool
+    assert claims._out_of_range([("adjoined", True), ("x", [0, 1])], 2) is False
+    assert claims._out_of_range([("x", [0, True])], 2) is True
+
+
 @pytest.mark.parametrize("strict_u", [False, True])
 def test_recheck_refuses_ids_outside_the_table(cli_reports3, strict_u):
     opts = Options(strict_u=strict_u)

@@ -1,6 +1,7 @@
 """The command line interface: exit codes, determinism, output shapes."""
 
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -14,6 +15,12 @@ from semivar.cli import main
 from semivar.report import Report
 
 SRC = Path(semivar.__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +92,16 @@ def test_check_unknown_claim(capsys):
 def test_check_bad_orders(capsys):
     code, out, err = run_cli(capsys, "check", "--orders", "2,x")
     assert code == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "x", "1.5"])
+def test_check_bad_jobs(tmp_path, capsys, jobs):
+    out_path = tmp_path / "report.jsonl"
+    code, out, err = run_cli(capsys, "check", "--orders", "2", "--jobs", jobs,
+                             "--out", str(out_path))
+    assert code == 1
+    assert err.startswith("error: ") and "jobs" in err, err
+    assert not out_path.exists()
 
 
 def test_check_is_deterministic(capsys):
@@ -268,6 +285,12 @@ def _wrong_product(lines):
         ff=(r["witness"]["ff"] + 1) % int(r["table"].split(";")[0])))
 
 
+def _bool_ids(lines):
+    # the left-zero band 2;0 0;1 1 at e = 0; True == 1 would pass for f = 1
+    i = _first_fails(lines, "C-4.1-reverse")
+    _edit_record(lines, i, lambda r: r["witness"].update(f=True, ff=True, fe=True))
+
+
 def _witness_without_a_field(lines):
     i = _first_fails(lines, "C-NONCONG")
     _edit_record(lines, i, lambda r: r["witness"].pop("z"))
@@ -289,6 +312,7 @@ def _other_version(lines):
     (_wrong_witness, "C-4.1-reverse on .* witness not confirmed"),
     (_negative_id, "C-2.2-quantifier on .* witness not confirmed"),
     (_wrong_product, "C-4.1-reverse on .* witness not confirmed"),
+    (_bool_ids, "C-4.1-reverse on 2;0 0;1 1 params={'e': 0}: witness not confirmed"),
     (_witness_without_a_field, "C-NONCONG on .* witness not confirmed"),
     (_wrong_tally, "C-2.5: the summary tallies .*'holds': 0"),
     (_swapped, "C-1.1 on 1;0 params={} does not follow the record before it$"),

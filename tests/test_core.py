@@ -1,14 +1,21 @@
-"""Table validation, identities, regularity, translates."""
+"""Table validation, identities, regularity, translates, domain errors."""
+
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semivar.claims import UnknownClaim
+from semivar.congruences import NotACongruence
 from semivar.core import (
     FiniteSemigroup,
     NotAMonoid,
     NotAssociative,
+    NotIdempotent,
+    OrderTooLarge,
     OutOfRange,
+    SemigroupError,
     adjoin_identity,
     build_semigroup,
     idempotents,
@@ -17,6 +24,8 @@ from semivar.core import (
     is_regular_element,
     translate_set,
 )
+from semivar.relations import CarrierMismatch, EmptyU, NotIdempotentMember
+from semivar.sgt import TableSyntaxError
 from .conftest import LEFT_ZERO, NOT_ASSOCIATIVE, Z2, full_corpus
 
 
@@ -128,3 +137,38 @@ def test_every_corpus_table_is_closed_and_associative(s):
             assert 0 <= s.mul(x, y) < n
             for z in range(n):
                 assert s.mul(s.mul(x, y), z) == s.mul(x, s.mul(y, z))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+#: one instance of each domain error, built as the package raises it
+ERRORS = [
+    OutOfRange(0, 1, 7, 2),
+    NotAssociative(1, 0, 0),
+    NotAMonoid("no identity"),
+    NotIdempotent(3),
+    OrderTooLarge(7, 6),
+    UnknownClaim("C-0.0"),
+    NotACongruence("left"),
+    TableSyntaxError(2, 3, "expected 2 entries"),
+    CarrierMismatch("3 != 4"),
+    EmptyU("U is empty"),
+    NotIdempotentMember(2),
+]
+
+
+def test_every_domain_error_has_an_example():
+    assert {type(err) for err in ERRORS} == set(_subclasses(SemigroupError))
+
+
+@pytest.mark.parametrize("err", ERRORS, ids=lambda err: type(err).__name__)
+def test_domain_errors_survive_a_pickle_round_trip(err):
+    # a worker process sends its exception to the parent this way
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is type(err)
+    assert str(back) == str(err) and back.args == err.args
+    assert vars(back) == vars(err)

@@ -1,10 +1,14 @@
 """The corpus runner: claim selection, result ordering, hard failures,
-and the streaming report writer behind ``semivar check``."""
+and the streaming report writer behind ``semivar check``, in one process
+and in a pool of workers."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -15,11 +19,18 @@ import pytest
 import semivar
 from semivar import cli, runner
 from semivar.claims import HARD_CLAIM_IDS, REGISTRY, Options, UnknownClaim
+from semivar.core import OrderTooLarge
 from semivar.enumeration import CorpusSpec
 from semivar.report import STATUS_FAILS, Report
-from semivar.runner import resolve_claim_ids, run_corpus
+from semivar.runner import job_count, resolve_claim_ids, run_corpus
 
 SRC = Path(semivar.__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def test_resolve_claim_ids():
@@ -67,20 +78,38 @@ GOLDEN_REPORTS = {
 def test_report_matches_golden_digest(strict_u):
     # pins every claim's statuses and witnesses, not just run-to-run
     # determinism: an evaluator rewrite must reproduce these bytes
-    report = run_corpus(
-        CorpusSpec(orders=(1, 2, 3)), "all", Options(strict_u=strict_u)
-    )
-    report.timestamp = ""
-    digest = hashlib.sha256(report.dumps().encode()).hexdigest()
-    assert digest == GOLDEN_REPORTS[strict_u]
+    for jobs in (1, 2):
+        report = run_corpus(
+            CorpusSpec(orders=(1, 2, 3)), "all", Options(strict_u=strict_u), jobs
+        )
+        report.timestamp = ""
+        digest = hashlib.sha256(report.dumps().encode()).hexdigest()
+        assert digest == GOLDEN_REPORTS[strict_u], jobs
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once seconds have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _check(tmp_path, *argv):
     """(exit code, report text) of semivar check --out; text is None when
-    no report was written."""
+    no report was written.  A run that hangs, say on a worker's result,
+    fails after two minutes."""
     out = tmp_path / "report.jsonl"
     out.unlink(missing_ok=True)
-    code = cli.main(["check", *argv, "--out", str(out)])
+    with _deadline(120):
+        code = cli.main(["check", *argv, "--out", str(out)])
     return code, out.read_text() if out.exists() else None
 
 
@@ -95,10 +124,36 @@ def _blank_timestamp(text):
 @pytest.mark.parametrize("strict_u", [False, True])
 def test_cli_report_matches_golden_digest(tmp_path, strict_u):
     argv = ["--orders", "1,2,3", "--claims", "all"] + ["--strict-u"] * strict_u
-    code, text = _check(tmp_path, *argv)
-    assert code == 0
-    digest = hashlib.sha256(_blank_timestamp(text).encode()).hexdigest()
-    assert digest == GOLDEN_REPORTS[strict_u]
+    for jobs in ("1", "2"):
+        code, text = _check(tmp_path, *argv, "--jobs", jobs)
+        assert code == 0
+        digest = hashlib.sha256(_blank_timestamp(text).encode()).hexdigest()
+        assert digest == GOLDEN_REPORTS[strict_u], jobs
+
+
+@pytest.mark.parametrize("argv, chunk_tables", [
+    (["--orders", "4", "--claims", "C-2.6-inter,C-4.1-reverse"], runner.CHUNK_TABLES),
+    (["--orders", "5", "--dedup", "--claims", "C-2.5"], runner.CHUNK_TABLES),
+    # 8 tables a chunk, so that the 50 tables make 7 chunks, the last cut short
+    (["--orders", "3,4", "--limit", "50", "--claims", "all"], 8),
+])
+def test_reports_are_the_same_at_every_job_count(tmp_path, monkeypatch, argv, chunk_tables):
+    monkeypatch.setattr(runner, "CHUNK_TABLES", chunk_tables)
+    reports = {}
+    for jobs in ("1", "2"):
+        code, text = _check(tmp_path, *argv, "--jobs", jobs)
+        assert code == 0
+        reports[jobs] = _blank_timestamp(text)
+    assert reports["1"] == reports["2"]
+
+
+def test_job_count_is_capped_at_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert job_count(None) == 3
+    assert [job_count(jobs) for jobs in (1, 2, 3, 4, 1000)] == [1, 2, 3, 3, 3]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            job_count(jobs)
 
 
 def test_report_order_is_independent_of_arrival_order(tmp_path):
@@ -113,12 +168,18 @@ def test_report_order_is_independent_of_arrival_order(tmp_path):
 
 
 def test_tables_out_of_report_order_are_refused(tmp_path, capsys, monkeypatch):
-    tables = list(runner.iter_corpus(CorpusSpec(orders=(2,))))
-    monkeypatch.setattr(runner, "iter_corpus", lambda spec: reversed(tables))
-    code, text = _check(tmp_path, "--orders", "2", "--claims", "C-2.5")
-    assert code == 1
-    assert text is None
-    assert capsys.readouterr().err.startswith("error: ")
+    tables = list(runner.iter_corpus(CorpusSpec(orders=(2, 3))))
+    late = tables[:-2] + tables[:-3:-1]  # the last two swapped
+    # 4 tables a chunk: the late swap is found while workers run
+    monkeypatch.setattr(runner, "CHUNK_TABLES", 4)
+    for arrival in (tables[::-1], late):
+        monkeypatch.setattr(runner, "iter_corpus", lambda spec: iter(arrival))
+        for jobs in ("1", "2"):
+            code, text = _check(tmp_path, "--orders", "2,3", "--claims", "C-2.5",
+                                "--jobs", jobs)
+            assert code == 1
+            assert text is None
+            assert capsys.readouterr().err.startswith("error: table ")
 
 
 def _forced_to_fail(claim):
@@ -131,16 +192,20 @@ def _forced_to_fail(claim):
 def test_hard_failures_are_reported_in_report_order(tmp_path, capsys, monkeypatch):
     for cid in ("C-2.5", "C-1.1"):
         monkeypatch.setitem(REGISTRY, cid, _forced_to_fail(REGISTRY[cid]))
-    # asked for first, order 3 still arrives and reports after order 2
-    code, text = _check(tmp_path, "--orders", "3,2", "--claims", "C-2.5,C-1.1,C-4.1-reverse")
-    assert code == 2
-    failures = [r for r in Report.loads(text).results
-                if r.status == STATUS_FAILS and r.claim_id in HARD_CLAIM_IDS]
-    assert len(failures) > 10
-    expected = [f"hard claim {r.claim_id} FAILS on {r.table} params={r.params}"
-                for r in failures[:10]]
-    expected.append(f"{len(failures)} hard-claim failure(s)")
-    assert capsys.readouterr().err.splitlines() == expected
+    # 4 tables a chunk: the first ten failures come from several chunks
+    monkeypatch.setattr(runner, "CHUNK_TABLES", 4)
+    for jobs in ("1", "2"):
+        # asked for first, order 3 still arrives and reports after order 2
+        code, text = _check(tmp_path, "--orders", "3,2", "--claims",
+                            "C-2.5,C-1.1,C-4.1-reverse", "--jobs", jobs)
+        assert code == 2
+        failures = [r for r in Report.loads(text).results
+                    if r.status == STATUS_FAILS and r.claim_id in HARD_CLAIM_IDS]
+        assert len(failures) > 10
+        expected = [f"hard claim {r.claim_id} FAILS on {r.table} params={r.params}"
+                    for r in failures[:10]]
+        expected.append(f"{len(failures)} hard-claim failure(s)")
+        assert capsys.readouterr().err.splitlines() == expected
 
 
 def test_a_raising_claim_leaves_no_report(tmp_path, monkeypatch):
@@ -152,9 +217,28 @@ def test_a_raising_claim_leaves_no_report(tmp_path, monkeypatch):
         return claim.evaluate(s, opts, table)
 
     monkeypatch.setitem(REGISTRY, "C-2.5", dataclasses.replace(claim, evaluate=evaluate))
-    with pytest.raises(RuntimeError):
-        _check(tmp_path, "--orders", "2,3", "--claims", "C-2.1,C-2.5")
-    assert not (tmp_path / "report.jsonl").exists()
+    for jobs in ("1", "2"):
+        with pytest.raises(RuntimeError):
+            _check(tmp_path, "--orders", "2,3", "--claims", "C-2.1,C-2.5", "--jobs", jobs)
+        assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_a_domain_error_in_a_worker_reaches_the_parent(tmp_path, capsys, monkeypatch):
+    claim = REGISTRY["C-2.5"]
+    parent = os.getpid()
+
+    def evaluate(s, opts, table=None):
+        if s.order == 3:
+            assert os.getpid() != parent  # raised in a worker
+            raise OrderTooLarge(7, 6)
+        return claim.evaluate(s, opts, table)
+
+    monkeypatch.setitem(REGISTRY, "C-2.5", dataclasses.replace(claim, evaluate=evaluate))
+    code, text = _check(tmp_path, "--orders", "2,3", "--claims", "C-2.5", "--jobs", "2")
+    assert code == 1
+    assert text is None
+    assert capsys.readouterr().err == "error: order 7 exceeds the configured bound 6\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_an_unwritable_out_path_is_refused_before_evaluation(tmp_path, capsys, monkeypatch):
@@ -175,7 +259,9 @@ def test_an_unwritable_out_path_is_refused_before_evaluation(tmp_path, capsys, m
 
 
 def test_check_memory_is_flat_in_corpus_size(tmp_path):
-    argv = ["check", "--orders", "4", "--claims", "C-2.5", "--out", str(tmp_path / "r")]
+    # tracemalloc sees this process only, so it must be the one evaluating
+    argv = ["check", "--orders", "4", "--claims", "C-2.5", "--jobs", "1",
+            "--out", str(tmp_path / "r")]
 
     def peak(*limit):
         tracemalloc.start()
@@ -194,8 +280,10 @@ def test_check_memory_is_flat_in_corpus_size(tmp_path):
 
 def _peak_rss_in_child(timeout, *argv):
     """Peak RSS in MB of `semivar ARGV`, run by a fresh interpreter whose
-    only child is the command, so that RUSAGE_CHILDREN is its own peak.
-    The command must exit 0; its stdout goes to stderr."""
+    only child is the command.  RUSAGE_CHILDREN is the peak of the largest
+    single waited-for descendant: the command, or one of its pool workers,
+    whichever is larger.  The command must exit 0; its stdout goes to
+    stderr."""
     measure = (
         "import resource, subprocess, sys\n"
         "code = subprocess.call(sys.argv[1:], stdout=sys.stderr)\n"
