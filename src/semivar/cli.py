@@ -31,6 +31,7 @@ from .core import SemigroupError, idempotents
 from .enumeration import (
     DEDUP_ISO,
     DEDUP_NONE,
+    ENUMERATION_CLASSES_CAP,
     CorpusSpec,
     enumerate_semigroups,
     iter_corpus,
@@ -74,10 +75,6 @@ def _build_parser() -> _Parser:
                             "the smallest order")
     check.add_argument("--out", default=None,
                        help="write the report here instead of stdout")
-    check.add_argument("--jobs", type=int, default=None,
-                       help="worker processes; the report is the same at "
-                            "every count (default and cap: the CPUs this "
-                            "process may use)")
     check.set_defaults(func=_cmd_check)
 
     recheck = sub.add_parser("recheck", help="confirm a report's witnesses, "
@@ -143,8 +140,7 @@ def _cmd_check(args) -> int:
     def open_out():
         return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
-    tallies, kept = write_report(spec, open_out, claim_ids, Options(strict_u=args.strict_u),
-                                 args.jobs)
+    tallies, kept = write_report(spec, open_out, claim_ids, Options(strict_u=args.strict_u))
     failures = sum(t["fails"] for cid, t in tallies.items() if cid in HARD_CLAIM_IDS)
     if failures:
         for r in kept:
@@ -162,6 +158,11 @@ def _named(r) -> str:
 
 
 def _confirmed(r, options) -> bool:
+    # check writes no larger table, and parse_inline's scan is cubic in it
+    order = r.table.partition(";")[0]
+    if order.isascii() and order.isdigit() and int(order) > ENUMERATION_CLASSES_CAP:
+        raise _CliError(f"{r.claim_id}: a table of order {int(order)} exceeds "
+                        f"the configured bound {ENUMERATION_CLASSES_CAP}")
     try:
         return recheck_result(r, options)
     except SemigroupError as err:  # an unknown claim, or a table that is not one

@@ -56,11 +56,11 @@ class OrderRelation:
         return None
 
 
-def _leq_matrix(s: FiniteSemigroup) -> OrderRelation:
-    # a <= b iff a = xb = by and xa = a for some x, y in S^1.  x = 1 or
-    # y = 1 needs a = b, which also settles the other side, so S^1 adds
-    # exactly the case a = b; when S has an identity that case is already
-    # covered by x = y = e.
+def natural_leq(s: FiniteSemigroup) -> OrderRelation:
+    """The natural order on S: a <= b iff a = xb = by with xa = a (x, y in S^1)."""
+    # x = 1 or y = 1 needs a = b, which also settles the other side, so
+    # S^1 adds exactly the case a = b; when S has an identity that case
+    # is already covered by x = y = e.
     t = s.table
     n = s.order
     rows = []
@@ -71,11 +71,6 @@ def _leq_matrix(s: FiniteSemigroup) -> OrderRelation:
             row.append(a == b or (left and any(t[b][y] == a for y in range(n))))
         rows.append(tuple(row))
     return OrderRelation(tuple(range(n)), tuple(rows))
-
-
-def natural_leq(s: FiniteSemigroup) -> OrderRelation:
-    """The natural order on S: a <= b iff a = xb = by with xa = a (x, y in S^1)."""
-    return _leq_matrix(s)
 
 
 def idempotent_leq(s: FiniteSemigroup, e: int, f: int) -> bool:
@@ -103,4 +98,4 @@ def variant_idempotent_leq(s: FiniteSemigroup, e: int) -> OrderRelation:
 def variant_leq(s: FiniteSemigroup, e: int) -> OrderRelation:
     """<=_e on all of S^e, quantified over (S^e)^1; e must be an
     idempotent of S, as for variant_idempotent_leq."""
-    return _leq_matrix(idempotent_variant(s, e))
+    return natural_leq(idempotent_variant(s, e))

@@ -3,25 +3,26 @@
 ``write_report`` streams the report claim-major without holding it.  The
 corpus arrives in report order: a spec's orders are sorted, and within an
 order the enumerator emits tables in the order of their keys.  The parent
-cuts it into contiguous chunks of CHUNK_TABLES tables.  For each table of
-a chunk, ``_evaluate_chunk`` evaluates the selected claims, serializes
-each claim's results at once and sorts them within that (claim, table)
-group; it writes the chunk's records to one scratch file, claim by
-claim, and returns the end offset of each claim's segment with the
-chunk's tallies and first hard failures.  Chunks run in a pool of worker
-processes, or in this process through the builtin ``map`` when one job
-is asked for or the corpus is one chunk; either way the parent merges
-them in chunk order and, once every chunk is evaluated, copies each
-claim's segments to the output chunk by chunk, then writes the summary
-line.  So the report is byte-identical at every job count.  Memory holds
-one chunk's records in each process, the tallies and the first hard
-failures, so it stays flat as the corpus grows.  ``run_corpus`` reads the
-same output back into a ``Report``.
+cuts it into contiguous chunks of CHUNK_TABLES tables and counts the
+tables of each order.  For each table of a chunk, ``_evaluate_chunk``
+evaluates the selected claims, serializes each claim's results at once
+and sorts them within that (claim, table) group; it writes the chunk's
+records to one scratch file, claim by claim, and returns the end offset
+of each claim's segment with the chunk's tallies and first hard
+failures.  Chunks run in a pool of one worker process for each CPU in
+this process's affinity mask (``taskset -c 0`` makes it one), or in this
+process through the builtin ``map`` when that mask has one CPU or the
+corpus is one chunk; either way the parent merges them in chunk order
+and, once every chunk is evaluated, copies each claim's segments to the
+output chunk by chunk, then writes the summary line.  So the report is
+byte-identical whatever the number of CPUs.  Memory holds one chunk's
+records in each process, the tallies and the first hard failures, so it
+stays flat as the corpus grows.  ``run_corpus`` reads the same output
+back into a ``Report``.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import io
@@ -65,27 +66,17 @@ def resolve_claim_ids(claim_ids) -> list[str]:
     return sorted(out)
 
 
-def job_count(jobs: int | None) -> int:
-    """The worker processes a run with jobs asks for: every CPU this
-    process may use when jobs is None, else jobs capped at that number.
-    ValueError when jobs is below 1."""
-    usable = len(os.sched_getaffinity(0))
-    if jobs is None:
-        return usable
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, usable)
-
-
-def _chunks(spec: CorpusSpec):
+def _chunks(spec: CorpusSpec, table_counts: dict[str, int]):
     """The corpus as lists of CHUNK_TABLES (table, key) pairs, in key
-    order.  Raises ValueError when a key does not follow the one before."""
+    order, counting the tables of each order into table_counts.  Raises
+    ValueError when a key does not follow the one before."""
     chunk, last = [], ""
     for s in iter_corpus(spec):
         key = inline_table(s)
         if key <= last:
             raise ValueError(f"table {key!r} arrived after {last!r}")
         last = key
+        table_counts[str(s.order)] = table_counts.get(str(s.order), 0) + 1
         chunk.append((s, key))
         if len(chunk) == CHUNK_TABLES:
             yield chunk
@@ -98,15 +89,13 @@ def _evaluate_chunk(ids: list[str], options: Options, task: tuple[str, list]):
     """Evaluate the claims ids on the tables of task = (path, [(table,
     key), ...]) and write their record lines to the file at path, claim
     by claim.  Returns (path, the offsets where each claim's segment
-    starts followed by the file's size, tallies, tables per order, the
-    first HARD_FAILURES_KEPT failures of each hard claim)."""
+    starts followed by the file's size, tallies, the first
+    HARD_FAILURES_KEPT failures of each hard claim)."""
     path, tables = task
     lines: dict[str, list[str]] = {cid: [] for cid in ids}
     hard = {cid: [] for cid in ids if cid in HARD_CLAIM_IDS}
     tallies: dict[str, dict[str, int]] = {}
-    table_counts: dict[str, int] = {}
     for s, key in tables:
-        table_counts[str(s.order)] = table_counts.get(str(s.order), 0) + 1
         for cid in ids:
             # looked up per call: REGISTRY entries may be replaced
             results = REGISTRY[cid].evaluate(s, options, key)
@@ -122,16 +111,16 @@ def _evaluate_chunk(ids: list[str], options: Options, task: tuple[str, list]):
     with open(path, "wb") as f:
         for cid in ids:
             offsets.append(offsets[-1] + f.write("".join(lines[cid]).encode()))
-    return path, offsets, tallies, table_counts, hard
+    return path, offsets, tallies, hard
 
 
-def _pool_map(stack: contextlib.ExitStack, workers: int):
-    """A map over a pool of workers that the stack terminates.  It
-    yields results in task order and keeps two tasks a worker in flight,
-    so the tasks are made as the pool needs them.  The workers are forked,
-    not spawned: they must see REGISTRY as the parent has it, replaced
-    entries included, and the pool forks them before it starts its own
-    threads."""
+def _pool(stack: contextlib.ExitStack, workers: int):
+    """A pool of workers that the stack terminates.  Its imap writes each
+    task to the workers' pipe before it makes the next, and the write
+    blocks while the pipe is full, so the tasks are made about as fast as
+    the workers take them.  The workers are forked, not spawned: they
+    must see REGISTRY as the parent has it, replaced entries included,
+    and the pool forks them before it starts its own threads."""
     import multiprocessing  # not at module level: it slows import semivar
     import signal
 
@@ -139,19 +128,8 @@ def _pool_map(stack: contextlib.ExitStack, workers: int):
     sys.stdout.flush()
     sys.stderr.flush()
     # Ctrl-C reaches the parent, which terminates the pool
-    pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
+    return stack.enter_context(multiprocessing.get_context("fork").Pool(
         workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)))
-
-    def imap(func, tasks):
-        pending = collections.deque()
-        for task in tasks:
-            pending.append(pool.apply_async(func, (task,)))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().get()
-        while pending:
-            yield pending.popleft().get()
-
-    return imap
 
 
 def write_report(
@@ -159,22 +137,22 @@ def write_report(
     open_out: Callable[[], contextlib.AbstractContextManager[TextIO]],
     claim_ids="all",
     options: Options | None = None,
-    jobs: int | None = 1,
 ) -> tuple[dict, list[ClaimResult]]:
     """Evaluate the selected claims over every table in the corpus and
     write the report to the stream open_out() gives.  The chunks of the
-    corpus run in job_count(jobs) worker processes, or in this process
-    when that is 1; the report is the same bytes either way.  open_out is
-    called only once every table is evaluated, so an exception during
-    evaluation, in this process or a worker, leaves no output behind and
-    no worker running.  Raises ValueError when the corpus does not arrive
-    in increasing table-key order.
+    corpus run in one worker process for each CPU this process may use,
+    or in this process when that is one CPU; the report is the same
+    bytes either way.  open_out is called only once every table is
+    evaluated, so an exception during evaluation, in this process or a
+    worker, leaves no output behind and no worker running.  Raises
+    ValueError when the corpus does not arrive in increasing table-key
+    order.
 
     Returns the summary's tallies and the first HARD_FAILURES_KEPT
     hard-claim failures, in report order."""
     options = options or Options()
     ids = resolve_claim_ids(claim_ids)
-    workers = job_count(jobs)
+    workers = len(os.sched_getaffinity(0))
     hard = {cid: [] for cid in ids if cid in HARD_CLAIM_IDS}
     tallies: dict[str, dict[str, int]] = {}
     table_counts: dict[str, int] = {}
@@ -182,36 +160,28 @@ def write_report(
     with contextlib.ExitStack() as stack:
         scratch = stack.enter_context(tempfile.TemporaryDirectory())
         tasks = ((os.path.join(scratch, str(i)), chunk)
-                 for i, chunk in enumerate(_chunks(spec)))
+                 for i, chunk in enumerate(_chunks(spec, table_counts)))
         first = list(itertools.islice(tasks, 2))
         # a corpus of one chunk would keep one worker busy and the rest idle
-        mapper = _pool_map(stack, workers) if workers > 1 and len(first) > 1 else map
+        mapper = _pool(stack, workers).imap if workers > 1 and len(first) > 1 else map
         evaluate = functools.partial(_evaluate_chunk, ids, options)
-        for path, offsets, chunk_tallies, counts, chunk_hard in mapper(
+        # a pool runs _chunks in its task thread; imap ends only once the
+        # tasks have run out, so table_counts is complete after the loop
+        for path, offsets, chunk_tallies, chunk_hard in mapper(
                 evaluate, itertools.chain(first, tasks)):
             spills.append((path, offsets))
             for cid, tally in chunk_tallies.items():
                 total = tallies.setdefault(cid, dict.fromkeys(tally, 0))
                 for status, n in tally.items():
                     total[status] += n
-            for order, n in counts.items():
-                table_counts[order] = table_counts.get(order, 0) + n
             for cid, fails in chunk_hard.items():
                 hard[cid] += fails
                 del hard[cid][HARD_FAILURES_KEPT:]
         summary = summary_line(
             tallies,
-            corpus={
-                "orders": list(spec.orders),
-                "dedup": spec.dedup,
-                "limit": spec.limit,
-                "tables": table_counts,
-            },
-            config={
-                "claims": ids,
-                "strict_u": options.strict_u,
-                "u_policy": U_POLICY,
-            },
+            corpus={"orders": list(spec.orders), "dedup": spec.dedup,
+                    "limit": spec.limit, "tables": table_counts},
+            config={"claims": ids, "strict_u": options.strict_u, "u_policy": U_POLICY},
         )
         with open_out() as out:
             for c in range(len(ids)):
@@ -228,10 +198,9 @@ def run_corpus(
     spec: CorpusSpec,
     claim_ids="all",
     options: Options | None = None,
-    jobs: int | None = 1,
 ) -> Report:
     """Evaluate the selected claims over every table in the corpus: the
-    report write_report writes with jobs, read back."""
+    report write_report writes, read back."""
     buf = io.StringIO()
-    write_report(spec, lambda: contextlib.nullcontext(buf), claim_ids, options, jobs)
+    write_report(spec, lambda: contextlib.nullcontext(buf), claim_ids, options)
     return Report.loads(buf.getvalue())

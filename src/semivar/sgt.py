@@ -19,6 +19,11 @@ class TableSyntaxError(SemigroupError):
         self.column = column
 
 
+def _is_decimal(token: str) -> bool:
+    # str.isdigit also accepts digits of other scripts and superscripts
+    return token.isascii() and token.isdigit()
+
+
 def parse_table(text: str) -> FiniteSemigroup:
     """Parse .sgt text; element-range and associativity errors come from
     build_semigroup unchanged."""
@@ -39,9 +44,9 @@ def parse_table(text: str) -> FiniteSemigroup:
         raise TableSyntaxError(len(lines) + 1, 1, "missing order line")
 
     lineno, order_line = content[0]
-    if not order_line or not order_line.isdigit():
+    if not _is_decimal(order_line):
         bad = next(
-            (k for k, ch in enumerate(order_line) if not ch.isdigit()),
+            (k for k, ch in enumerate(order_line) if not _is_decimal(ch)),
             len(order_line),
         )
         raise TableSyntaxError(lineno, bad + 1, "order must be a decimal integer")
@@ -54,7 +59,7 @@ def parse_table(text: str) -> FiniteSemigroup:
         row: list[int] = []
         col = 1
         for token in line.split(" "):
-            if not token or not token.isdigit():
+            if not _is_decimal(token):
                 raise TableSyntaxError(lineno, col, "expected a decimal element id")
             row.append(int(token))
             col += len(token) + 1

@@ -94,16 +94,6 @@ def test_check_bad_orders(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2", "x", "1.5"])
-def test_check_bad_jobs(tmp_path, capsys, jobs):
-    out_path = tmp_path / "report.jsonl"
-    code, out, err = run_cli(capsys, "check", "--orders", "2", "--jobs", jobs,
-                             "--out", str(out_path))
-    assert code == 1
-    assert err.startswith("error: ") and "jobs" in err, err
-    assert not out_path.exists()
-
-
 def test_check_is_deterministic(capsys):
     def stripped():
         code, out, _ = run_cli(
@@ -349,12 +339,20 @@ def _not_a_semigroup(lines):
     _edit_record(lines, i, lambda r: r.update(table="2;1 0;0 0"))
 
 
+def _too_large(lines):
+    # the left-zero band of order 7: check writes no table above order 6
+    i = _first_fails(lines, "C-4.1-reverse")
+    _edit_record(lines, i, lambda r: r.update(
+        table=";".join(["7"] + [" ".join([str(x)] * 7) for x in range(7)])))
+
+
 @pytest.mark.parametrize("edit, message", [
     (_truncated, "line 6: not a report record: Expecting ':' delimiter"),
     (_garbled, "line 6: not a report record: Expecting value at column 1"),
     (_missing_status, "line 6: not a report record: record field 'status' is missing"),
     (_no_summary, "report is missing its summary record"),
     (_not_a_semigroup, "C-4.1-reverse on 2;1 0;0 0: (x.y).z != x.(y.z)"),
+    (_too_large, "C-4.1-reverse: a table of order 7 exceeds the configured bound 6"),
 ])
 def test_recheck_refuses_malformed_input(tmp_path, capsys, cli_reports3, edit, message):
     path = _tampered(tmp_path, cli_reports3[False], edit)

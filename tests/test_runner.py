@@ -1,6 +1,7 @@
 """The corpus runner: claim selection, result ordering, hard failures,
 and the streaming report writer behind ``semivar check``, in one process
-and in a pool of workers."""
+and in a pool of workers.  The worker count is the number of CPUs in the
+affinity mask, so the tests set it by patching os.sched_getaffinity."""
 
 import contextlib
 import dataclasses
@@ -22,7 +23,7 @@ from semivar.claims import HARD_CLAIM_IDS, REGISTRY, Options, UnknownClaim
 from semivar.core import OrderTooLarge
 from semivar.enumeration import CorpusSpec
 from semivar.report import STATUS_FAILS, Report
-from semivar.runner import job_count, resolve_claim_ids, run_corpus
+from semivar.runner import resolve_claim_ids, run_corpus
 
 SRC = Path(semivar.__file__).resolve().parent.parent
 
@@ -31,6 +32,15 @@ SRC = Path(semivar.__file__).resolve().parent.parent
 def no_worker_outlives_its_test():
     yield
     assert multiprocessing.active_children() == []
+
+
+#: the affinity masks of a run in one process and of a pool of two workers
+CPU_SETS = ({0}, {0, 1})
+
+
+def _cpus(monkeypatch, cpus):
+    """Make the runner see cpus as this process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
 
 
 def test_resolve_claim_ids():
@@ -75,16 +85,15 @@ GOLDEN_REPORTS = {
 
 
 @pytest.mark.parametrize("strict_u", [False, True])
-def test_report_matches_golden_digest(strict_u):
+def test_report_matches_golden_digest(monkeypatch, strict_u):
     # pins every claim's statuses and witnesses, not just run-to-run
     # determinism: an evaluator rewrite must reproduce these bytes
-    for jobs in (1, 2):
-        report = run_corpus(
-            CorpusSpec(orders=(1, 2, 3)), "all", Options(strict_u=strict_u), jobs
-        )
+    for cpus in CPU_SETS:
+        _cpus(monkeypatch, cpus)
+        report = run_corpus(CorpusSpec(orders=(1, 2, 3)), "all", Options(strict_u=strict_u))
         report.timestamp = ""
         digest = hashlib.sha256(report.dumps().encode()).hexdigest()
-        assert digest == GOLDEN_REPORTS[strict_u], jobs
+        assert digest == GOLDEN_REPORTS[strict_u], cpus
 
 
 @contextlib.contextmanager
@@ -122,13 +131,14 @@ def _blank_timestamp(text):
 
 
 @pytest.mark.parametrize("strict_u", [False, True])
-def test_cli_report_matches_golden_digest(tmp_path, strict_u):
+def test_cli_report_matches_golden_digest(tmp_path, monkeypatch, strict_u):
     argv = ["--orders", "1,2,3", "--claims", "all"] + ["--strict-u"] * strict_u
-    for jobs in ("1", "2"):
-        code, text = _check(tmp_path, *argv, "--jobs", jobs)
+    for cpus in CPU_SETS:
+        _cpus(monkeypatch, cpus)
+        code, text = _check(tmp_path, *argv)
         assert code == 0
         digest = hashlib.sha256(_blank_timestamp(text).encode()).hexdigest()
-        assert digest == GOLDEN_REPORTS[strict_u], jobs
+        assert digest == GOLDEN_REPORTS[strict_u], cpus
 
 
 @pytest.mark.parametrize("argv, chunk_tables", [
@@ -139,21 +149,44 @@ def test_cli_report_matches_golden_digest(tmp_path, strict_u):
 ])
 def test_reports_are_the_same_at_every_job_count(tmp_path, monkeypatch, argv, chunk_tables):
     monkeypatch.setattr(runner, "CHUNK_TABLES", chunk_tables)
-    reports = {}
-    for jobs in ("1", "2"):
-        code, text = _check(tmp_path, *argv, "--jobs", jobs)
+    reports = []
+    for cpus in CPU_SETS:
+        _cpus(monkeypatch, cpus)
+        code, text = _check(tmp_path, *argv)
         assert code == 0
-        reports[jobs] = _blank_timestamp(text)
-    assert reports["1"] == reports["2"]
+        reports.append(_blank_timestamp(text))
+    assert reports[0] == reports[1]
 
 
-def test_job_count_is_capped_at_the_usable_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    assert job_count(None) == 3
-    assert [job_count(jobs) for jobs in (1, 2, 3, 4, 1000)] == [1, 2, 3, 3, 3]
-    for jobs in (0, -1):
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            job_count(jobs)
+@pytest.mark.parametrize("cpus, orders, pooled", [
+    ({0}, "2,3", False),
+    ({0, 1}, "2,3", True),   # 121 tables: 16 chunks of 8
+    ({0, 1}, "2", False),    # 8 tables: one chunk
+])
+def test_a_pool_runs_only_on_several_cpus_and_chunks(tmp_path, monkeypatch,
+                                                     cpus, orders, pooled):
+    def refused(stack, workers):
+        raise RuntimeError(f"a pool of {workers} workers")
+
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(runner, "CHUNK_TABLES", 8)
+    monkeypatch.setattr(runner, "_pool", refused)
+    if pooled:
+        with pytest.raises(RuntimeError, match="a pool of 2 workers"):
+            _check(tmp_path, "--orders", orders, "--claims", "C-2.5")
+    else:
+        assert _check(tmp_path, "--orders", orders, "--claims", "C-2.5")[0] == 0
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    # the pool's imports wait for a run that uses one
+    probe = ("import sys, semivar, semivar.cli\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.partition('.')[0] in ('multiprocessing', 'concurrent')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_report_order_is_independent_of_arrival_order(tmp_path):
@@ -174,9 +207,9 @@ def test_tables_out_of_report_order_are_refused(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(runner, "CHUNK_TABLES", 4)
     for arrival in (tables[::-1], late):
         monkeypatch.setattr(runner, "iter_corpus", lambda spec: iter(arrival))
-        for jobs in ("1", "2"):
-            code, text = _check(tmp_path, "--orders", "2,3", "--claims", "C-2.5",
-                                "--jobs", jobs)
+        for cpus in CPU_SETS:
+            _cpus(monkeypatch, cpus)
+            code, text = _check(tmp_path, "--orders", "2,3", "--claims", "C-2.5")
             assert code == 1
             assert text is None
             assert capsys.readouterr().err.startswith("error: table ")
@@ -194,10 +227,11 @@ def test_hard_failures_are_reported_in_report_order(tmp_path, capsys, monkeypatc
         monkeypatch.setitem(REGISTRY, cid, _forced_to_fail(REGISTRY[cid]))
     # 4 tables a chunk: the first ten failures come from several chunks
     monkeypatch.setattr(runner, "CHUNK_TABLES", 4)
-    for jobs in ("1", "2"):
+    for cpus in CPU_SETS:
+        _cpus(monkeypatch, cpus)
         # asked for first, order 3 still arrives and reports after order 2
         code, text = _check(tmp_path, "--orders", "3,2", "--claims",
-                            "C-2.5,C-1.1,C-4.1-reverse", "--jobs", jobs)
+                            "C-2.5,C-1.1,C-4.1-reverse")
         assert code == 2
         failures = [r for r in Report.loads(text).results
                     if r.status == STATUS_FAILS and r.claim_id in HARD_CLAIM_IDS]
@@ -217,9 +251,10 @@ def test_a_raising_claim_leaves_no_report(tmp_path, monkeypatch):
         return claim.evaluate(s, opts, table)
 
     monkeypatch.setitem(REGISTRY, "C-2.5", dataclasses.replace(claim, evaluate=evaluate))
-    for jobs in ("1", "2"):
+    for cpus in CPU_SETS:
+        _cpus(monkeypatch, cpus)
         with pytest.raises(RuntimeError):
-            _check(tmp_path, "--orders", "2,3", "--claims", "C-2.1,C-2.5", "--jobs", jobs)
+            _check(tmp_path, "--orders", "2,3", "--claims", "C-2.1,C-2.5")
         assert not (tmp_path / "report.jsonl").exists()
 
 
@@ -234,7 +269,8 @@ def test_a_domain_error_in_a_worker_reaches_the_parent(tmp_path, capsys, monkeyp
         return claim.evaluate(s, opts, table)
 
     monkeypatch.setitem(REGISTRY, "C-2.5", dataclasses.replace(claim, evaluate=evaluate))
-    code, text = _check(tmp_path, "--orders", "2,3", "--claims", "C-2.5", "--jobs", "2")
+    _cpus(monkeypatch, {0, 1})
+    code, text = _check(tmp_path, "--orders", "2,3", "--claims", "C-2.5")
     assert code == 1
     assert text is None
     assert capsys.readouterr().err == "error: order 7 exceeds the configured bound 6\n"
@@ -258,10 +294,10 @@ def test_an_unwritable_out_path_is_refused_before_evaluation(tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == []
 
 
-def test_check_memory_is_flat_in_corpus_size(tmp_path):
+def test_check_memory_is_flat_in_corpus_size(tmp_path, monkeypatch):
     # tracemalloc sees this process only, so it must be the one evaluating
-    argv = ["check", "--orders", "4", "--claims", "C-2.5", "--jobs", "1",
-            "--out", str(tmp_path / "r")]
+    _cpus(monkeypatch, {0})
+    argv = ["check", "--orders", "4", "--claims", "C-2.5", "--out", str(tmp_path / "r")]
 
     def peak(*limit):
         tracemalloc.start()

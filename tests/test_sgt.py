@@ -58,6 +58,17 @@ def test_non_digit_entry():
     assert exc.value.column == 3
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("2\n0 0\n0 \u0661\n", 3, 3),   # ARABIC-INDIC DIGIT ONE: int() reads 1
+    ("1\n\u00b2\n", 2, 1),           # SUPERSCRIPT TWO: int() raises
+    ("\u0662\n0 0\n1 1\n", 1, 1),    # ARABIC-INDIC DIGIT TWO as the order
+])
+def test_only_ascii_digits_are_ids(text, line, column):
+    with pytest.raises(TableSyntaxError) as exc:
+        parse_table(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_bad_order_line():
     with pytest.raises(TableSyntaxError):
         parse_table("two\n0 0\n1 1\n")
