@@ -111,11 +111,6 @@ def _variant(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
     return variants.variant(s, a)
 
 
-@lru_cache(maxsize=2048)
-def _variant_leq(s: FiniteSemigroup, e: int) -> orders.OrderRelation:
-    return orders.variant_leq(s, e)
-
-
 # C-3.1 and C-FUND read it for the same table in one pass of the runner;
 # a small cache keeps the lattices of few tables alive
 @lru_cache(maxsize=32)
@@ -359,8 +354,9 @@ def _is_congruence_lit(table, class_index):
 
 
 def _separating_lit(class_index, es):
-    """True when no class holds two of the idempotents es."""
-    return len({class_index[x] for x in es}) == len(es)
+    """True when the canonical class_index is not the identity partition
+    and no class holds two of the idempotents es."""
+    return max(class_index) + 1 != len(class_index) and len({class_index[x] for x in es}) == len(es)
 
 
 def _iso_exists_lit(ta, tb):
@@ -808,7 +804,7 @@ def _recheck_c26(s, params, w, opts, reading):
 #        well defined
 
 
-def _set_partitions(n):
+def _partitions_lit(n):
     """All partitions of 0..n-1 as canonical class-index tuples."""
     code: list[int] = []
 
@@ -824,15 +820,22 @@ def _set_partitions(n):
     yield from rec(0, 0)
 
 
+def _canonical_lit(ci, n):
+    """True when ci lists n class numbers, each new one the count of those
+    before it: a class index numbered by first occurrence."""
+    return type(ci) is list and len(ci) == n and all(
+        type(c) is int and (c in ci[:i] or c == len(set(ci[:i]))) for i, c in enumerate(ci))
+
+
 @lru_cache(maxsize=512)
 def _lit_congruences(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
     """The partitions passing the literal congruence test, in
-    _set_partitions order: the brute-force side of C-3.1 and C-FUND.
+    _partitions_lit order: the brute-force side of C-3.1 and C-FUND.
     Refuses carriers above CONGRUENCE_ORDER_BOUND, as all_congruences
     does: there are Bell(n) partitions."""
     if s.order > CONGRUENCE_ORDER_BOUND:
         raise OrderTooLarge(s.order, CONGRUENCE_ORDER_BOUND)
-    partitions = _set_partitions(s.order)
+    partitions = _partitions_lit(s.order)
     return tuple(ci for ci in partitions if _is_congruence_lit(s.table, ci))
 
 
@@ -858,17 +861,17 @@ def _check_c31(s, opts):
 
 
 def _recheck_c31(s, params, w, opts):
-    t = s.table
-    if w["part"] == "lattice":
+    t, n = s.table, s.order
+    if w["part"] == "lattice":  # each partition listed is made and no congruence, or the reverse
         made = {p.class_index for p in all_congruences(s)}
-        return any(not _is_congruence_lit(t, ci) for ci in w["only_production"]) or any(
-            _is_congruence_lit(t, ci) and tuple(ci) not in made
-            for ci in w["only_bruteforce"]
-        )
+        sides = {True: w["only_production"], False: w["only_bruteforce"]}
+        return any(sides.values()) and all(
+            _canonical_lit(ci, n) and (tuple(ci) in made) == produced != _is_congruence_lit(t, ci)
+            for produced, listed in sides.items() for ci in listed)
     ci = w["partition"]
-    if not _is_congruence_lit(t, ci):
+    if not (_canonical_lit(ci, n) and _is_congruence_lit(t, ci)):
         return False
-    q = quotient(s, Equivalence.from_keys(len(ci), ci))
+    q = quotient(s, Equivalence.from_keys(n, ci))
     x, y = w["x"], w["y"]
     return q.table[ci[x]][ci[y]] != ci[t[x][y]]
 
@@ -993,11 +996,7 @@ def _check_cfund(s, opts):
     if s.order > CONGRUENCE_ORDER_BOUND:  # no lattice is computed past the bound
         return _NA
     es = _idems_lit(s.table)
-    found = _first(
-        list(ci)
-        for ci in _lit_congruences(s)
-        if max(ci) + 1 != s.order and _separating_lit(ci, es)
-    )
+    found = _first(list(ci) for ci in _lit_congruences(s) if _separating_lit(ci, es))
     production, brute = fundamental_among(s, _congruences(s)), found is None
     if production == brute:
         return None
@@ -1006,12 +1005,17 @@ def _check_cfund(s, opts):
 
 
 def _recheck_cfund(s, params, w, opts):
-    ci = w["witness_partition"]
-    if ci is None:
-        return is_fundamental(s) != w["bruteforce"]
-    t = s.table
-    return (max(ci) + 1 != len(ci) and _is_congruence_lit(t, ci)
-            and _separating_lit(ci, _idems_lit(t)) and is_fundamental(s))
+    production = is_fundamental(s)  # raises OrderTooLarge above the bound
+    t, n, ci = s.table, s.order, w["witness_partition"]
+    # production calls S fundamental exactly when brute force names a partition
+    named = ci is not None
+    if not (production is named is w["production"] and w["bruteforce"] is not named):
+        return False
+    es = _idems_lit(t)
+    if ci is None:  # then the literal scan of all partitions finds none
+        return not any(_separating_lit(p, es) and _is_congruence_lit(t, p)
+                       for p in _partitions_lit(n))
+    return _canonical_lit(ci, n) and _separating_lit(ci, es) and _is_congruence_lit(t, ci)
 
 
 # C-4.0  the natural order restricted to idempotents is the usual
@@ -1103,12 +1107,12 @@ def _recheck_c42(s, params, w, opts):
 
 
 def _check_c43(s, opts, e):
-    nat, vle = _natural(s), _variant_leq(s, e)
+    leq, vleq = _natural(s).leq, _natural(_variant(s, e)).leq
     return _first(
         {"a": a, "b": b}
         for a in s.elements
         for b in s.elements
-        if vle.leq[a][b] and not nat.leq[a][b]
+        if vleq[a][b] and not leq[a][b]
     )
 
 
@@ -1124,13 +1128,13 @@ def _recheck_c43(s, params, w, opts):
 
 
 def _check_c44a(s, opts, e):
-    vt, vle = _variant(s, e).table, _variant_leq(s, e)
+    vt, leq = _variant(s, e).table, _natural(_variant(s, e)).leq
     return _first(
         {"a": a, "f": f}
         for f in s.elements
         if vt[f][f] == f
         for a in s.elements
-        if vle.leq[a][f] and vt[a][a] != a
+        if leq[a][f] and vt[a][a] != a
     )
 
 
@@ -1141,13 +1145,13 @@ def _recheck_c44a(s, params, w, opts):
 
 
 def _check_c44b(s, opts, e):
-    v, vle = _variant(s, e), _variant_leq(s, e)
+    v, leq = _variant(s, e), _natural(_variant(s, e)).leq
     regular = [core.is_regular_element(v, x) for x in s.elements]
     return _first(
         {"a": a, "b": b}
         for a in s.elements
         for b in s.elements
-        if vle.leq[a][b] and regular[b] and not regular[a]
+        if leq[a][b] and regular[b] and not regular[a]
     )
 
 
@@ -1308,7 +1312,7 @@ def _parse_witness_table(key: str) -> FiniteSemigroup:
 _FLAG_FIELDS = frozenset({
     "bundle", "literal", "star", "characterization", "adjoined", "plain",
     "in_join", "in_rl", "in_lr", "variant_related", "base_related",
-    "in_variant_cap_p", "in_base", "natural", "usual",
+    "in_variant_cap_p", "in_base", "natural", "usual", "production", "bruteforce",
 })
 
 

@@ -12,7 +12,7 @@ from .core import (
     idempotents,
     translate_set,
 )
-from .relations import CarrierMismatch, Equivalence, join
+from .relations import CarrierMismatch, Equivalence, unite
 from .variants import variant
 
 #: all_congruences / is_fundamental refuse carriers larger than this by default
@@ -79,64 +79,57 @@ def congruence_kind(s: FiniteSemigroup, p: Equivalence) -> str:
 
 
 def principal_congruence(s: FiniteSemigroup, x: int, y: int) -> Equivalence:
-    """Least two-sided congruence identifying x and y.
-
-    Pair propagation: whenever two classes merge, all left and right
-    translates of the merged pair are queued, until a fixpoint.
-    """
-    n = s.order
-    if not (0 <= x < n and 0 <= y < n):
+    """Least two-sided congruence identifying x and y: relations.unite
+    relates x and y, and the left and right translates of each pair it
+    merges, until a fixpoint."""
+    if not (0 <= x < s.order and 0 <= y < s.order):
         raise ValueError("element ids out of range")
-    t = s.table
-    parent = list(range(n))
+    return Equivalence.from_keys(s.order, _principal(s, x, y))
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    stack = [(x, y)]
-    while stack:
-        a, b = stack.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[rb] = ra
-        for z in range(n):
-            stack.append((t[z][a], t[z][b]))
-            stack.append((t[a][z], t[b][z]))
-    return Equivalence.from_keys(n, [find(a) for a in range(n)])
+def _principal(s: FiniteSemigroup, x: int, y: int) -> tuple[int, ...]:
+    """principal_congruence(s, x, y) as a class index."""
+    t, r = s.table, range(s.order)
+
+    def translates(a: int, b: int) -> list[tuple[int, int]]:
+        return [(t[z][a], t[z][b]) for z in r] + [(t[a][z], t[b][z]) for z in r]
+
+    return unite(r, [(x, y)], translates)
 
 
 def all_congruences(s: FiniteSemigroup) -> list[Equivalence]:
     """The full congruence lattice: join closure of the principal congruences.
 
     Sorted by class-index encoding; always contains the identity and the
-    universal partition (orders >= 2).
+    universal partition (orders >= 2).  The closure runs on class indices
+    and builds an Equivalence only for the returned list.
     """
     n = s.order
     if n > CONGRUENCE_ORDER_BOUND:
         raise OrderTooLarge(n, CONGRUENCE_ORDER_BOUND)
-    principals: dict[tuple[int, ...], Equivalence] = {}
+    # each principal congruence once, with pairs (least member, member)
+    # that relate its classes
+    principals: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for x in range(n):
         for y in range(x + 1, n):
-            p = principal_congruence(s, x, y)
-            principals.setdefault(p.class_index, p)
-    identity = Equivalence.identity(n)
-    found = {identity.class_index: identity, **principals}
-    work = list(principals.values())
+            ci = _principal(s, x, y)
+            principals[ci] = [(ci.index(c), z) for z, c in enumerate(ci) if ci.index(c) != z]
+    found = {tuple(range(n)), *principals}
+    work = list(principals)
     # every congruence is a join of principal ones, so joining each new
     # congruence with the principals alone closes the lattice (R. Freese,
-    # "Computing congruences efficiently", Algebra Universalis 59, 2008)
+    # "Computing congruences efficiently", Algebra Universalis 59, 2008);
+    # a join of congruences is a congruence, so unite needs no translates
     while work:
-        p = work.pop()
-        for q in principals.values():
-            j = join(p, q)
-            if j.class_index not in found:
-                found[j.class_index] = j
+        c = work.pop()
+        for pairs in principals.values():
+            if all(c[a] == c[b] for a, b in pairs):  # the principal is below c
+                continue
+            j = unite(c, pairs)
+            if j not in found:
+                found.add(j)
                 work.append(j)
-    return [found[k] for k in sorted(found)]
+    return [Equivalence.from_keys(n, ci) for ci in sorted(found)]
 
 
 def sandwich_lambda(s: FiniteSemigroup, u: int) -> Equivalence:
@@ -260,13 +253,7 @@ def fundamental_among(s: FiniteSemigroup, congruences: Iterable[Equivalence]) ->
     """is_fundamental's test applied to congruences, which should be
     all_congruences(s): for callers that already hold that list."""
     e_of_s = idempotents(s)
-    identity = Equivalence.identity(s.order)
-    for p in congruences:
-        if p.class_index == identity.class_index:
-            continue
-        separates = all(
-            sum(1 for x in block if x in e_of_s) <= 1 for block in p.classes
-        )
-        if separates:
-            return False
-    return True
+    return not any(
+        p.num_classes < s.order and all(len(e_of_s.intersection(b)) <= 1 for b in p.classes)
+        for p in congruences
+    )

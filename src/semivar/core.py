@@ -10,7 +10,8 @@ by construction and are built as ``FiniteSemigroup(n, rows)`` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 Row = tuple[int, ...]
@@ -76,10 +77,6 @@ class FiniteSemigroup:
 
     order: int
     table: Table
-    identity: int | None = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "identity", _find_identity(self.table, self.order))
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -88,16 +85,15 @@ class FiniteSemigroup:
     def elements(self) -> range:
         return range(self.order)
 
+    @cached_property
+    def identity(self) -> int | None:
+        """The two-sided identity, or None; found on first read."""
+        t, r = self.table, range(self.order)
+        return next((e for e in r if all(t[e][x] == x == t[x][e] for x in r)), None)
+
     @property
     def is_monoid(self) -> bool:
         return self.identity is not None
-
-
-def _find_identity(table: Table, order: int) -> int | None:
-    for e in range(order):
-        if all(table[e][x] == x and table[x][e] == x for x in range(order)):
-            return e
-    return None
 
 
 def build_semigroup(order: int, table: Iterable[Iterable[int]]) -> FiniteSemigroup:

@@ -13,7 +13,7 @@ the oversemigroup definition and is decidable from the table alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import ElementSubset, FiniteSemigroup, SemigroupError, idempotents
 
@@ -88,8 +88,7 @@ class Equivalence:
 
     def refines(self, other: "Equivalence") -> bool:
         """True when every class of self lies inside a class of other."""
-        if self.n != other.n:
-            raise CarrierMismatch(f"carriers differ: {self.n} vs {other.n}")
+        _check_same_carrier(self, other)
         target: dict[int, int] = {}
         for x in range(self.n):
             if target.setdefault(self.class_index[x], other.class_index[x]) != other.class_index[x]:
@@ -118,10 +117,14 @@ def meet(p: Equivalence, q: Equivalence) -> Equivalence:
     )
 
 
-def join(p: Equivalence, q: Equivalence) -> Equivalence:
-    """Finest common coarsening: transitive closure of the union."""
-    _check_same_carrier(p, q)
-    parent = list(range(p.n))
+def unite(keys: Sequence[Hashable], pairs: Iterable[tuple[int, int]],
+          spread: Callable[[int, int], Iterable] | None = None) -> tuple[int, ...]:
+    """The least equivalence on 0..len(keys)-1 that relates equal keys and
+    each of pairs, as a class index numbered by first occurrence.  When two
+    classes merge through a and b, the pairs spread(a, b) yields are related
+    too: with the left and right translates, the result is a congruence."""
+    first: dict = {}
+    parent = [first.setdefault(k, x) for x, k in enumerate(keys)]
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -129,14 +132,23 @@ def join(p: Equivalence, q: Equivalence) -> Equivalence:
             x = parent[x]
         return x
 
-    for part in (p, q):
-        for block in part.classes:
-            first = block[0]
-            for x in block[1:]:
-                ra, rb = find(first), find(x)
-                if ra != rb:
-                    parent[rb] = ra
-    return Equivalence.from_keys(p.n, [find(x) for x in range(p.n)])
+    stack = list(pairs)
+    while stack:
+        a, b = stack.pop()
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            if spread is not None:
+                stack += spread(a, b)
+    number: dict[int, int] = {}
+    return tuple(number.setdefault(find(x), len(number)) for x in range(len(parent)))
+
+
+def join(p: Equivalence, q: Equivalence) -> Equivalence:
+    """Finest common coarsening: transitive closure of the union."""
+    _check_same_carrier(p, q)
+    pairs = [(block[0], x) for block in q.classes for x in block[1:]]
+    return Equivalence.from_keys(p.n, unite(p.class_index, pairs))
 
 
 def compose(p: Equivalence, q: Equivalence) -> frozenset[tuple[int, int]]:

@@ -24,7 +24,11 @@ from semivar.claims import (
     evaluate_claim,
     recheck_result,
 )
-from semivar.report import STATUS_FAILS, STATUS_HOLDS, STATUS_NOT_APPLICABLE, Report
+from semivar.relations import Equivalence
+from semivar.report import (
+    STATUS_FAILS, STATUS_HOLDS, STATUS_NOT_APPLICABLE, ClaimResult, Report,
+)
+from semivar.sgt import inline_table, parse_inline
 
 from .conftest import full_corpus
 
@@ -332,6 +336,70 @@ def test_c31_catches_a_quotient_that_is_not_well_defined(tmp_path, monkeypatch):
     # against the real quotient the same witnesses do not recheck
     monkeypatch.undo()
     assert not any(recheck_result(r) for r in fails)
+
+
+def _c31_failure(s, witness):
+    return ClaimResult("C-3.1", inline_table(s), {}, STATUS_FAILS, witness)
+
+
+def test_c31_confirms_a_wrong_lattice_and_refuses_forged_witnesses(corpus3, monkeypatch):
+    s = parse_inline("3;0 0 0;0 0 0;0 0 1")
+    assert {r.status for r in evaluate_claim("C-3.1", s)} == {STATUS_HOLDS}
+    # [0, 1, 0] is no congruence, but production never made it; [1, 1, 0]
+    # is a congruence production made, its classes renumbered
+    for made, brute in (([[0, 1, 0]], []), ([], [[1, 1, 0]])):
+        lattice = {"part": "lattice", "only_production": made, "only_bruteforce": brute}
+        assert not recheck_result(_c31_failure(s, lattice))
+    # a production lattice that drops the identity and adds [0, 1, 0]
+    real = congruences.all_congruences
+
+    def wrong(s):
+        return real(s)[:-1] + [Equivalence.from_keys(3, [0, 1, 0])]
+
+    monkeypatch.setattr(claims, "all_congruences", wrong)
+    monkeypatch.setattr(claims, "_congruences", wrong)
+    [r] = evaluate_claim("C-3.1", s)
+    assert r.witness == {"part": "lattice", "only_production": [[0, 1, 0]],
+                         "only_bruteforce": [[0, 1, 2]]}
+    assert recheck_result(r)
+    monkeypatch.undo()
+    assert not recheck_result(r)
+    # a welldef witness on a produced congruence with its classes
+    # renumbered shows no fault of the quotient
+    forged = 0
+    for s in corpus3:
+        t = s.table
+        for p in real(s):
+            ci = [p.num_classes - 1 - c for c in p.class_index]
+            q = congruences.quotient(s, p)
+            for x, y in itertools.product(s.elements, repeat=2):
+                if q.table[ci[x]][ci[y]] != ci[t[x][y]]:
+                    welldef = {"part": "welldef", "partition": ci, "x": x, "y": y}
+                    assert not recheck_result(_c31_failure(s, welldef))
+                    forged += 1
+    assert forged > 100
+
+
+def test_cfund_confirms_forced_failures_and_refuses_forged_witnesses(monkeypatch):
+    corpus = full_corpus(2, 3)
+    real = congruences.fundamental_among
+    for module in (congruences, claims):
+        monkeypatch.setattr(module, "fundamental_among", lambda s, cs: not real(s, cs))
+    fails = [r for s in corpus for r in evaluate_claim("C-FUND", s)]
+    assert len(fails) == 121 and {r.status for r in fails} == {STATUS_FAILS}
+    assert all(recheck_result(r) for r in fails)
+    monkeypatch.undo()
+    assert not any(recheck_result(r) for r in fails)
+    # on a fundamental table, no witness that production calls it not
+    # fundamental confirms: neither a null partition with bruteforce false
+    # nor the identity partition with one entry too many
+    fundamental = [s for s in corpus if congruences.is_fundamental(s)]
+    assert len(fundamental) == 39
+    for s in fundamental:
+        for ci in (None, [*s.elements, 0]):
+            forged = {"production": True, "bruteforce": False, "witness_partition": ci}
+            r = ClaimResult("C-FUND", inline_table(s), {}, STATUS_FAILS, forged)
+            assert not recheck_result(r), (r.table, ci)
 
 
 def test_strict_u_changes_applicability(min2):
