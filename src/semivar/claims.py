@@ -24,9 +24,11 @@ outside the flag fields, refutes the witness before its re-checker runs.
 Re-checkers are definitional: they scan raw tables instead of calling
 production code, except where the claim is about that code (C-1.2
 ``star``, C-3.1 ``all_congruences`` and ``quotient``, C-FUND
-``is_fundamental``).  Literal helpers decide the right-hand side (R, R*,
-R~, P1); the left-hand side is the same helper on the transposed table,
-the table of the dual semigroup.
+``is_fundamental``).  Literal helpers build tests, deriving S^1 once per
+table: ``_related_lit(table, name, us)`` returns ``related(x, y)`` for L,
+R, L*, R*, L~ or R~, ``_natural_leq_lit(table)`` returns ``leq(a, b)``.
+A left-hand relation (L, L*, L~, P2) is the right-hand one on the
+transposed table, the table of the dual semigroup.
 
 U-policy: claims parameterized by a subset U of E(S) iterate all
 non-empty subsets when |E(S)| <= 4, otherwise the singletons plus E(S)
@@ -244,6 +246,8 @@ def _dual(table):
 def _side(table, name):
     """The table on which the right-hand helpers decide relation name:
     the table itself for R, R*, R~, and its dual for L, L*, L~."""
+    if name[:1] not in ("L", "R"):  # a witness may name any side
+        raise ValueError(f"unknown side {name!r}")
     return table if name[0] == "R" else _dual(table)
 
 
@@ -263,31 +267,26 @@ def _s1_table(table):
     return tuple(rows), n + 1
 
 
-def _rstar_same_lit(table, a, b):
-    t1, n1 = _s1_table(table)
-    r = range(n1)
-    return all((t1[x][a] == t1[y][a]) == (t1[x][b] == t1[y][b]) for x in r for y in r)
-
-
-def _related_lit(table, name, x, y, us=()):
-    """x and y related under L, R, L*, R*, L~ or R~ (relative to us)."""
-    t = _side(table, name)
-    kind = name[1:]
+def _related_lit(table, name, us=()):
+    """The test related(x, y) of L, R, L*, R* or L~, R~ relative to us."""
+    t, kind = _side(table, name), name[1:]
     if kind == "":  # equal principal right ideals xS^1 = yS^1
-        return frozenset(t[x]) | {x} == frozenset(t[y]) | {y}
-    if kind == "*":
-        return _rstar_same_lit(t, x, y)
+        ideals = [frozenset(row) | {x} for x, row in enumerate(t)]
+        return lambda x, y: ideals[x] == ideals[y]
+    if kind == "*":  # xa = ya <=> xb = yb for all x, y in S^1
+        t1, n1 = _s1_table(t)
+        r = range(n1)
+        return lambda a, b: all(
+            (t1[x][a] == t1[y][a]) == (t1[x][b] == t1[y][b]) for x in r for y in r)
     if kind == "~":  # ex = x <=> ey = y for every e in us
-        return all((t[e][x] == x) == (t[e][y] == y) for e in us)
+        return lambda x, y: all((t[e][x] == x) == (t[e][y] == y) for e in us)
     raise ValueError(f"unknown relation {name!r}")
 
 
 def _bare_class_lit(table, name, a, target, us=()):
     """True when the name-class of a has no member in target."""
-    return not any(
-        b in target and _related_lit(table, name, a, b, us)
-        for b in range(len(table))
-    )
+    related = _related_lit(table, name, us)
+    return not any(related(a, b) for b in target)
 
 
 def _idems_lit(table):
@@ -305,9 +304,9 @@ def _all_regular_lit(table):
 def _classes_meet_lit(table, names, target, us=()):
     """True when every class of each relation in names meets target:
     abundance for L*, R* and E(S); weak U-abundance for L~, R~."""
-    return not any(
-        _bare_class_lit(table, name, a, target, us)
-        for name in names
+    return all(
+        any(related(a, b) for b in target)
+        for related in (_related_lit(table, name, us) for name in names)
         for a in range(len(table))
     )
 
@@ -321,10 +320,12 @@ def _sandwich_table(table, a):
     return tuple(tuple(table[table[x][a]][y] for y in range(n)) for x in range(n))
 
 
-def _natural_leq_lit(table, a, b):
+def _natural_leq_lit(table):
+    """The test leq(a, b): a = xb = by with xa = a for some x, y in S^1."""
     t1, n1 = _s1_table(table)
-    left = any(t1[x][b] == a and t1[x][a] == a for x in range(n1))
-    return left and any(t1[b][y] == a for y in range(n1))
+    r = range(n1)
+    return lambda a, b: (any(t1[x][b] == a and t1[x][a] == a for x in r)
+                         and any(t1[b][y] == a for y in r))
 
 
 def _law_broken_lit(leq, w):
@@ -404,9 +405,7 @@ def _check_c11(s, opts):
 
 def _recheck_c11(s, params, w, opts):
     t = s.table
-    return _all_regular_lit(t) and _bare_class_lit(
-        t, w["relation"], w["element"], set(_idems_lit(t))
-    )
+    return _all_regular_lit(t) and _bare_class_lit(t, w["relation"], w["element"], _idems_lit(t))
 
 
 # C-1.2  the kernel-based starred relations agree with the literal
@@ -415,54 +414,54 @@ def _recheck_c11(s, params, w, opts):
 
 def _check_c12(s, opts):
     n = s.order
-    sides = _star_sides(_star(s), s.table)
+    sides = [(side, rel, _related_lit(t, "R*")) for side, rel, t in _star_sides(_star(s), s.table)]
     return _first(
         {"side": side, "a": a, "b": b,
          "bundle": rel.same(a, b), "literal": not rel.same(a, b)}
         for a in range(n)
         for b in range(a + 1, n)
-        for side, rel, t in sides
-        if rel.same(a, b) != _rstar_same_lit(t, a, b)
+        for side, rel, related in sides
+        if rel.same(a, b) != related(a, b)
     )
 
 
 def _recheck_c12(s, params, w, opts):
     st = relations.star(s)
     rel = st.r_star if w["side"] == "R" else st.l_star
-    a, b = w["a"], w["b"]
-    return rel.same(a, b) != _related_lit(s.table, w["side"] + "*", a, b)
+    related = _related_lit(s.table, w["side"] + "*")
+    return rel.same(w["a"], w["b"]) != related(w["a"], w["b"])
 
 
 # C-1.3  a R* e (e idempotent) iff ea = a and xa = ya implies xe = ye;
 #        dually for L*
 
 
-def _c13_rhs(table, a, e):
-    """ea = a and xa = ya implies xe = ye, for x, y over S^1."""
-    if table[e][a] != a:
-        return False
+def _c13_lit(table):
+    """The test rhs(a, e): ea = a, and xa = ya implies xe = ye over S^1."""
     t1, n1 = _s1_table(table)
     r = range(n1)
-    return all(t1[x][a] != t1[y][a] or t1[x][e] == t1[y][e] for x in r for y in r)
+    return lambda a, e: table[e][a] == a and all(
+        t1[x][a] != t1[y][a] or t1[x][e] == t1[y][e] for x in r for y in r)
 
 
 def _check_c13(s, opts):
     es = sorted(_idem(s))
-    sides = _star_sides(_star(s), s.table)
+    sides = [(side, rel, _c13_lit(t)) for side, rel, t in _star_sides(_star(s), s.table)]
     return _first(
         {"side": side, "a": a, "e": e,
          "star": rel.same(a, e), "characterization": not rel.same(a, e)}
         for a in range(s.order)
         for e in es
-        for side, rel, t in sides
-        if rel.same(a, e) != _c13_rhs(t, a, e)
+        for side, rel, rhs in sides
+        if rel.same(a, e) != rhs(a, e)
     )
 
 
 def _recheck_c13(s, params, w, opts):
     t = _side(s.table, w["side"])
+    related, rhs = _related_lit(t, "R*"), _c13_lit(t)
     a, e = w["a"], w["e"]
-    return t[e][e] == e and _rstar_same_lit(t, a, e) != _c13_rhs(t, a, e)
+    return t[e][e] == e and related(a, e) != rhs(a, e)
 
 
 # C-INCL  L refines L* refines L~ (dually for R); all three coincide on
@@ -491,9 +490,9 @@ def _recheck_cincl(s, params, w, opts):
     t = s.table
     us = tuple(sorted(params["U"]))
     body = w["part"].split(":", 1)[-1]
-    first, second = body.split("<=" if "<=" in body else "=")
-    a = _related_lit(t, first, w["x"], w["y"], us)
-    b = _related_lit(t, second, w["x"], w["y"], us)
+    names = body.split("<=" if "<=" in body else "=")
+    first, second = (_related_lit(t, name, us) for name in names)
+    a, b = first(w["x"], w["y"]), second(w["x"], w["y"])
     if w["part"].startswith("eq:"):
         return _all_regular_lit(t) and set(us) == set(_idems_lit(t)) and a != b
     return a and not b
@@ -525,9 +524,8 @@ def _recheck_c14(s, params, w, opts):
     us = tuple(_idems_lit(t))
     if w["part"] == "weakly-abundant":
         return _bare_class_lit(t, w["relation"], w["element"], set(us), us)
-    first, second = w["part"].split("=")
-    x, y = w["x"], w["y"]
-    return _related_lit(t, first, x, y, us) != _related_lit(t, second, x, y, us)
+    first, second = (_related_lit(t, name, us) for name in w["part"].split("="))
+    return first(w["x"], w["y"]) != second(w["x"], w["y"])
 
 
 # C-NONCONG  is L~ a right congruence (R~ a left congruence)?  Observed:
@@ -559,9 +557,8 @@ def _recheck_noncong(s, params, w, opts):
     name = params["relation"]
     x, y, z = w["x"], w["y"], w["z"]
     m = t if name == "L~" else _dual(t)
-    return _related_lit(t, name, x, y, us) and not _related_lit(
-        t, name, m[x][z], m[y][z], us
-    )
+    related = _related_lit(t, name, us)
+    return related(x, y) and not related(m[x][z], m[y][z])
 
 
 # C-2.1  the sandwich operation x * y = x a y is associative
@@ -608,10 +605,11 @@ def _check_c22q(s, opts, a):
 
 def _recheck_c22q(s, params, w, opts):
     vt = _side(_sandwich_table(s.table, params["a"]), w["side"])
+    related = _related_lit(vt, "R*")
     x, y = w["x"], w["y"]
     r = range(len(vt))
     plain = all((vt[u][x] == vt[v][x]) == (vt[u][y] == vt[v][y]) for u in r for v in r)
-    return _rstar_same_lit(vt, x, y) != plain
+    return related(x, y) != plain
 
 
 # C-2.2-composition  is D* of the variant the relational composition
@@ -639,10 +637,11 @@ def _recheck_c22c(s, params, w, opts):
     vt = _sandwich_table(s.table, params["a"])
     n = len(vt)
 
-    def least_related(t):  # the least member of each element's R*-class
-        return [next(b for b in range(n) if _rstar_same_lit(t, b, c)) for c in range(n)]
+    def least_related(name):  # the least member of each element's class
+        related = _related_lit(vt, name)
+        return [next(b for b in range(n) if related(b, c)) for c in range(n)]
 
-    lidx, ridx = least_related(_dual(vt)), least_related(vt)
+    lidx, ridx = least_related("L*"), least_related("R*")
     x, y = w["x"], w["y"]
     in_rl = any(ridx[x] == ridx[c] and lidx[c] == lidx[y] for c in range(n))
     in_lr = any(lidx[x] == lidx[c] and ridx[c] == ridx[y] for c in range(n))
@@ -684,18 +683,13 @@ def _check_c23r(s, opts, a):
     )
 
 
-def _in_p1_lit(table, a, x):
-    return _rstar_same_lit(table, table[a][x], x)
-
-
 def _recheck_c23r(s, params, w, opts):
     a = params["a"]
     t = _side(s.table, w["side"])
-    vt = _sandwich_table(t, a)
+    base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
     x, y = w["x"], w["y"]
-    if not (_in_p1_lit(t, a, x) and _in_p1_lit(t, a, y)):
-        return False
-    return _rstar_same_lit(vt, x, y) != _rstar_same_lit(t, x, y)
+    # x is in P1 when ax R* x
+    return base(t[a][x], x) and base(t[a][y], y) and variant(x, y) != base(x, y)
 
 
 def _check_c23l(s, opts, a):
@@ -713,10 +707,9 @@ def _check_c23l(s, opts, a):
 def _recheck_c23l(s, params, w, opts):
     a = params["a"]
     t = _side(s.table, w["side"])
-    vt = _sandwich_table(t, a)
+    base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
     x, y = w["x"], w["y"]
-    lhs = _rstar_same_lit(vt, x, y) and _in_p1_lit(t, a, y)
-    return lhs != _rstar_same_lit(t, x, y)
+    return (variant(x, y) and base(t[a][y], y)) != base(x, y)
 
 
 # C-2.4  variants of an abundant monoid at invertible sandwich elements
@@ -740,7 +733,7 @@ def _recheck_c24(s, params, w, opts):
     if not any(t[a][b] == e == t[b][a] for b in range(n)):
         return False
     vt = _sandwich_table(t, a)
-    return _bare_class_lit(vt, w["relation"], w["element"], set(_idems_lit(vt)))
+    return _bare_class_lit(vt, w["relation"], w["element"], _idems_lit(vt))
 
 
 # C-2.5  an idempotent sandwich element is idempotent in its own variant
@@ -970,9 +963,9 @@ def _check_c35(s, opts, a, b):
 
 
 def _recheck_c35(s, params, w, opts):
-    t = s.table
+    t, related = s.table, _related_lit(s.table, "L")
     a, b = params["a"], params["b"]
-    return _related_lit(t, "L", a, b) and not _iso_exists_lit(
+    return related(a, b) and not _iso_exists_lit(
         _lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b)
     )
 
@@ -1034,12 +1027,12 @@ def _check_c40(s, opts):
 
 
 def _recheck_c40(s, params, w, opts):
-    t = s.table
+    t, leq = s.table, _natural_leq_lit(s.table)
     e, f = w["e"], w["f"]
     if t[e][e] != e or t[f][f] != f:
         return False
     usual = t[e][f] == e and t[f][e] == e
-    return _natural_leq_lit(t, e, f) != usual
+    return leq(e, f) != usual
 
 
 # C-4.1  E(S^e) versus {f in E(S) : f <= e}: the forward inclusion is
@@ -1117,10 +1110,9 @@ def _check_c43(s, opts, e):
 
 
 def _recheck_c43(s, params, w, opts):
-    t = s.table
-    vt = _sandwich_table(t, params["e"])
+    leq, vleq = _natural_leq_lit(s.table), _natural_leq_lit(_sandwich_table(s.table, params["e"]))
     a, b = w["a"], w["b"]
-    return _natural_leq_lit(vt, a, b) and not _natural_leq_lit(t, a, b)
+    return vleq(a, b) and not leq(a, b)
 
 
 # C-4.4  below an idempotent of the variant everything is idempotent
@@ -1140,8 +1132,9 @@ def _check_c44a(s, opts, e):
 
 def _recheck_c44a(s, params, w, opts):
     vt = _sandwich_table(s.table, params["e"])
+    leq = _natural_leq_lit(vt)
     a, f = w["a"], w["f"]
-    return vt[f][f] == f and _natural_leq_lit(vt, a, f) and vt[a][a] != a
+    return vt[f][f] == f and leq(a, f) and vt[a][a] != a
 
 
 def _check_c44b(s, opts, e):
@@ -1157,10 +1150,9 @@ def _check_c44b(s, opts, e):
 
 def _recheck_c44b(s, params, w, opts):
     vt = _sandwich_table(s.table, params["e"])
+    leq = _natural_leq_lit(vt)
     a, b = w["a"], w["b"]
-    return (
-        _natural_leq_lit(vt, a, b) and _regular_lit(vt, b) and not _regular_lit(vt, a)
-    )
+    return leq(a, b) and _regular_lit(vt, b) and not _regular_lit(vt, a)
 
 
 # C-NAT-PO  is the natural order actually a partial order?  Measured.
@@ -1171,8 +1163,7 @@ def _check_cnatpo(s, opts):
 
 
 def _recheck_cnatpo(s, params, w, opts):
-    t = s.table
-    return _law_broken_lit(lambda a, b: _natural_leq_lit(t, a, b), w)
+    return _law_broken_lit(_natural_leq_lit(s.table), w)
 
 
 # ---------------------------------------------------------------------------

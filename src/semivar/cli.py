@@ -182,7 +182,7 @@ def _cmd_recheck(args) -> int:
                 summary_at, last = lineno, line
         if not summary_at:
             raise ValueError("empty report")
-        summary = read_summary(last)
+        summary = read_summary(last, summary_at)
         options = Options(strict_u=summary["config"].get("strict_u") is True)
         f.seek(0)
         tallies, previous, confirmed = {}, None, 0

@@ -9,6 +9,7 @@ from .core import (
     FiniteSemigroup,
     OrderTooLarge,
     SemigroupError,
+    check_element,
     idempotents,
     translate_set,
 )
@@ -82,8 +83,8 @@ def principal_congruence(s: FiniteSemigroup, x: int, y: int) -> Equivalence:
     """Least two-sided congruence identifying x and y: relations.unite
     relates x and y, and the left and right translates of each pair it
     merges, until a fixpoint."""
-    if not (0 <= x < s.order and 0 <= y < s.order):
-        raise ValueError("element ids out of range")
+    check_element(s, x)
+    check_element(s, y)
     return Equivalence.from_keys(s.order, _principal(s, x, y))
 
 
@@ -134,15 +135,13 @@ def all_congruences(s: FiniteSemigroup) -> list[Equivalence]:
 
 def sandwich_lambda(s: FiniteSemigroup, u: int) -> Equivalence:
     """lambda^u: x ~ y iff ux = uy."""
-    if not 0 <= u < s.order:
-        raise ValueError(f"element id {u} out of range")
+    check_element(s, u)
     return Equivalence.from_keys(s.order, s.table[u])
 
 
 def sandwich_rho(s: FiniteSemigroup, u: int) -> Equivalence:
     """rho^u: x ~ y iff xu = yu."""
-    if not 0 <= u < s.order:
-        raise ValueError(f"element id {u} out of range")
+    check_element(s, u)
     return Equivalence.from_keys(s.order, [s.table[x][u] for x in s.elements])
 
 

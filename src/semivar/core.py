@@ -132,6 +132,12 @@ def adjoin_identity(s: FiniteSemigroup) -> tuple[FiniteSemigroup, tuple[int, ...
     return FiniteSemigroup(n + 1, tuple(rows)), tuple(range(n))
 
 
+def check_element(s: FiniteSemigroup, x: object) -> None:
+    """ValueError unless x is an element id of s: an int in 0..n-1, not a bool."""
+    if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < s.order:
+        raise ValueError(f"{x!r} is not an element id < {s.order}")
+
+
 def idempotents(s: FiniteSemigroup) -> ElementSubset:
     """E(S): the elements with x.x = x."""
     return frozenset(x for x in s.elements if s.table[x][x] == x)
@@ -139,8 +145,7 @@ def idempotents(s: FiniteSemigroup) -> ElementSubset:
 
 def is_regular_element(s: FiniteSemigroup, x: int) -> bool:
     """True when x = x.y.x for some y."""
-    if not 0 <= x < s.order:
-        raise ValueError(f"element id {x} out of range")
+    check_element(s, x)
     t = s.table
     return any(t[t[x][y]][x] == x for y in s.elements)
 
@@ -153,8 +158,7 @@ def is_invertible(s: FiniteSemigroup, a: int) -> bool:
     """True when a has a two-sided group inverse against the identity."""
     if s.identity is None:
         raise NotAMonoid("invertibility needs an identity element")
-    if not 0 <= a < s.order:
-        raise ValueError(f"element id {a} out of range")
+    check_element(s, a)
     e = s.identity
     t = s.table
     return any(t[a][b] == e and t[b][a] == e for b in s.elements)
@@ -162,6 +166,5 @@ def is_invertible(s: FiniteSemigroup, a: int) -> bool:
 
 def translate_set(s: FiniteSemigroup, u: int) -> ElementSubset:
     """uS: the products ux for x in S."""
-    if not 0 <= u < s.order:
-        raise ValueError(f"element id {u} out of range")
+    check_element(s, u)
     return frozenset(s.table[u])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteSemigroup, NotIdempotent
+from .core import FiniteSemigroup, NotIdempotent, check_element
 from .variants import idempotent_variant
 
 
@@ -77,8 +77,7 @@ def idempotent_leq(s: FiniteSemigroup, e: int, f: int) -> bool:
     """The usual idempotent order: e <= f iff ef = fe = e."""
     t = s.table
     for x in (e, f):
-        if not 0 <= x < s.order:
-            raise ValueError(f"element id {x} out of range")
+        check_element(s, x)
         if t[x][x] != x:
             raise NotIdempotent(x)
     return t[e][f] == e and t[f][e] == e

@@ -126,14 +126,17 @@ def read_records(lines: Iterable[str]) -> Iterator[ClaimResult]:
         except json.JSONDecodeError as err:  # its own line number is always 1
             raise ValueError(f"line {lineno}: not a report record: {err.msg} "
                              f"at column {err.pos + 1}") from None
-        except ValueError as err:
+        except (RecursionError, ValueError) as err:  # RecursionError: nested too deep
             raise ValueError(f"line {lineno}: not a report record: {err}") from None
         yield result
 
 
-def read_summary(line: str) -> dict:
-    """The summary record of a report from its last line."""
-    summary = json.loads(line)
+def read_summary(line: str, lineno: int) -> dict:
+    """The summary record of a report from its last line, line lineno."""
+    try:
+        summary = json.loads(line)
+    except (RecursionError, ValueError) as err:
+        raise ValueError(f"line {lineno}: not a report record: {err}") from None
     if not isinstance(summary, dict) or "tallies" not in summary:
         raise ValueError("report is missing its summary record")
     for name, kind in _SUMMARY_FIELDS.items():
@@ -208,7 +211,7 @@ class Report:
         if not end:
             raise ValueError("empty report")
         start = text.rfind("\n", 0, end) + 1
-        summary = read_summary(text[start:end])
+        summary = read_summary(text[start:end], text.count("\n", 0, start) + 1)
         return cls(
             corpus=summary["corpus"],
             config=summary["config"],

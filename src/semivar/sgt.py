@@ -83,4 +83,11 @@ def inline_table(s: FiniteSemigroup) -> str:
 
 
 def parse_inline(key: str) -> FiniteSemigroup:
-    return parse_table(key.replace(";", "\n") + "\n")
+    """The table of a key as inline_table writes it; TableSyntaxError for
+    another spelling, such as a comment row or a leading zero."""
+    s = parse_table(key.replace(";", "\n") + "\n")
+    written = inline_table(s)
+    if written != key:  # else one table would pass under two keys
+        column = next((i for i, c in enumerate(written) if key[i:i + 1] != c), len(written))
+        raise TableSyntaxError(1, column + 1, f"the key of this table is {written!r}")
+    return s

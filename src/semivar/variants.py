@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementSubset, FiniteSemigroup, NotIdempotent
+from .core import ElementSubset, FiniteSemigroup, NotIdempotent, check_element
 from .relations import star
 
 
@@ -21,8 +21,7 @@ class PSets:
 
 def variant(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
     """S^a; the sandwich product is associative by construction."""
-    if not 0 <= a < s.order:
-        raise ValueError(f"element id {a} out of range")
+    check_element(s, a)
     t = s.table
     rows = tuple(tuple(t[t[x][a]][y] for y in s.elements) for x in s.elements)
     return FiniteSemigroup(s.order, rows)
@@ -31,17 +30,15 @@ def variant(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
 def idempotent_variant(s: FiniteSemigroup, e: int) -> FiniteSemigroup:
     """S^e at an idempotent e: ValueError for an id out of range,
     NotIdempotent for any other e."""
-    if not 0 <= e < s.order:
-        raise ValueError(f"element id {e} out of range")
+    v = variant(s, e)
     if s.table[e][e] != e:
         raise NotIdempotent(e)
-    return variant(s, e)
+    return v
 
 
 def p_sets(s: FiniteSemigroup, a: int) -> PSets:
     """The P-sets of the sandwich element a, against the base's starred relations."""
-    if not 0 <= a < s.order:
-        raise ValueError(f"element id {a} out of range")
+    check_element(s, a)
     bundle = star(s)
     t = s.table
     p1 = frozenset(x for x in s.elements if bundle.r_star.same(t[a][x], x))

@@ -12,7 +12,7 @@ import pytest
 
 from semivar import (
     FiniteSemigroup, NotAssociative, OrderTooLarge, build_semigroup, claims, cli,
-    congruences,
+    congruences, orders, relations,
 )
 from semivar.claims import (
     HARD_CLAIM_IDS,
@@ -266,6 +266,23 @@ def test_recheckers_call_only_definitional_code():
         fn = getattr(claim.recheck, "func", claim.recheck)  # C-2.6 binds a reading
         assert fn.__name__.startswith("_recheck_"), cid
         assert _foreign_calls(fn) == _PRODUCTION_READ.get(cid, set()), cid
+
+
+def test_literal_builders_agree_with_production(corpus3, classes5):
+    # C-1.2 compares R* and L*; this compares every relation test, at every
+    # U a claim ranges over, and the natural order, on all pairs
+    for s in itertools.chain(corpus3, classes5):
+        t, r = s.table, range(s.order)
+        g, st = relations.green(s), relations.star(s)
+        cases = [("L", g.l, ()), ("R", g.r, ()), ("L*", st.l_star, ()), ("R*", st.r_star, ())]
+        for us in claims.u_subsets(s):
+            td = relations.tilde(s, frozenset(us))
+            cases += [("L~", td.l_tilde, us), ("R~", td.r_tilde, us)]
+        for name, rel, us in cases:
+            related = claims._related_lit(t, name, us)
+            assert all(related(x, y) == rel.same(x, y) for x in r for y in r), (t, name, us)
+        leq, natural = claims._natural_leq_lit(t), orders.natural_leq(s).leq
+        assert all(leq(a, b) == natural[a][b] for a in r for b in r), t
 
 
 # The first FAILS of each observed claim in corpus order: the labeled

@@ -286,6 +286,17 @@ def _witness_without_a_field(lines):
     _edit_record(lines, i, lambda r: r["witness"].pop("z"))
 
 
+def _unknown_relation(lines):
+    # a name that is neither an L nor an R relation was decided as an L one
+    i = _first_fails(lines, "C-2.6-inter")
+    _edit_record(lines, i, lambda r: r["witness"].update(relation="X~"))
+
+
+def _unknown_side(lines):
+    i = _first_fails(lines, "C-2.3-literal")
+    _edit_record(lines, i, lambda r: r["witness"].update(side="X"))
+
+
 def _wrong_tally(lines):
     _edit_record(lines, -2, lambda s: s["tallies"]["C-2.5"].update(holds=0))
 
@@ -304,6 +315,8 @@ def _other_version(lines):
     (_wrong_product, "C-4.1-reverse on .* witness not confirmed"),
     (_bool_ids, "C-4.1-reverse on 2;0 0;1 1 params={'e': 0}: witness not confirmed"),
     (_witness_without_a_field, "C-NONCONG on .* witness not confirmed"),
+    (_unknown_relation, "C-2.6-inter on .* witness not confirmed"),
+    (_unknown_side, "C-2.3-literal on .* witness not confirmed"),
     (_wrong_tally, "C-2.5: the summary tallies .*'holds': 0"),
     (_swapped, "C-1.1 on 1;0 params={} does not follow the record before it$"),
     (_other_version, "the report is from semivar 0.0.0, this is "),
@@ -346,7 +359,19 @@ def _too_large(lines):
         table=";".join(["7"] + [" ".join([str(x)] * 7) for x in range(7)])))
 
 
+def _alias_key(lines):
+    # a failure copied under a key that parses to the same table, and counted
+    i = _first_fails(lines, "C-4.1-reverse")  # on 2;0 0;1 1 at e = 0, then e = 1
+    record = json.loads(lines[i])
+    record["table"] += ";# x"
+    lines.insert(i + 2, json.dumps(record, sort_keys=True, separators=(",", ":")))
+    _edit_record(lines, -2, lambda s: s["tallies"]["C-4.1-reverse"].update(
+        fails=s["tallies"]["C-4.1-reverse"]["fails"] + 1))
+
+
 @pytest.mark.parametrize("edit, message", [
+    (_alias_key, "C-4.1-reverse on 2;0 0;1 1;# x: line 1, column 10: "
+                 "the key of this table is '2;0 0;1 1'"),
     (_truncated, "line 6: not a report record: Expecting ':' delimiter"),
     (_garbled, "line 6: not a report record: Expecting value at column 1"),
     (_missing_status, "line 6: not a report record: record field 'status' is missing"),
@@ -359,6 +384,20 @@ def test_recheck_refuses_malformed_input(tmp_path, capsys, cli_reports3, edit, m
     code, out, err = run_cli(capsys, "recheck", str(path))
     assert code == 1
     assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("field", ['"witness":{', '"config":{'])
+def test_recheck_refuses_a_deeply_nested_line(tmp_path, capsys, cli_reports3, field):
+    # a FAILS record's witness, or the summary, holds a 100,000-deep array
+    lines = cli_reports3[False].read_text().split("\n")
+    i = _first_fails(lines, "C-4.1-reverse") if "witness" in field else len(lines) - 2
+    lines[i] = lines[i].replace(field, field + '"deep":' + "[" * 100_000 + "]" * 100_000 + ",")
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join(lines))
+    code, out, err = run_cli(capsys, "recheck", str(path))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(f"error: line {i + 1}: not a report record: "
+                        "maximum recursion depth exceeded[^\n]*\n", err), err
 
 
 def test_recheck_refuses_an_empty_or_missing_report(tmp_path, capsys):

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semivar.claims import UnknownClaim
-from semivar.congruences import NotACongruence
+from semivar.congruences import (
+    NotACongruence, principal_congruence, sandwich_lambda, sandwich_rho,
+)
 from semivar.core import (
     FiniteSemigroup,
     NotAMonoid,
@@ -24,8 +26,10 @@ from semivar.core import (
     is_regular_element,
     translate_set,
 )
+from semivar.orders import idempotent_leq
 from semivar.relations import CarrierMismatch, EmptyU, NotIdempotentMember
 from semivar.sgt import TableSyntaxError
+from semivar.variants import idempotent_variant, p_sets, variant
 from .conftest import LEFT_ZERO, NOT_ASSOCIATIVE, Z2, full_corpus
 
 
@@ -123,6 +127,33 @@ def test_translate_sets(null2, left_zero):
     assert translate_set(left_zero, 1) == frozenset({1})
     with pytest.raises(ValueError):
         translate_set(null2, 2)
+
+
+#: every public function taking an element id, called with the id x on S
+ID_TAKERS = {
+    "is_regular_element": is_regular_element,
+    "is_invertible": is_invertible,
+    "translate_set": translate_set,
+    "variant": variant,
+    "idempotent_variant": idempotent_variant,
+    "p_sets": p_sets,
+    "principal_congruence(x, 0)": lambda s, x: principal_congruence(s, x, 0),
+    "principal_congruence(0, x)": lambda s, x: principal_congruence(s, 0, x),
+    "sandwich_lambda": sandwich_lambda,
+    "sandwich_rho": sandwich_rho,
+    "idempotent_leq(x, 0)": lambda s, x: idempotent_leq(s, x, 0),
+    "idempotent_leq(0, x)": lambda s, x: idempotent_leq(s, 0, x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1, 2], ids=repr)
+@pytest.mark.parametrize("name", ID_TAKERS)
+def test_an_element_id_is_an_int_in_range(z2, name, bad):
+    # a bool is refused as build_semigroup refuses it as an entry: True
+    # would pass for 1, and 1.0 would reach a TypeError
+    ID_TAKERS[name](z2, 0)  # Z2's identity 0 suits every function
+    with pytest.raises(ValueError, match=f"^{bad!r} is not an element id < 2$"):
+        ID_TAKERS[name](z2, bad)
 
 
 def test_tables_are_hashable(z2, left_zero):

@@ -137,6 +137,21 @@ def test_loads_refuses_a_summary_without_its_fields():
         Report.loads("\n".join(lines))
 
 
+#: a JSON array nested deeper than the decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_a_deeply_nested_line_names_its_line():
+    lines = sample_report().dumps().split("\n")
+    fails = lines[3].replace('"witness":{', f'"witness":{{"deep":{DEEP},')
+    report = Report.loads("\n".join([*lines[:3], fails, *lines[4:]]))
+    with pytest.raises(ValueError, match="^line 4: not a report record: maximum recursion"):
+        list(report.results)
+    lines[4] = lines[4].replace('"config":{', f'"config":{{"deep":{DEEP},')  # the summary
+    with pytest.raises(ValueError, match="^line 5: not a report record: maximum recursion"):
+        Report.loads("\n".join(lines))
+
+
 def test_blank_lines_are_skipped_and_counted():
     text = "\n" + sample_report().dumps().replace("\n", "\n\n", 1) + "\n\n"
     report = Report.loads(text)

@@ -315,11 +315,11 @@ def test_check_memory_is_flat_in_corpus_size(tmp_path, monkeypatch):
 
 
 def _peak_rss_in_child(timeout, *argv):
-    """Peak RSS in MB of `semivar ARGV`, run by a fresh interpreter whose
-    only child is the command.  RUSAGE_CHILDREN is the peak of the largest
-    single waited-for descendant: the command, or one of its pool workers,
-    whichever is larger.  The command must exit 0; its stdout goes to
-    stderr."""
+    """(peak RSS in MB, output) of `semivar ARGV`, run by a fresh
+    interpreter whose only child is the command.  RUSAGE_CHILDREN is the
+    peak of the largest single waited-for descendant: the command, or one
+    of its pool workers, whichever is larger.  The command must exit 0;
+    its stdout and stderr are the output."""
     measure = (
         "import resource, subprocess, sys\n"
         "code = subprocess.call(sys.argv[1:], stdout=sys.stderr)\n"
@@ -332,13 +332,13 @@ def _peak_rss_in_child(timeout, *argv):
         capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout) / 1024
+    return int(proc.stdout) / 1024, proc.stderr
 
 
 def _check_in_child(tmp_path, timeout, *argv):
     """(peak RSS in MB, report path) of semivar check --out in a child."""
     out = tmp_path / "report.jsonl"
-    return _peak_rss_in_child(timeout, "check", *argv, "--out", str(out)), out
+    return _peak_rss_in_child(timeout, "check", *argv, "--out", str(out))[0], out
 
 
 @pytest.mark.slow
@@ -352,6 +352,15 @@ def test_order5_classes_run_in_flat_memory(tmp_path):
     assert records == sum(sum(t.values()) for t in tallies.values()) == 253185
     assert sum(t["fails"] for cid, t in tallies.items() if cid in HARD_CLAIM_IDS) == 0
     assert peak_mb < 100, peak_mb
+
+
+@pytest.mark.slow
+def test_recheck_confirms_the_order5_classes_report_in_flat_memory(tmp_path):
+    # the widest recheck: 69,436 FAILS witnesses of the 8 claims that fail at order 5
+    _, out = _check_in_child(tmp_path, 900, "--orders", "5", "--dedup", "--claims", "all")
+    peak_mb, output = _peak_rss_in_child(900, "recheck", str(out))
+    assert output == "253185 records in order, 69436 FAILS witnesses confirmed, tallies match\n"
+    assert peak_mb < 40, peak_mb
 
 
 @pytest.mark.slow
@@ -375,4 +384,4 @@ def test_recheck_reads_the_order4_report_in_flat_memory(tmp_path):
                 "C-2.6-sandwich", "C-4.1-reverse", "C-NONCONG")
     _, out = _check_in_child(tmp_path, 600, "--orders", "4", "--claims", ",".join(observed))
     assert out.stat().st_size > 25_000_000
-    assert _peak_rss_in_child(600, "recheck", str(out)) < 40
+    assert _peak_rss_in_child(600, "recheck", str(out))[0] < 40

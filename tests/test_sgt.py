@@ -108,6 +108,18 @@ def test_inline_round_trip(left_zero):
     assert parse_inline(key) == left_zero
 
 
+@pytest.mark.parametrize("key, column", [
+    ("2;0 0;1 1;# x", 10),  # a comment row
+    ("02;0 0;1 1", 1),      # a leading zero in the order
+    ("2;0 0;1 01", 9),      # a leading zero in an entry
+])
+def test_parse_inline_refuses_a_key_inline_table_does_not_write(key, column):
+    # each parses to 2;0 0;1 1, and would let one table pass under two keys
+    with pytest.raises(TableSyntaxError, match="the key of this table is '2;0 0;1 1'") as exc:
+        parse_inline(key)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
 @given(st.sampled_from(full_corpus(1, 2, 3)))
 def test_round_trip_any_corpus_table(s):
     assert parse_table(serialize_table(s)) == s
