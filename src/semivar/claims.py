@@ -16,7 +16,11 @@ dicts: ``_once`` (``[{}]``, a claim without parameters),
 (C-NONCONG, C-2.6, C-3.5).  ``check(s, opts, **params)`` returns ``_NA``
 (not applicable), None (HOLDS) or a witness dict (FAILS).  The witness is
 the first in the check's fixed scan order (``_first`` over a generator),
-so reports are deterministic.
+so reports are deterministic.  Checks decide on production objects alone
+and reach no literal helper, so a production fault is a FAILS whose
+witness the re-checker refuses, not a crash or a HOLDS.  The
+differential claims C-1.2, C-1.3, C-3.1 and C-FUND compare production
+with a definition by design.
 
 ``recheck_result`` reproduces a FAILS result from the serialized table,
 params, and witness alone; an element id outside the table, or a bool
@@ -771,6 +775,8 @@ def _check_c26(s, opts, U, e, reading):
     if _unabundant(s, U, opts) is not None:
         return _NA
     v = _variant(s, e)
+    if v.table[e][e] != e:  # the premise that C-2.5 checks
+        return _NA
     uprime = sorted(set(U) & idempotents(v)) if reading == "inter" else [e]
     w = _unabundant(v, uprime, opts)
     return w and {"Uprime": uprime, **w}
@@ -873,52 +879,27 @@ def _recheck_c31(s, params, w, opts):
 #        the variant S^u; lambda^u is in fact two-sided there
 
 
-def _translation_lit(t, u, relation, side):
-    """(related, moved) for lambda^u (ux = uy) or rho^u (xu = yu), and
-    for the left (z * x) or right (x * z) translation in S^u."""
-    key = t[u] if relation == "lambda" else [row[u] for row in t]
-
-    def related(x, y):
-        return key[x] == key[y]
-
-    def moved(x, z):
-        return t[t[z][u]][x] if side == "left" else t[t[x][u]][z]
-
-    return related, moved
-
-
-def _translation_violation(s, u, relation, side):
-    """The first x, y, z showing relation is not compatible with side."""
-    related, moved = _translation_lit(s.table, u, relation, side)
-    r = range(s.order)
-    return _first(
-        {"relation": relation, "requirement": side, "x": x, "y": y, "z": z}
-        for x in r
-        for y in r
-        if x != y and related(x, y)
-        for z in r
-        if not related(moved(x, z), moved(y, z))
-    )
-
-
 def _check_c32(s, opts, u):
     v = _variant(s, u)
-    lam_kind = congruence_kind(v, sandwich_lambda(s, u))
-    if lam_kind not in (KIND_LEFT, KIND_TWO_SIDED):
-        return _translation_violation(s, u, "lambda", "left")
-    if congruence_kind(v, sandwich_rho(s, u)) not in (KIND_RIGHT, KIND_TWO_SIDED):
-        return _translation_violation(s, u, "rho", "right")
-    if lam_kind != KIND_TWO_SIDED:
-        return _translation_violation(s, u, "lambda", "right")
+    lam = congruence_kind(v, sandwich_lambda(s, u))
+    if lam not in (KIND_LEFT, KIND_TWO_SIDED):
+        return {"relation": "lambda", "requirement": "left", "kind": lam}
+    rho = congruence_kind(v, sandwich_rho(s, u))
+    if rho not in (KIND_RIGHT, KIND_TWO_SIDED):
+        return {"relation": "rho", "requirement": "right", "kind": rho}
+    if lam != KIND_TWO_SIDED:
+        return {"relation": "lambda", "requirement": "right", "kind": lam}
     return None
 
 
 def _recheck_c32(s, params, w, opts):
-    related, moved = _translation_lit(
-        s.table, params["u"], w["relation"], w["requirement"]
-    )
-    x, y, z = w["x"], w["y"], w["z"]
-    return related(x, y) and not related(moved(x, z), moved(y, z))
+    """A literal scan of S^u for x, y related and z that the requirement's
+    translation (x * z for right, z * x for left) separates."""
+    t, u, r = s.table, params["u"], range(s.order)
+    key = t[u] if w["relation"] == "lambda" else [row[u] for row in t]  # ux or xu
+    vt = _sandwich_table(t, u)
+    m = vt if w["requirement"] == "right" else _dual(vt)
+    return any(key[x] == key[y] and key[m[x][z]] != key[m[y][z]] for x in r for y in r for z in r)
 
 
 # C-3.4  S^u / lambda^u is isomorphic to uS
@@ -941,9 +922,11 @@ def _check_c34(s, opts, u):
 def _recheck_c34(s, params, w, opts):
     t = s.table
     u = params["u"]
+    if w.get("part") == "hom":  # C-FHT: u(x.u.y) = (ux)(uy) in any semigroup
+        x, y = w["x"], w["y"]
+        return t[u][t[t[x][u]][y]] != t[t[u][x]][t[u][y]]
     if w.get("part") == "lambda-not-congruence":
-        vt = _sandwich_table(t, u)
-        return not _is_congruence_lit(vt, _lambda_classes_lit(t, u))
+        return not _is_congruence_lit(_sandwich_table(t, u), _lambda_classes_lit(t, u))
     return not _iso_exists_lit(_lambda_quotient_lit(t, u), _usub_table_lit(t, u))
 
 
@@ -958,16 +941,25 @@ def _per_l_pair(s):
 
 
 def _check_c35(s, opts, a, b):
-    qa, qb = _lambda_quotient(s, a), _lambda_quotient(s, b)
-    return _iso_witness(qa, qb, "quotient_a", "quotient_b")
+    qs = []
+    for at in (a, b):
+        try:
+            qs.append(_lambda_quotient(s, at))
+        except NotACongruence as err:
+            return {"part": "lambda-not-congruence", "at": at, "kind": err.kind}
+    return _iso_witness(*qs, "quotient_a", "quotient_b")
 
 
 def _recheck_c35(s, params, w, opts):
     t, related = s.table, _related_lit(s.table, "L")
     a, b = params["a"], params["b"]
-    return related(a, b) and not _iso_exists_lit(
-        _lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b)
-    )
+    if not related(a, b):
+        return False
+    if w.get("part") == "lambda-not-congruence":
+        at = w["at"]  # as for C-3.4: lambda^at is literally no congruence on S^at
+        vt = _sandwich_table(t, at)
+        return at in (a, b) and not _is_congruence_lit(vt, _lambda_classes_lit(t, at))
+    return not _iso_exists_lit(_lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b))
 
 
 # C-FHT  first isomorphism theorem for the u-translation homomorphism:
@@ -975,10 +967,18 @@ def _recheck_c35(s, params, w, opts):
 
 
 def _check_cfht(s, opts, u):
-    h = u_translate_hom(s, u)
-    q = quotient(h.domain, h.kernel())
-    image = induced_subsemigroup(h.codomain, h.image())
-    return _iso_witness(q, image, "quotient", "image")
+    image, f = u_translate_hom(s, u)
+    v, it = _variant(s, u), image.table
+    broken = _first(
+        {"part": "hom", "x": x, "y": y}
+        for x in s.elements
+        for y in s.elements
+        if f[v.table[x][y]] != it[f[x]][f[y]]
+    )
+    if broken:
+        return broken
+    # the kernel of a homomorphism is a congruence, which quotient accepts
+    return _iso_witness(quotient(v, Equivalence.from_keys(s.order, f)), image, "quotient", "image")
 
 
 # C-FUND  the no-nontrivial-idempotent-separating-congruence predicate

@@ -1,8 +1,7 @@
-"""Congruences, quotients, homomorphisms, and isomorphism search."""
+"""Congruences, quotients, the u-translation map, and isomorphism search."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
@@ -14,7 +13,6 @@ from .core import (
     translate_set,
 )
 from .relations import CarrierMismatch, Equivalence, unite
-from .variants import variant
 
 #: all_congruences / is_fundamental refuse carriers larger than this by default
 CONGRUENCE_ORDER_BOUND = 8
@@ -29,33 +27,6 @@ class NotACongruence(SemigroupError):
     def __init__(self, kind: str) -> None:
         super().__init__(f"partition is not a two-sided congruence (kind: {kind})")
         self.kind = kind
-
-
-@dataclass(frozen=True)
-class Hom:
-    """A multiplication-preserving map, validated on construction."""
-
-    domain: FiniteSemigroup
-    codomain: FiniteSemigroup
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.mapping) != self.domain.order:
-            raise ValueError("mapping must cover the domain")
-        if any(not 0 <= v < self.codomain.order for v in self.mapping):
-            raise ValueError("mapping values must be codomain ids")
-        td, tc, f = self.domain.table, self.codomain.table, self.mapping
-        for x in self.domain.elements:
-            for y in self.domain.elements:
-                if f[td[x][y]] != tc[f[x]][f[y]]:
-                    raise ValueError(f"not a homomorphism at ({x},{y})")
-
-    def kernel(self) -> Equivalence:
-        """Partition of the domain by equal images."""
-        return Equivalence.from_keys(self.domain.order, self.mapping)
-
-    def image(self) -> frozenset:
-        return frozenset(self.mapping)
 
 
 def congruence_kind(s: FiniteSemigroup, p: Equivalence) -> str:
@@ -175,13 +146,13 @@ def induced_subsemigroup(s: FiniteSemigroup, members: Iterable[int]) -> FiniteSe
     return FiniteSemigroup(len(old), tuple(rows))
 
 
-def u_translate_hom(s: FiniteSemigroup, u: int) -> Hom:
-    """x -> ux as a homomorphism from the variant S^u onto uS, whose
-    elements are numbered by ascending id in S.  Its kernel is lambda^u."""
+def u_translate_hom(s: FiniteSemigroup, u: int) -> tuple[FiniteSemigroup, tuple[int, ...]]:
+    """(uS, f) for the map x -> ux from the variant S^u onto uS: uS is
+    numbered by ascending id in S, and f[x] is the index of ux there.
+    Unchecked; C-FHT tests that f is a homomorphism with kernel lambda^u."""
     image = sorted(translate_set(s, u))
     index = {e: i for i, e in enumerate(image)}
-    mapping = tuple(index[ux] for ux in s.table[u])
-    return Hom(domain=variant(s, u), codomain=induced_subsemigroup(s, image), mapping=mapping)
+    return induced_subsemigroup(s, image), tuple(index[ux] for ux in s.table[u])
 
 
 def are_isomorphic(s: FiniteSemigroup, t: FiniteSemigroup) -> tuple[int, ...] | None:

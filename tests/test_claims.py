@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import itertools
 import re
+import textwrap
 import time
 
 import pytest
@@ -266,6 +267,48 @@ def test_recheckers_call_only_definitional_code():
         fn = getattr(claim.recheck, "func", claim.recheck)  # C-2.6 binds a reading
         assert fn.__name__.startswith("_recheck_"), cid
         assert _foreign_calls(fn) == _PRODUCTION_READ.get(cid, set()), cid
+
+
+# The claims that compare production with a definition by design.
+_DIFFERENTIAL = {"C-1.2", "C-1.3", "C-3.1", "C-FUND"}
+
+
+def _reached(fn):
+    """The names of the claims-module functions fn names in its source,
+    transitively, each mapped to its function (unwrapped from a cache)."""
+    reached, todo = {}, [fn]
+    while todo:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(todo.pop())))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in reached:
+                g = inspect.unwrap(vars(claims).get(n.id))
+                if inspect.isfunction(g) and g.__module__ == claims.__name__:
+                    reached[n.id] = g
+                    todo.append(g)
+    return reached
+
+
+def test_evaluators_reach_no_literal_helper():
+    # production decides a claim and definitional code confirms its witness
+    checks = {}
+    for cid, claim in REGISTRY.items():
+        check = inspect.getclosurevars(claim.evaluate).nonlocals["check"]
+        checks[cid] = getattr(check, "func", check)  # C-2.6 binds a reading
+    assert {fn.__name__ for fn in checks.values()} == {
+        name for name in vars(claims) if name.startswith("_check_")}
+    for cid, fn in checks.items():
+        helpers = {name for name in _reached(fn) if _HELPER.fullmatch(name)} - {"_dual"}
+        # the search sees the helpers a differential claim reaches
+        assert bool(helpers) == (cid in _DIFFERENTIAL), (cid, helpers)
+
+
+def test_a_refused_congruence_is_a_fails(monkeypatch, corpus3):
+    # C-3.2 decides on congruence_kind alone, so a kind that refuses every
+    # partition fails every instance, and no such witness is confirmed
+    monkeypatch.setattr(claims, "congruence_kind", lambda s, p: congruences.KIND_NONE)
+    results = [r for s in corpus3 for r in evaluate_claim("C-3.2", s)]
+    assert {r.status for r in results} == {STATUS_FAILS}
+    assert not any(recheck_result(r) for r in results)
 
 
 def test_literal_builders_agree_with_production(corpus3, classes5):

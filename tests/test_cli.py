@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import semivar
+from semivar import FiniteSemigroup, claims, congruences, variants
 from semivar.cli import main
+from semivar.relations import Equivalence
 from semivar.report import Report
 
 SRC = Path(semivar.__file__).resolve().parent.parent
@@ -234,6 +236,56 @@ def test_recheck_confirms_a_check_report(capsys, cli_reports3, strict_u):
     assert (code, err) == (0, "")
     fails = 1088 if strict_u else 1436
     assert out == f"8693 records in order, {fails} FAILS witnesses confirmed, tallies match\n"
+
+
+def _flip_variants(monkeypatch):
+    """Make variants.variant, where claims and orders look it up, return
+    each S^a with entry (0, 0) moved to the next id."""
+    build = variants.variant
+
+    def flipped(s, a):
+        rows = [list(row) for row in build(s, a).table]
+        rows[0][0] = (rows[0][0] + 1) % s.order
+        return FiniteSemigroup(s.order, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(variants, "variant", flipped)
+
+
+def _merge_lambda(monkeypatch):
+    """Make claims.sandwich_lambda merge the classes of 0 and 1 from order 3."""
+    build = congruences.sandwich_lambda
+
+    def merged(s, u):
+        ci = build(s, u).class_index
+        keys = [ci[0] if c == ci[1] and s.order >= 3 else c for c in ci]
+        return Equivalence.from_keys(s.order, keys)
+
+    monkeypatch.setattr(claims, "sandwich_lambda", merged)
+
+
+@pytest.mark.parametrize("fault, failing", [
+    (_flip_variants, {"C-2.1", "C-2.5", "C-FHT"}),
+    (_merge_lambda, {"C-3.2", "C-3.4"}),
+])
+def test_a_production_fault_is_a_fails_the_recheck_refuses(
+        tmp_path, capsys, monkeypatch, fault, failing):
+    # a fault in the code a hard claim checks gives a whole report whose
+    # FAILS the literal recheck refuses, not a crash and not a HOLDS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    fault(monkeypatch)
+    claims._variant.cache_clear()
+    try:
+        out = tmp_path / "report.jsonl"
+        code, _, err = run_cli(capsys, "check", "--orders", "2,3", "--claims", "all",
+                               "--out", str(out))
+        assert code == 2, err
+        assert failing <= set(Report.loads(out.read_text()).failed_claim_ids())
+        code, _, err = run_cli(capsys, "recheck", str(out))
+        problems = err.splitlines()
+        assert code == 2
+        assert problems[:-1] and all(p.endswith(": witness not confirmed") for p in problems[:-1])
+    finally:
+        claims._variant.cache_clear()
 
 
 def _tampered(tmp_path, source, edit):

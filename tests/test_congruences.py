@@ -1,4 +1,4 @@
-"""Congruences, quotients, homomorphisms, isomorphism search."""
+"""Congruences, quotients, the u-translation map, isomorphism search."""
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,6 @@ from semivar.congruences import (
     KIND_NONE,
     KIND_RIGHT,
     KIND_TWO_SIDED,
-    Hom,
     NotACongruence,
     all_congruences,
     are_isomorphic,
@@ -95,15 +94,6 @@ def test_quotient_rejects_non_congruence(chain3):
     assert exc.value.kind == KIND_NONE
 
 
-def test_hom_validates_mapping(z2, null2):
-    with pytest.raises(ValueError):
-        Hom(domain=z2, codomain=null2, mapping=(0, 1))
-    # constant-to-idempotent is always a homomorphism
-    h = Hom(domain=z2, codomain=null2, mapping=(0, 0))
-    assert h.image() == frozenset({0})
-    assert h.kernel().classes == ((0, 1),)
-
-
 def test_induced_subsemigroup(z2, chain3):
     sub = induced_subsemigroup(chain3, {0, 2})
     assert sub.table == ((0, 0), (0, 1))
@@ -112,22 +102,22 @@ def test_induced_subsemigroup(z2, chain3):
 
 
 def test_u_translate_hom_on_null(null2):
-    h = u_translate_hom(null2, 1)
-    assert h.domain.table == ((0, 0), (0, 0))
-    assert h.codomain.order == 1
-    assert h.mapping == (0, 0)
-    assert h.kernel().classes == ((0, 1),)
+    image, f = u_translate_hom(null2, 1)
+    assert image.table == ((0,),)
+    assert f == (0, 0)
 
 
 def test_u_translate_hom_quotients_by_lambda():
-    # C-FHT quotients the hom's domain by its kernel and C-3.4 quotients
-    # S^u by lambda^u: the same relation on the same semigroup
+    # C-FHT quotients S^u by the kernel of f and C-3.4 quotients S^u by
+    # lambda^u: the same relation on the same semigroup
     for s in full_corpus(1, 2, 3):
         for u in s.elements:
-            h = u_translate_hom(s, u)
-            assert h.domain == variant(s, u)
-            assert h.kernel() == sandwich_lambda(s, u)
-            assert h.codomain.order == len(translate_set(s, u))
+            image, f = u_translate_hom(s, u)
+            vt, it = variant(s, u).table, image.table
+            assert all(f[vt[x][y]] == it[f[x]][f[y]] for x in s.elements for y in s.elements)
+            assert Equivalence.from_keys(s.order, f) == sandwich_lambda(s, u)
+            assert image == induced_subsemigroup(s, translate_set(s, u))
+            assert sorted(set(f)) == list(range(image.order))
 
 
 def test_sandwich_congruences(chain3):
