@@ -850,12 +850,13 @@ def _check_c31(s, opts):
                 "only_production": [list(k) for k in sorted(made - brute)[:1]],
                 "only_bruteforce": [list(k) for k in sorted(brute - made)[:1]]}
     return _first(
+        {"part": "refused", "partition": list(ci), "kind": kind} if q is None else
         {"part": "welldef", "partition": list(ci), "x": x, "y": y}
         for p in produced
-        for ci, q in [(p.class_index, quotient(s, p))]
+        for ci, (q, kind) in [(p.class_index, _quotient(s, p))]
         for x in range(n)
         for y in range(n)
-        if q.table[ci[x]][ci[y]] != ci[t[x][y]]
+        if q is None or q.table[ci[x]][ci[y]] != ci[t[x][y]]
     )
 
 
@@ -868,6 +869,8 @@ def _recheck_c31(s, params, w, opts):
             _canonical_lit(ci, n) and (tuple(ci) in made) == produced != _is_congruence_lit(t, ci)
             for produced, listed in sides.items() for ci in listed)
     ci = w["partition"]
+    if w["part"] == "refused":  # quotient refused what is literally no congruence
+        return _canonical_lit(ci, n) and not _is_congruence_lit(t, ci)
     if not (_canonical_lit(ci, n) and _is_congruence_lit(t, ci)):
         return False
     q = quotient(s, Equivalence.from_keys(n, ci))
@@ -905,16 +908,18 @@ def _recheck_c32(s, params, w, opts):
 # C-3.4  S^u / lambda^u is isomorphic to uS
 
 
-def _lambda_quotient(s, u):
-    """S^u / lambda^u; NotACongruence when lambda^u is not a congruence."""
-    return quotient(_variant(s, u), sandwich_lambda(s, u))
+def _quotient(v, p):
+    """(v / p, None), or (None, its congruence kind) when quotient refuses p."""
+    try:
+        return quotient(v, p), None
+    except NotACongruence as err:
+        return None, err.kind
 
 
 def _check_c34(s, opts, u):
-    try:
-        q = _lambda_quotient(s, u)
-    except NotACongruence as err:
-        return {"part": "lambda-not-congruence", "kind": err.kind}
+    q, kind = _quotient(_variant(s, u), sandwich_lambda(s, u))
+    if q is None:
+        return {"part": "lambda-not-congruence", "kind": kind}
     image = induced_subsemigroup(s, core.translate_set(s, u))
     return _iso_witness(q, image, "quotient", "image")
 
@@ -941,13 +946,11 @@ def _per_l_pair(s):
 
 
 def _check_c35(s, opts, a, b):
-    qs = []
-    for at in (a, b):
-        try:
-            qs.append(_lambda_quotient(s, at))
-        except NotACongruence as err:
-            return {"part": "lambda-not-congruence", "at": at, "kind": err.kind}
-    return _iso_witness(*qs, "quotient_a", "quotient_b")
+    qs = {at: _quotient(_variant(s, at), sandwich_lambda(s, at)) for at in (a, b)}
+    for at, (q, kind) in qs.items():
+        if q is None:
+            return {"part": "lambda-not-congruence", "at": at, "kind": kind}
+    return _iso_witness(qs[a][0], qs[b][0], "quotient_a", "quotient_b")
 
 
 def _recheck_c35(s, params, w, opts):
@@ -977,8 +980,10 @@ def _check_cfht(s, opts, u):
     )
     if broken:
         return broken
-    # the kernel of a homomorphism is a congruence, which quotient accepts
-    return _iso_witness(quotient(v, Equivalence.from_keys(s.order, f)), image, "quotient", "image")
+    q, kind = _quotient(v, Equivalence.from_keys(s.order, f))
+    if q is None:  # the kernel of x -> ux is lambda^u, as _recheck_c34 reads it
+        return {"part": "lambda-not-congruence", "kind": kind}
+    return _iso_witness(q, image, "quotient", "image")
 
 
 # C-FUND  the no-nontrivial-idempotent-separating-congruence predicate

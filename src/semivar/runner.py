@@ -3,22 +3,24 @@
 ``write_report`` streams the report claim-major without holding it.  The
 corpus arrives in report order: a spec's orders are sorted, and within an
 order the enumerator emits tables in the order of their keys.  The parent
-cuts it into contiguous chunks of CHUNK_TABLES tables and counts the
-tables of each order.  For each table of a chunk, ``_evaluate_chunk``
-evaluates the selected claims, serializes each claim's results at once
-and sorts them within that (claim, table) group; it writes the chunk's
-records to one scratch file, claim by claim, and returns the end offset
-of each claim's segment with the chunk's tallies and first hard
-failures.  Chunks run in a pool of one worker process for each CPU in
-this process's affinity mask (``taskset -c 0`` makes it one), or in this
-process through the builtin ``map`` when that mask has one CPU or the
-corpus is one chunk; either way the parent merges them in chunk order
-and, once every chunk is evaluated, copies each claim's segments to the
-output chunk by chunk, then writes the summary line.  So the report is
-byte-identical whatever the number of CPUs.  Memory holds one chunk's
-records in each process, the tallies and the first hard failures, so it
-stays flat as the corpus grows.  ``run_corpus`` reads the same output
-back into a ``Report``.
+only cuts it into contiguous chunks of CHUNK_TABLES tables; a chunk's
+tables are the whole task.  ``_evaluate_chunk`` keys each table, refuses
+a key that does not follow the one before, counts the tables of each
+order, evaluates the selected claims and sorts each claim's serialized
+results within their (claim, table) group.  It writes the chunk's records
+to a scratch file of its own, claim by claim, and returns the end offset
+of each claim's segment with the chunk's tallies, table counts and first
+and last keys.  Chunks run in a pool of one worker process for each CPU
+in this process's affinity mask (``taskset -c 0`` makes it one), or in
+this process through the builtin ``map`` when that mask has one CPU or
+the corpus is one chunk.  Either way the parent takes the results in
+chunk order, checks that each chunk starts after the last key of the one
+before and sums the counts; once every chunk is evaluated it copies each
+claim's segments to the output chunk by chunk, decoding a segment back
+only while it lacks the first hard failures of a failing hard claim, and
+writes the summary line.  So the report is byte-identical whatever the
+number of CPUs, and memory holds one chunk's records in each process.
+``run_corpus`` reads the same output back into a ``Report``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import itertools
 import os
 import sys
 import tempfile
+from collections import Counter
 from typing import Callable, TextIO
 
 from .claims import HARD_CLAIM_IDS, REGISTRY, U_POLICY, Options, UnknownClaim
@@ -39,6 +42,7 @@ from .report import (
     ClaimResult,
     Report,
     add_tallies,
+    read_records,
     record_line,
     summary_line,
 )
@@ -66,36 +70,21 @@ def resolve_claim_ids(claim_ids) -> list[str]:
     return sorted(out)
 
 
-def _chunks(spec: CorpusSpec, table_counts: dict[str, int]):
-    """The corpus as lists of CHUNK_TABLES (table, key) pairs, in key
-    order, counting the tables of each order into table_counts.  Raises
-    ValueError when a key does not follow the one before."""
-    chunk, last = [], ""
-    for s in iter_corpus(spec):
+def _evaluate_chunk(ids: list[str], options: Options, scratch: str, tables: list):
+    """Evaluate the claims ids on tables, a chunk of the corpus, and write
+    their record lines to a new file in the directory scratch, claim by
+    claim.  Returns (the file's path, the offsets where each claim's
+    segment starts followed by the file's size, tallies, tables per
+    order, the chunk's first and last keys).  Raises ValueError when a
+    table's key does not follow the one before."""
+    lines: dict[str, list[str]] = {cid: [] for cid in ids}
+    tallies: dict[str, dict[str, int]] = {}
+    first = last = ""
+    for s in tables:
         key = inline_table(s)
         if key <= last:
             raise ValueError(f"table {key!r} arrived after {last!r}")
-        last = key
-        table_counts[str(s.order)] = table_counts.get(str(s.order), 0) + 1
-        chunk.append((s, key))
-        if len(chunk) == CHUNK_TABLES:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
-def _evaluate_chunk(ids: list[str], options: Options, task: tuple[str, list]):
-    """Evaluate the claims ids on the tables of task = (path, [(table,
-    key), ...]) and write their record lines to the file at path, claim
-    by claim.  Returns (path, the offsets where each claim's segment
-    starts followed by the file's size, tallies, the first
-    HARD_FAILURES_KEPT failures of each hard claim)."""
-    path, tables = task
-    lines: dict[str, list[str]] = {cid: [] for cid in ids}
-    hard = {cid: [] for cid in ids if cid in HARD_CLAIM_IDS}
-    tallies: dict[str, dict[str, int]] = {}
-    for s, key in tables:
+        first, last = first or key, key
         for cid in ids:
             # looked up per call: REGISTRY entries may be replaced
             results = REGISTRY[cid].evaluate(s, options, key)
@@ -103,15 +92,12 @@ def _evaluate_chunk(ids: list[str], options: Options, task: tuple[str, list]):
             # so they sort as sort_key's params JSON does
             lines[cid] += sorted(record_line(r) + "\n" for r in results)
             add_tallies(tallies, results)
-            if cid in hard:
-                fails = [r for r in results if r.status == STATUS_FAILS]
-                hard[cid] += sorted(fails, key=record_line)
-                del hard[cid][HARD_FAILURES_KEPT:]
+    fd, path = tempfile.mkstemp(dir=scratch)
     offsets = [0]
-    with open(path, "wb") as f:
+    with open(fd, "wb") as f:
         for cid in ids:
             offsets.append(offsets[-1] + f.write("".join(lines[cid]).encode()))
-    return path, offsets, tallies, hard
+    return path, offsets, tallies, Counter(str(s.order) for s in tables), first, last
 
 
 def _pool(stack: contextlib.ExitStack, workers: int):
@@ -149,49 +135,52 @@ def write_report(
     order.
 
     Returns the summary's tallies and the first HARD_FAILURES_KEPT
-    hard-claim failures, in report order."""
+    hard-claim failures in report order, decoded from the failing hard
+    claims' records as they are copied: a run without one decodes none."""
     options = options or Options()
     ids = resolve_claim_ids(claim_ids)
     workers = len(os.sched_getaffinity(0))
-    hard = {cid: [] for cid in ids if cid in HARD_CLAIM_IDS}
-    tallies: dict[str, dict[str, int]] = {}
-    table_counts: dict[str, int] = {}
-    spills = []
+    tallies: dict[str, Counter] = {}
+    table_counts: Counter = Counter()
+    spills, last = [], ""
     with contextlib.ExitStack() as stack:
         scratch = stack.enter_context(tempfile.TemporaryDirectory())
-        tasks = ((os.path.join(scratch, str(i)), chunk)
-                 for i, chunk in enumerate(_chunks(spec, table_counts)))
-        first = list(itertools.islice(tasks, 2))
+        corpus = iter_corpus(spec)
+        chunks = iter(lambda: list(itertools.islice(corpus, CHUNK_TABLES)), [])
+        head = list(itertools.islice(chunks, 2))
         # a corpus of one chunk would keep one worker busy and the rest idle
-        mapper = _pool(stack, workers).imap if workers > 1 and len(first) > 1 else map
-        evaluate = functools.partial(_evaluate_chunk, ids, options)
-        # a pool runs _chunks in its task thread; imap ends only once the
-        # tasks have run out, so table_counts is complete after the loop
-        for path, offsets, chunk_tallies, chunk_hard in mapper(
-                evaluate, itertools.chain(first, tasks)):
+        mapper = _pool(stack, workers).imap if workers > 1 and len(head) > 1 else map
+        evaluate = functools.partial(_evaluate_chunk, ids, options, scratch)
+        for path, offsets, chunk_tallies, counts, first, chunk_last in mapper(
+                evaluate, itertools.chain(head, chunks)):
+            if first <= last:
+                raise ValueError(f"table {first!r} arrived after {last!r}")
+            last = chunk_last
             spills.append((path, offsets))
             for cid, tally in chunk_tallies.items():
-                total = tallies.setdefault(cid, dict.fromkeys(tally, 0))
-                for status, n in tally.items():
-                    total[status] += n
-            for cid, fails in chunk_hard.items():
-                hard[cid] += fails
-                del hard[cid][HARD_FAILURES_KEPT:]
+                tallies.setdefault(cid, Counter()).update(tally)
+            table_counts.update(counts)
         summary = summary_line(
             tallies,
             corpus={"orders": list(spec.orders), "dedup": spec.dedup,
                     "limit": spec.limit, "tables": table_counts},
             config={"claims": ids, "strict_u": options.strict_u, "u_policy": U_POLICY},
         )
+        kept: list[ClaimResult] = []
         with open_out() as out:
-            for c in range(len(ids)):
+            for c, cid in enumerate(ids):
+                failing = cid in HARD_CLAIM_IDS and tallies.get(cid, {}).get("fails")
                 for path, offsets in spills:
                     with open(path, "rb") as f:
                         f.seek(offsets[c])
-                        out.write(f.read(offsets[c + 1] - offsets[c]).decode())
+                        segment = f.read(offsets[c + 1] - offsets[c]).decode()
+                    out.write(segment)
+                    if failing and len(kept) < HARD_FAILURES_KEPT:
+                        fails = (r for r in read_records(segment.split("\n"))
+                                 if r.status == STATUS_FAILS)
+                        kept += itertools.islice(fails, HARD_FAILURES_KEPT - len(kept))
             out.write(summary + "\n")
-    kept = [r for cid in ids if cid in hard for r in hard[cid]]
-    return tallies, kept[:HARD_FAILURES_KEPT]
+    return tallies, kept
 
 
 def run_corpus(

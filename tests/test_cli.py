@@ -263,9 +263,16 @@ def _merge_lambda(monkeypatch):
     monkeypatch.setattr(claims, "sandwich_lambda", merged)
 
 
+def _refuse_congruences(monkeypatch):
+    """Make congruences.congruence_kind, which quotient consults, call
+    every partition no congruence."""
+    monkeypatch.setattr(congruences, "congruence_kind", lambda s, p: "none")
+
+
 @pytest.mark.parametrize("fault, failing", [
     (_flip_variants, {"C-2.1", "C-2.5", "C-FHT"}),
     (_merge_lambda, {"C-3.2", "C-3.4"}),
+    (_refuse_congruences, {"C-3.1", "C-3.4", "C-3.5", "C-FHT"}),
 ])
 def test_a_production_fault_is_a_fails_the_recheck_refuses(
         tmp_path, capsys, monkeypatch, fault, failing):

@@ -178,6 +178,34 @@ def test_a_pool_runs_only_on_several_cpus_and_chunks(tmp_path, monkeypatch,
         assert _check(tmp_path, "--orders", orders, "--claims", "C-2.5")[0] == 0
 
 
+def test_the_parent_keys_no_table_when_a_pool_runs(tmp_path, monkeypatch):
+    # the workers key, order-check and count their own chunks
+    parent, key = os.getpid(), runner.inline_table
+
+    def in_a_worker(s):
+        assert os.getpid() != parent, "the parent keyed a table"
+        return key(s)
+
+    _cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(runner, "inline_table", in_a_worker)
+    code, text = _check(tmp_path, "--orders", "2,3", "--claims", "C-2.5")
+    assert code == 0
+    assert json.loads(text.splitlines()[-1])["corpus"]["tables"] == {"2": 8, "3": 113}
+
+
+def test_a_run_without_hard_failures_decodes_no_record(tmp_path, monkeypatch):
+    def refused(lines):
+        raise AssertionError("a record was decoded")
+
+    monkeypatch.setattr(runner, "read_records", refused)
+    for cpus in CPU_SETS:
+        _cpus(monkeypatch, cpus)
+        code, text = _check(tmp_path, "--orders", "1,2,3", "--claims", "all")
+        assert code == 0
+        digest = hashlib.sha256(_blank_timestamp(text).encode()).hexdigest()
+        assert digest == GOLDEN_REPORTS[False], cpus
+
+
 def test_importing_the_cli_starts_no_process_machinery():
     # the pool's imports wait for a run that uses one
     probe = ("import sys, semivar, semivar.cli\n"
