@@ -109,7 +109,11 @@ _green = lru_cache(maxsize=512)(relations.green)
 _star = lru_cache(maxsize=512)(relations.star)
 _idem = lru_cache(maxsize=512)(idempotents)
 _natural = lru_cache(maxsize=512)(orders.natural_leq)
-_abundant = lru_cache(maxsize=512)(relations.is_abundant)
+
+
+@lru_cache(maxsize=512)
+def _abundant(s: FiniteSemigroup) -> bool:
+    return relations.is_abundant(s, _star(s))
 
 
 @lru_cache(maxsize=2048)
@@ -131,7 +135,7 @@ def _tilde(s: FiniteSemigroup, u: frozenset) -> relations.TildeBundle:
 
 @lru_cache(maxsize=2048)
 def _psets(s: FiniteSemigroup, a: int) -> variants.PSets:
-    return variants.p_sets(s, a)
+    return variants.p_sets(s, a, _star(s))
 
 
 def u_subsets(s: FiniteSemigroup) -> Iterator[tuple[int, ...]]:
@@ -589,12 +593,9 @@ def _recheck_c21(s, params, w, opts):
 
 
 def _plain_r_star(vt):
-    """R* of a table with its cancellation condition quantified over S only."""
-    n = len(vt)
-    return Equivalence.from_keys(n, [
-        tuple(vt[u][x] == vt[w][x] for u in range(n) for w in range(n))
-        for x in range(n)
-    ])
+    """R* of a table with its cancellation condition quantified over S only:
+    ``star``'s column kernels without the adjoined identity's value."""
+    return Equivalence.from_keys(len(vt), [relations._kernel_key(col) for col in zip(*vt)])
 
 
 def _check_c22q(s, opts, a):
@@ -623,7 +624,7 @@ def _recheck_c22q(s, params, w, opts):
 def _check_c22c(s, opts, a):
     n = s.order
     st = _star(_variant(s, a))
-    jp = st.d_star.pairs()
+    jp = relations.join(st.l_star, st.r_star).pairs()
     rl = relations.compose(st.r_star, st.l_star)
     lr = relations.compose(st.l_star, st.r_star)
     if rl == jp == lr:
@@ -726,7 +727,7 @@ def _check_c24(s, opts, a):
     v = _variant(s, a)
     vst = _star(v)
     rels = ((vst.l_star, "L*"), (vst.r_star, "R*"))
-    return _first(bare_classes(rels, idempotents(v)))
+    return _first(bare_classes(rels, _idem(v)))
 
 
 def _recheck_c24(s, params, w, opts):
@@ -766,7 +767,7 @@ def _per_u_idempotent(s):
 def _unabundant(v, us, opts):
     """The first L~/R~ class of v at U = us without a target idempotent."""
     td = _tilde(v, frozenset(us))
-    target = frozenset(us) if opts.strict_u else idempotents(v)
+    target = frozenset(us) if opts.strict_u else _idem(v)
     rels = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
     return _first(bare_classes(rels, target))
 
@@ -777,7 +778,7 @@ def _check_c26(s, opts, U, e, reading):
     v = _variant(s, e)
     if v.table[e][e] != e:  # the premise that C-2.5 checks
         return _NA
-    uprime = sorted(set(U) & idempotents(v)) if reading == "inter" else [e]
+    uprime = sorted(set(U) & _idem(v)) if reading == "inter" else [e]
     w = _unabundant(v, uprime, opts)
     return w and {"Uprime": uprime, **w}
 

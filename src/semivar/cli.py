@@ -37,7 +37,7 @@ from .enumeration import (
     iter_corpus,
 )
 from .orders import natural_leq
-from .relations import compose, green, star, tilde
+from .relations import compose, green, join, meet, star, tilde
 from .report import STATUS_FAILS, add_tallies, read_records, read_summary
 from .runner import write_report
 from .sgt import inline_table, parse_table, serialize_table
@@ -247,17 +247,18 @@ def _cmd_inspect(args) -> int:
             g = green(s)
             print(f"L  {_fmt_partition(g.l)}")
             print(f"R  {_fmt_partition(g.r)}")
-            print(f"H  {_fmt_partition(g.h)}")
-            print(f"D  {_fmt_partition(g.d)}")
-            print(f"J  {_fmt_partition(g.j)}")
+            d = join(g.l, g.r)  # and J: J = D in a finite semigroup (Howie, §2.1)
+            print(f"H  {_fmt_partition(meet(g.l, g.r))}")
+            print(f"D  {_fmt_partition(d)}")
+            print(f"J  {_fmt_partition(d)}")
         elif section == "star":
             st = star(s)
             print(f"L* {_fmt_partition(st.l_star)}")
             print(f"R* {_fmt_partition(st.r_star)}")
-            print(f"H* {_fmt_partition(st.h_star)}")
-            print(f"D* {_fmt_partition(st.d_star)}")
-            dp = st.d_star.pairs()
-            same = compose(st.r_star, st.l_star) == dp == compose(st.l_star, st.r_star)
+            dp = join(st.l_star, st.r_star)
+            print(f"H* {_fmt_partition(meet(st.l_star, st.r_star))}")
+            print(f"D* {_fmt_partition(dp)}")
+            same = compose(st.r_star, st.l_star) == dp.pairs() == compose(st.l_star, st.r_star)
             print(f"D* is R*oL* = L*oR*: {'yes' if same else 'no'}")
         elif section == "tilde":
             us = frozenset(ids) if ids is not None else idempotents(s)

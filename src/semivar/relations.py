@@ -166,17 +166,12 @@ def compose(p: Equivalence, q: Equivalence) -> frozenset[tuple[int, int]]:
 class GreenBundle:
     l: Equivalence
     r: Equivalence
-    h: Equivalence
-    d: Equivalence
-    j: Equivalence
 
 
 @dataclass(frozen=True)
 class StarBundle:
     l_star: Equivalence
     r_star: Equivalence
-    h_star: Equivalence
-    d_star: Equivalence
 
 
 @dataclass(frozen=True)
@@ -187,10 +182,11 @@ class TildeBundle:
 
 
 def green(s: FiniteSemigroup) -> GreenBundle:
-    """Classical L and R (principal one-sided ideals), H = meet, D = join.
+    """Classical L and R (principal one-sided ideals); H is ``meet(l, r)``
+    and D is ``join(l, r)``.
 
     J is D: in a finite semigroup the two coincide (J. M. Howie,
-    *Fundamentals of Semigroup Theory*, 1995, §2.1), so ``j`` is ``d``.
+    *Fundamentals of Semigroup Theory*, 1995, §2.1).
     """
     n = s.order
     t = s.table
@@ -203,10 +199,8 @@ def green(s: FiniteSemigroup) -> GreenBundle:
         as_.add(a)
         left_ideals.append(frozenset(sa))
         right_ideals.append(frozenset(as_))
-    l = Equivalence.from_keys(n, left_ideals)
-    r = Equivalence.from_keys(n, right_ideals)
-    d = join(l, r)
-    return GreenBundle(l=l, r=r, h=meet(l, r), d=d, j=d)
+    return GreenBundle(l=Equivalence.from_keys(n, left_ideals),
+                       r=Equivalence.from_keys(n, right_ideals))
 
 
 def _kernel_key(values: Sequence[int]) -> tuple[int, ...]:
@@ -216,7 +210,7 @@ def _kernel_key(values: Sequence[int]) -> tuple[int, ...]:
 
 
 def star(s: FiniteSemigroup) -> StarBundle:
-    """Starred relations over S^1.
+    """Starred relations over S^1; H* and D* are their meet and join.
 
     a R* b iff the maps x -> xa and x -> xb (x over S^1) have equal
     kernels, which is the cancellation condition xa = ya <=> xb = yb.
@@ -227,9 +221,8 @@ def star(s: FiniteSemigroup) -> StarBundle:
     # identity e it repeats e's value, so the kernels are unchanged
     r_keys = [_kernel_key([t[x][a] for x in range(n)] + [a]) for a in range(n)]
     l_keys = [_kernel_key([t[a][x] for x in range(n)] + [a]) for a in range(n)]
-    r = Equivalence.from_keys(n, r_keys)
-    l = Equivalence.from_keys(n, l_keys)
-    return StarBundle(l_star=l, r_star=r, h_star=meet(l, r), d_star=join(l, r))
+    return StarBundle(l_star=Equivalence.from_keys(n, l_keys),
+                      r_star=Equivalence.from_keys(n, r_keys))
 
 
 def _checked_u(s: FiniteSemigroup, u: Iterable[int]) -> tuple[int, ...]:
@@ -274,9 +267,8 @@ def bare_classes(
     )
 
 
-def is_abundant(s: FiniteSemigroup) -> bool:
-    """Every L*-class and every R*-class contains an idempotent."""
-    bundle = star(s)
+def is_abundant(s: FiniteSemigroup, bundle: StarBundle) -> bool:
+    """Every L*-class and every R*-class meets E(S); bundle is ``star(s)``."""
     rels = ((bundle.l_star, "L*"), (bundle.r_star, "R*"))
     return next(bare_classes(rels, idempotents(s)), None) is None
 

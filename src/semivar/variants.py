@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ElementSubset, FiniteSemigroup, NotIdempotent, check_element
-from .relations import star
+from .relations import StarBundle
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,9 @@ def idempotent_variant(s: FiniteSemigroup, e: int) -> FiniteSemigroup:
     return v
 
 
-def p_sets(s: FiniteSemigroup, a: int) -> PSets:
-    """The P-sets of the sandwich element a, against the base's starred relations."""
+def p_sets(s: FiniteSemigroup, a: int, bundle: StarBundle) -> PSets:
+    """The P-sets of the sandwich element a; bundle is ``star(s)``, the base's."""
     check_element(s, a)
-    bundle = star(s)
     t = s.table
     p1 = frozenset(x for x in s.elements if bundle.r_star.same(t[a][x], x))
     p2 = frozenset(x for x in s.elements if bundle.l_star.same(t[x][a], x))

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import itertools
 import re
+import sys
 import textwrap
 import time
 
@@ -13,7 +14,7 @@ import pytest
 
 from semivar import (
     FiniteSemigroup, NotAssociative, OrderTooLarge, build_semigroup, claims, cli,
-    congruences, orders, relations,
+    congruences, orders, relations, variants,
 )
 from semivar.claims import (
     HARD_CLAIM_IDS,
@@ -373,6 +374,49 @@ def test_hard_claims_hold_on_corpus(corpus3):
         for cid in sorted(HARD_CLAIM_IDS):
             for r in evaluate_claim(cid, s):
                 assert r.status != STATUS_FAILS, (cid, r.table, r.params, r.witness)
+
+
+def _clear_claim_caches():
+    for value in vars(claims).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_no_claim_builds_a_meet(monkeypatch, corpus3):
+    # green and star build the one-sided relations only; no claim reads
+    # H or H*, so no claim needs a meet
+    def refuse(p, q):
+        raise AssertionError("meet called")
+
+    monkeypatch.setattr(relations, "meet", refuse)
+    _clear_claim_caches()
+    for options in (Options(), Options(strict_u=True)):
+        for s in corpus3:
+            for claim in REGISTRY.values():
+                claim.evaluate(s, options)
+
+
+def test_each_starred_bundle_is_built_once_a_table(corpus3):
+    # all claims together call star at most once on S and on each distinct
+    # variant S^a: p_sets and is_abundant take the cached bundle
+    star_code = relations.star.__code__
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is star_code:
+            built.append(frame.f_locals["s"])
+
+    for s in corpus3:
+        _clear_claim_caches()
+        built.clear()
+        sys.setprofile(profile)
+        try:
+            for claim in REGISTRY.values():
+                claim.evaluate(s, Options())
+        finally:
+            sys.setprofile(None)
+        assert set(built) <= {s} | {variants.variant(s, a) for a in s.elements}, s.table
+        assert len(built) == len(set(built)), s.table
 
 
 def _quotient_with_a_wrong_entry(s, p):

@@ -27,7 +27,7 @@ from semivar.core import (
     translate_set,
 )
 from semivar.orders import idempotent_leq
-from semivar.relations import CarrierMismatch, EmptyU, NotIdempotentMember
+from semivar.relations import CarrierMismatch, EmptyU, NotIdempotentMember, star
 from semivar.sgt import TableSyntaxError
 from semivar.variants import idempotent_variant, p_sets, variant
 from .conftest import LEFT_ZERO, NOT_ASSOCIATIVE, Z2, full_corpus
@@ -136,7 +136,7 @@ ID_TAKERS = {
     "translate_set": translate_set,
     "variant": variant,
     "idempotent_variant": idempotent_variant,
-    "p_sets": p_sets,
+    "p_sets": lambda s, x: p_sets(s, x, star(s)),
     "principal_congruence(x, 0)": lambda s, x: principal_congruence(s, x, 0),
     "principal_congruence(0, x)": lambda s, x: principal_congruence(s, 0, x),
     "sandwich_lambda": sandwich_lambda,

@@ -77,9 +77,8 @@ def test_green_left_zero(left_zero):
     g = green(left_zero)
     assert g.l.classes == ((0, 1),)
     assert g.r.classes == ((0,), (1,))
-    assert g.h.classes == ((0,), (1,))
-    assert g.d.classes == ((0, 1),)
-    assert g.j.classes == ((0, 1),)
+    assert meet(g.l, g.r).classes == ((0,), (1,))
+    assert join(g.l, g.r).classes == ((0, 1),)
 
 
 def test_green_right_zero(right_zero):
@@ -90,20 +89,20 @@ def test_green_right_zero(right_zero):
 
 def test_green_group_is_universal(z2):
     g = green(z2)
-    for rel in (g.l, g.r, g.h, g.d, g.j):
+    for rel in (g.l, g.r, meet(g.l, g.r), join(g.l, g.r)):
         assert rel.classes == ((0, 1),)
 
 
 def test_green_null_is_trivial(null2):
     g = green(null2)
-    for rel in (g.l, g.r, g.h, g.d, g.j):
+    for rel in (g.l, g.r, meet(g.l, g.r), join(g.l, g.r)):
         assert rel.classes == ((0,), (1,))
 
 
 def test_green_semilattice_is_trivial(chain3):
     g = green(chain3)
     assert g.l.classes == ((0,), (1,), (2,))
-    assert g.j.classes == ((0,), (1,), (2,))
+    assert join(g.l, g.r).classes == ((0,), (1,), (2,))
 
 
 # --- starred relations -----------------------------------------------------
@@ -113,8 +112,8 @@ def test_star_left_zero(left_zero):
     st_ = star(left_zero)
     assert st_.l_star.classes == ((0, 1),)
     assert st_.r_star.classes == ((0,), (1,))
-    assert st_.h_star.classes == ((0,), (1,))
-    assert st_.d_star.classes == ((0, 1),)
+    assert meet(st_.l_star, st_.r_star).classes == ((0,), (1,))
+    assert join(st_.l_star, st_.r_star).classes == ((0, 1),)
 
 
 def test_star_null_is_trivial(null2):
@@ -154,25 +153,37 @@ def test_green_refines_star(s):
     st_ = star(s)
     assert g.l.refines(st_.l_star)
     assert g.r.refines(st_.r_star)
-    assert g.h.refines(st_.h_star)
+    assert meet(g.l, g.r).refines(meet(st_.l_star, st_.r_star))
+
+
+def _transitive_closure(pairs):
+    closure = set(pairs)
+    while True:
+        step = {(x, z) for x, y in closure for y2, z in closure if y == y2}
+        if step <= closure:
+            return frozenset(closure)
+        closure |= step
 
 
 @given(st.sampled_from(full_corpus(1, 2, 3)))
 def test_h_is_meet_and_d_is_join(s):
+    # H = L & R and D = L o R = R o L (Howie, Fundamentals, §2.1), read off
+    # the pair sets; D* is only the transitive closure of L* | R*
     g = green(s)
-    assert g.h == meet(g.l, g.r)
-    assert g.d == join(g.l, g.r)
+    assert meet(g.l, g.r).pairs() == g.l.pairs() & g.r.pairs()
+    assert join(g.l, g.r).pairs() == compose(g.l, g.r) == compose(g.r, g.l)
     st_ = star(s)
-    assert st_.h_star == meet(st_.l_star, st_.r_star)
-    assert st_.d_star == join(st_.l_star, st_.r_star)
+    ls, rs = st_.l_star.pairs(), st_.r_star.pairs()
+    assert meet(st_.l_star, st_.r_star).pairs() == ls & rs
+    assert join(st_.l_star, st_.r_star).pairs() == _transitive_closure(ls | rs)
 
 
 def test_j_matches_the_principal_ideal_oracle(classes5):
-    # J is taken to be D; the oracle builds J from S^1aS^1 directly
+    # J is taken to be D, the join of L and R; the oracle builds J from
+    # S^1aS^1 directly
     for s in itertools.chain(full_corpus(1, 2, 3, 4), classes5):
         g = green(s)
-        assert g.j is g.d
-        assert set(map(frozenset, g.j.classes)) == j_classes(s.table), s.table
+        assert set(map(frozenset, join(g.l, g.r).classes)) == j_classes(s.table), s.table
 
 
 # --- tilde relations -------------------------------------------------------
@@ -220,9 +231,9 @@ def test_regular_semigroups_have_matching_green_and_star(s):
 
 
 def test_abundance(left_zero, null2, z2):
-    assert is_abundant(left_zero)
-    assert is_abundant(z2)
-    assert not is_abundant(null2)
+    assert is_abundant(left_zero, star(left_zero))
+    assert is_abundant(z2, star(z2))
+    assert not is_abundant(null2, star(null2))
 
 
 def test_weak_abundance_strict_flag(min2):
@@ -234,6 +245,6 @@ def test_weak_abundance_strict_flag(min2):
 
 @given(st.sampled_from(full_corpus(1, 2, 3)))
 def test_abundant_tables_are_weakly_abundant_at_e(s):
-    if not is_abundant(s):
+    if not is_abundant(s, star(s)):
         return
     assert is_weakly_u_abundant(s, idempotents(s))

@@ -130,6 +130,19 @@ def _blank_timestamp(text):
     return "\n".join(lines)
 
 
+def _digest(path):
+    """sha256 of the report at path with its timestamp blanked, read a line
+    at a time."""
+    digest = hashlib.sha256()
+    with path.open() as lines:
+        last = next(lines)
+        for line in lines:
+            digest.update(last.encode())
+            last = line
+    digest.update(_blank_timestamp(last).encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("strict_u", [False, True])
 def test_cli_report_matches_golden_digest(tmp_path, monkeypatch, strict_u):
     argv = ["--orders", "1,2,3", "--claims", "all"] + ["--strict-u"] * strict_u
@@ -378,8 +391,25 @@ def test_order5_classes_run_in_flat_memory(tmp_path):
             pass
     tallies = json.loads(last)["tallies"]
     assert records == sum(sum(t.values()) for t in tallies.values()) == 253185
+    assert _digest(out) == "2484606f83182520b899a1e81fe2bef780b646ffcd7417a2f01a39ad6e8e52bb"
     assert sum(t["fails"] for cid, t in tallies.items() if cid in HARD_CLAIM_IDS) == 0
     assert peak_mb < 100, peak_mb
+
+
+# sha256 of the order-4 report over all claims, timestamp blanked
+ORDER4_REPORTS = {
+    False: "9156137d7fd5a47cb181b5c5daebe5f47ecb951d2dac7525c685cb1ae374376a",
+    True: "e1f1fe0d2321762c177b023bba47453362788e2a426d94b4aa786ae093015bff",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_order4_report_matches_golden_digest(tmp_path, strict_u):
+    # the labeled order-4 corpus, 3,492 tables and 373,370 records a run
+    argv = ["--orders", "4", "--claims", "all"] + ["--strict-u"] * strict_u
+    _, out = _check_in_child(tmp_path, 600, *argv)
+    assert _digest(out) == ORDER4_REPORTS[strict_u]
 
 
 @pytest.mark.slow
