@@ -57,7 +57,6 @@ from .congruences import (
     are_isomorphic,
     congruence_kind,
     fundamental_among,
-    induced_subsemigroup,
     is_fundamental,
     quotient,
     sandwich_lambda,
@@ -65,7 +64,7 @@ from .congruences import (
     u_translate_hom,
 )
 from .core import FiniteSemigroup, OrderTooLarge, SemigroupError, idempotents
-from .relations import Equivalence, bare_classes
+from .relations import Equivalence, NotIdempotentMember, bare_classes
 from .report import (
     STATUS_FAILS,
     STATUS_HOLDS,
@@ -129,8 +128,12 @@ def _congruences(s: FiniteSemigroup) -> tuple[Equivalence, ...]:
 
 
 @lru_cache(maxsize=2048)
-def _tilde(s: FiniteSemigroup, u: frozenset) -> relations.TildeBundle:
-    return relations.tilde(s, u)
+def _tilde(s: FiniteSemigroup, u: frozenset):
+    """(tilde(s, u), None), or (None, the member of u that tilde refuses)."""
+    try:
+        return relations.tilde(s, u), None
+    except NotIdempotentMember as err:
+        return None, err.element
 
 
 @lru_cache(maxsize=2048)
@@ -220,22 +223,31 @@ def _star_sides(st: relations.StarBundle, table):
 
 
 def _law_violation(rel: orders.OrderRelation):
-    """The first partial-order law rel breaks, with its elements, or None."""
-    x = rel.check_reflexive()
-    if x is not None:
-        return {"law": "reflexivity", "x": x}
-    pair = rel.check_antisymmetric()
-    if pair is not None:
-        return {"law": "antisymmetry", "x": pair[0], "y": pair[1]}
-    trio = rel.check_transitive()
-    if trio is not None:
-        return {"law": "transitivity", "x": trio[0], "y": trio[1], "z": trio[2]}
-    return None
+    """The first partial-order law rel breaks, with its elements, or None:
+    reflexivity, then antisymmetry, then transitivity."""
+    le, ids, r = rel.leq, rel.elements, range(len(rel.elements))
+    return _first(itertools.chain(
+        ({"law": "reflexivity", "x": ids[i]} for i in r if not le[i][i]),
+        ({"law": "antisymmetry", "x": ids[i], "y": ids[j]}
+         for i in r for j in r if i != j and le[i][j] and le[j][i]),
+        ({"law": "transitivity", "x": ids[i], "y": ids[j], "z": ids[k]}
+         for i in r for j in r if le[i][j] for k in r if le[j][k] and not le[i][k]),
+    ))
+
+
+@lru_cache(maxsize=64)
+def _isomorphism(a, b):
+    """The map are_isomorphic(a, b) returns when it is a bijective
+    homomorphism a -> b, else None."""
+    f, r, ta, tb = are_isomorphic(a, b), range(a.order), a.table, b.table
+    ok = (f is not None and a.order == b.order and sorted(f) == list(r)
+          and all(f[ta[x][y]] == tb[f[x]][f[y]] for x in r for y in r))
+    return f if ok else None
 
 
 def _iso_witness(a, b, name_a, name_b):
-    """Both tables, under the given names, when a and b are not isomorphic."""
-    if are_isomorphic(a, b) is None:
+    """Both tables, under the given names, unless _isomorphism finds one."""
+    if _isomorphism(a, b) is None:
         return {name_a: inline_table(a), name_b: inline_table(b)}
     return None
 
@@ -477,7 +489,10 @@ def _recheck_c13(s, params, w, opts):
 
 
 def _check_cincl(s, opts, U):
-    g, st, td = _green(s), _star(s), _tilde(s, frozenset(U))
+    td, bad = _tilde(s, frozenset(U))
+    if td is None:
+        return {"part": "refused", "element": bad}
+    g, st = _green(s), _star(s)
     links = (
         ("L", "L*", g.l, st.l_star), ("L*", "L~", st.l_star, td.l_tilde),
         ("R", "R*", g.r, st.r_star), ("R*", "R~", st.r_star, td.r_tilde),
@@ -497,6 +512,8 @@ def _check_cincl(s, opts, U):
 def _recheck_cincl(s, params, w, opts):
     t = s.table
     us = tuple(sorted(params["U"]))
+    if w["part"] == "refused":  # tilde refused an idempotent in U
+        return w["element"] in set(us).intersection(_idems_lit(t))
     body = w["part"].split(":", 1)[-1]
     names = body.split("<=" if "<=" in body else "=")
     first, second = (_related_lit(t, name, us) for name in names)
@@ -514,7 +531,10 @@ def _check_c14(s, opts):
     if not _abundant(s):
         return _NA
     es = _idem(s)
-    st, td = _star(s), _tilde(s, es)
+    td, bad = _tilde(s, es)
+    if td is None:
+        return {"part": "refused", "element": bad}
+    st = _star(s)
     pairs = ((st.l_star, td.l_tilde, "L*=L~"), (st.r_star, td.r_tilde, "R*=R~"))
     tildes = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
     return _first(itertools.chain(
@@ -530,6 +550,8 @@ def _recheck_c14(s, params, w, opts):
     if not _abundant_lit(t):
         return False
     us = tuple(_idems_lit(t))
+    if w["part"] == "refused":  # tilde refused an idempotent
+        return w["element"] in us
     if w["part"] == "weakly-abundant":
         return _bare_class_lit(t, w["relation"], w["element"], set(us), us)
     first, second = (_related_lit(t, name, us) for name in w["part"].split("="))
@@ -545,7 +567,9 @@ def _per_u_relation(s):
 
 
 def _check_noncong(s, opts, U, relation):
-    td = _tilde(s, frozenset(U))
+    td, _ = _tilde(s, frozenset(U))
+    if td is None:  # C-INCL reports a refused U
+        return _NA
     rel = td.l_tilde if relation == "L~" else td.r_tilde
     # L~ is tested on right translates x.z, R~ on left translates z.x
     t = s.table if relation == "L~" else _dual(s.table)
@@ -764,23 +788,26 @@ def _per_u_idempotent(s):
     return [{"U": list(us), "e": e} for us in u_subsets(s) for e in us]
 
 
-def _unabundant(v, us, opts):
-    """The first L~/R~ class of v at U = us without a target idempotent."""
-    td = _tilde(v, frozenset(us))
-    target = frozenset(us) if opts.strict_u else _idem(v)
+@lru_cache(maxsize=64)
+def _unabundant(v, us: frozenset, opts):
+    """The first L~/R~ class of v at U = us without a target idempotent,
+    or _NA when tilde refuses a member of us as no idempotent of v."""
+    td, _ = _tilde(v, us)
+    if td is None:
+        return _NA
+    target = us if opts.strict_u else _idem(v)
     rels = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
     return _first(bare_classes(rels, target))
 
 
 def _check_c26(s, opts, U, e, reading):
-    if _unabundant(s, U, opts) is not None:
-        return _NA
     v = _variant(s, e)
-    if v.table[e][e] != e:  # the premise that C-2.5 checks
+    # the premises: S weakly U-abundant, and e idempotent in S^e (C-2.5's)
+    if _unabundant(s, frozenset(U), opts) is not None or v.table[e][e] != e:
         return _NA
     uprime = sorted(set(U) & _idem(v)) if reading == "inter" else [e]
-    w = _unabundant(v, uprime, opts)
-    return w and {"Uprime": uprime, **w}
+    w = _unabundant(v, frozenset(uprime), opts)
+    return w if w is None or w is _NA else {"Uprime": uprime, **w}
 
 
 def _recheck_c26(s, params, w, opts, reading):
@@ -909,6 +936,7 @@ def _recheck_c32(s, params, w, opts):
 # C-3.4  S^u / lambda^u is isomorphic to uS
 
 
+@lru_cache(maxsize=64)
 def _quotient(v, p):
     """(v / p, None), or (None, its congruence kind) when quotient refuses p."""
     try:
@@ -917,12 +945,17 @@ def _quotient(v, p):
         return None, err.kind
 
 
+@lru_cache(maxsize=64)
+def _translation(s, u):
+    """(uS, x -> ux): C-3.4 reads uS and C-FHT both."""
+    return u_translate_hom(s, u)
+
+
 def _check_c34(s, opts, u):
     q, kind = _quotient(_variant(s, u), sandwich_lambda(s, u))
     if q is None:
         return {"part": "lambda-not-congruence", "kind": kind}
-    image = induced_subsemigroup(s, core.translate_set(s, u))
-    return _iso_witness(q, image, "quotient", "image")
+    return _iso_witness(q, _translation(s, u)[0], "quotient", "image")
 
 
 def _recheck_c34(s, params, w, opts):
@@ -971,7 +1004,7 @@ def _recheck_c35(s, params, w, opts):
 
 
 def _check_cfht(s, opts, u):
-    image, f = u_translate_hom(s, u)
+    image, f = _translation(s, u)
     v, it = _variant(s, u), image.table
     broken = _first(
         {"part": "hom", "x": x, "y": y}
@@ -1022,13 +1055,12 @@ def _recheck_cfund(s, params, w, opts):
 
 
 def _check_c40(s, opts):
-    t, leq = s.table, _natural(s).leq
-    es = sorted(_idem(s))
+    leq, usual = _natural(s).leq, orders.idempotent_order(s)
     return _first(
         {"e": e, "f": f, "natural": leq[e][f], "usual": not leq[e][f]}
-        for e in es
-        for f in es
-        if leq[e][f] != (t[e][f] == e and t[f][e] == e)
+        for e in usual.elements
+        for f in usual.elements
+        if leq[e][f] != usual.holds(e, f)
     )
 
 
@@ -1089,7 +1121,7 @@ def _recheck_c41r(s, params, w, opts):
 
 
 def _check_c42(s, opts, e):
-    return _law_violation(orders.variant_idempotent_leq(s, e))
+    return _law_violation(orders.idempotent_order(_variant(s, e)))
 
 
 def _recheck_c42(s, params, w, opts):

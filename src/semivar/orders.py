@@ -4,15 +4,15 @@ All existential quantifiers run over the adjoined-identity monoid, so
 the trivial witnesses x = y = 1 are always available for a <= a.
 
 The order produced for E(S^e) is a genuine partial order; the order on
-all of S^e and the natural order on S are *measured* -- callers check the
-laws with the check_* methods rather than assuming them.
+all of S^e and the natural order on S are *measured*:
+``claims._law_violation`` checks the laws rather than assuming them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteSemigroup, NotIdempotent, check_element
+from .core import FiniteSemigroup
 from .variants import idempotent_variant
 
 
@@ -26,34 +26,6 @@ class OrderRelation:
     def holds(self, x: int, y: int) -> bool:
         """leq by element id (not position)."""
         return self.leq[self.elements.index(x)][self.elements.index(y)]
-
-    def check_reflexive(self) -> int | None:
-        """First element id with not (x <= x), or None."""
-        for i, x in enumerate(self.elements):
-            if not self.leq[i][i]:
-                return x
-        return None
-
-    def check_antisymmetric(self) -> tuple[int, int] | None:
-        """First (x, y), x != y, with x <= y and y <= x, or None."""
-        n = len(self.elements)
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
-                    return self.elements[i], self.elements[j]
-        return None
-
-    def check_transitive(self) -> tuple[int, int, int] | None:
-        """First (x, y, z) with x <= y <= z but not x <= z, or None."""
-        n = len(self.elements)
-        for i in range(n):
-            for j in range(n):
-                if not self.leq[i][j]:
-                    continue
-                for k in range(n):
-                    if self.leq[j][k] and not self.leq[i][k]:
-                        return self.elements[i], self.elements[j], self.elements[k]
-        return None
 
 
 def natural_leq(s: FiniteSemigroup) -> OrderRelation:
@@ -73,25 +45,20 @@ def natural_leq(s: FiniteSemigroup) -> OrderRelation:
     return OrderRelation(tuple(range(n)), tuple(rows))
 
 
-def idempotent_leq(s: FiniteSemigroup, e: int, f: int) -> bool:
-    """The usual idempotent order: e <= f iff ef = fe = e."""
+def idempotent_order(s: FiniteSemigroup) -> OrderRelation:
+    """The usual order on E(S): e <= f iff ef = fe = e."""
     t = s.table
-    for x in (e, f):
-        check_element(s, x)
-        if t[x][x] != x:
-            raise NotIdempotent(x)
-    return t[e][f] == e and t[f][e] == e
-
-
-def variant_idempotent_leq(s: FiniteSemigroup, e: int) -> OrderRelation:
-    """<=_e restricted to E(S^e): x <= y iff x*y = y*x = x.  ValueError
-    for an e out of range, NotIdempotent for a non-idempotent e."""
-    t = idempotent_variant(s, e).table
     members = tuple(x for x in s.elements if t[x][x] == x)
     rows = tuple(
         tuple(t[x][y] == x and t[y][x] == x for y in members) for x in members
     )
     return OrderRelation(members, rows)
+
+
+def variant_idempotent_leq(s: FiniteSemigroup, e: int) -> OrderRelation:
+    """<=_e restricted to E(S^e): the idempotent order of S^e.  ValueError
+    for an e out of range, NotIdempotent for a non-idempotent e."""
+    return idempotent_order(idempotent_variant(s, e))
 
 
 def variant_leq(s: FiniteSemigroup, e: int) -> OrderRelation:

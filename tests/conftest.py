@@ -8,13 +8,29 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck, settings
 
-from semivar import build_semigroup
+from semivar import build_semigroup, claims
 from semivar.enumeration import DEDUP_ISO, CorpusSpec, iter_corpus
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+
+def clear_claim_caches():
+    """Empty every lru_cache of the claims module."""
+    for value in vars(claims).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_claim_caches():
+    # a cached object built under one test's patched builder must not
+    # reach the next test
+    clear_claim_caches()
+    yield
+    clear_claim_caches()
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ from semivar.report import (
 )
 from semivar.sgt import inline_table, parse_inline
 
-from .conftest import full_corpus
+from .conftest import clear_claim_caches, full_corpus
 
 
 EXPECTED_IDS = {
@@ -376,12 +376,6 @@ def test_hard_claims_hold_on_corpus(corpus3):
                 assert r.status != STATUS_FAILS, (cid, r.table, r.params, r.witness)
 
 
-def _clear_claim_caches():
-    for value in vars(claims).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
 def test_no_claim_builds_a_meet(monkeypatch, corpus3):
     # green and star build the one-sided relations only; no claim reads
     # H or H*, so no claim needs a meet
@@ -389,7 +383,6 @@ def test_no_claim_builds_a_meet(monkeypatch, corpus3):
         raise AssertionError("meet called")
 
     monkeypatch.setattr(relations, "meet", refuse)
-    _clear_claim_caches()
     for options in (Options(), Options(strict_u=True)):
         for s in corpus3:
             for claim in REGISTRY.values():
@@ -407,7 +400,7 @@ def test_each_starred_bundle_is_built_once_a_table(corpus3):
             built.append(frame.f_locals["s"])
 
     for s in corpus3:
-        _clear_claim_caches()
+        clear_claim_caches()
         built.clear()
         sys.setprofile(profile)
         try:
@@ -417,6 +410,51 @@ def test_each_starred_bundle_is_built_once_a_table(corpus3):
             sys.setprofile(None)
         assert set(built) <= {s} | {variants.variant(s, a) for a in s.elements}, s.table
         assert len(built) == len(set(built)), s.table
+
+
+def test_each_derived_object_is_built_once_a_table(monkeypatch, corpus3):
+    # C-3.4 builds each S^u/lambda^u and its isomorphism with uS; C-3.5 and
+    # C-FHT read them, C-4.2 reads the S^e that C-2.1 built, and C-2.6
+    # evaluates its premise once per U
+    built, claim = [], [None]
+
+    def counted(name, build):
+        def wrapper(*args):
+            built.append((name, claim[0], args))
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(claims, "quotient", counted("quotient", congruences.quotient))
+    monkeypatch.setattr(claims, "are_isomorphic", counted("iso", congruences.are_isomorphic))
+    monkeypatch.setattr(variants, "variant", counted("variant", variants.variant))
+    premise_code = inspect.unwrap(claims._unabundant).__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is premise_code:
+            args = frame.f_locals
+            built.append(("unabundant", claim[0],
+                          (args["v"], frozenset(args["us"]), args["opts"].strict_u)))
+
+    def builders(name):
+        return {cid for n, cid, _ in built if n == name}
+
+    for opts in (Options(), Options(strict_u=True)):
+        for s in corpus3:
+            clear_claim_caches()
+            built.clear()
+            sys.setprofile(profile)
+            try:
+                for claim[0], c in REGISTRY.items():
+                    c.evaluate(s, opts)
+            finally:
+                sys.setprofile(None)
+            keys = [(name, key) for name, _, key in built]
+            assert len(keys) == len(set(keys)), s.table
+            assert builders("quotient") <= {"C-3.1", "C-3.4"}, s.table
+            assert builders("iso") <= {"C-3.4", "C-3.5"}, s.table
+            assert builders("variant") == {"C-2.1"}, s.table
+            premises = {(s, frozenset(us), opts.strict_u) for us in claims.u_subsets(s)}
+            assert premises <= {key for name, key in keys if name == "unabundant"}, s.table
 
 
 def _quotient_with_a_wrong_entry(s, p):

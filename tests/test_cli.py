@@ -269,10 +269,22 @@ def _refuse_congruences(monkeypatch):
     monkeypatch.setattr(congruences, "congruence_kind", lambda s, p: "none")
 
 
+def _identity_isomorphisms(monkeypatch):
+    """Make claims.are_isomorphic answer every query with the identity map."""
+    monkeypatch.setattr(claims, "are_isomorphic", lambda a, b: tuple(range(a.order)))
+
+
+def _every_element_idempotent(monkeypatch):
+    """Make claims._idem, which the U-domains read, return every element."""
+    monkeypatch.setattr(claims, "_idem", lambda s: frozenset(s.elements))
+
+
 @pytest.mark.parametrize("fault, failing", [
     (_flip_variants, {"C-2.1", "C-2.5", "C-FHT"}),
     (_merge_lambda, {"C-3.2", "C-3.4"}),
     (_refuse_congruences, {"C-3.1", "C-3.4", "C-3.5", "C-FHT"}),
+    (_identity_isomorphisms, {"C-3.4", "C-3.5", "C-FHT"}),
+    (_every_element_idempotent, {"C-INCL", "C-1.4"}),
 ])
 def test_a_production_fault_is_a_fails_the_recheck_refuses(
         tmp_path, capsys, monkeypatch, fault, failing):
@@ -280,19 +292,15 @@ def test_a_production_fault_is_a_fails_the_recheck_refuses(
     # FAILS the literal recheck refuses, not a crash and not a HOLDS
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     fault(monkeypatch)
-    claims._variant.cache_clear()
-    try:
-        out = tmp_path / "report.jsonl"
-        code, _, err = run_cli(capsys, "check", "--orders", "2,3", "--claims", "all",
-                               "--out", str(out))
-        assert code == 2, err
-        assert failing <= set(Report.loads(out.read_text()).failed_claim_ids())
-        code, _, err = run_cli(capsys, "recheck", str(out))
-        problems = err.splitlines()
-        assert code == 2
-        assert problems[:-1] and all(p.endswith(": witness not confirmed") for p in problems[:-1])
-    finally:
-        claims._variant.cache_clear()
+    out = tmp_path / "report.jsonl"
+    code, _, err = run_cli(capsys, "check", "--orders", "2,3", "--claims", "all",
+                           "--out", str(out))
+    assert code == 2, err
+    assert failing <= set(Report.loads(out.read_text()).failed_claim_ids())
+    code, _, err = run_cli(capsys, "recheck", str(out))
+    problems = err.splitlines()
+    assert code == 2
+    assert problems[:-1] and all(p.endswith(": witness not confirmed") for p in problems[:-1])
 
 
 def _tampered(tmp_path, source, edit):

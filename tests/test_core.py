@@ -26,7 +26,7 @@ from semivar.core import (
     is_regular_element,
     translate_set,
 )
-from semivar.orders import idempotent_leq
+from semivar.orders import variant_idempotent_leq, variant_leq
 from semivar.relations import CarrierMismatch, EmptyU, NotIdempotentMember, star
 from semivar.sgt import TableSyntaxError
 from semivar.variants import idempotent_variant, p_sets, variant
@@ -141,8 +141,8 @@ ID_TAKERS = {
     "principal_congruence(0, x)": lambda s, x: principal_congruence(s, 0, x),
     "sandwich_lambda": sandwich_lambda,
     "sandwich_rho": sandwich_rho,
-    "idempotent_leq(x, 0)": lambda s, x: idempotent_leq(s, x, 0),
-    "idempotent_leq(0, x)": lambda s, x: idempotent_leq(s, 0, x),
+    "variant_idempotent_leq": variant_idempotent_leq,
+    "variant_leq": variant_leq,
 }
 
 

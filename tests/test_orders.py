@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semivar.claims import _law_violation
 from semivar.core import NotIdempotent, idempotents
 from semivar.orders import (
-    idempotent_leq,
+    OrderRelation,
+    idempotent_order,
     natural_leq,
     variant_idempotent_leq,
     variant_leq,
@@ -47,26 +49,25 @@ def test_natural_order_matches_oracle(s):
 @given(st.sampled_from(full_corpus(1, 2, 3)))
 def test_natural_order_is_a_partial_order(s):
     # an empirical fact over this corpus, frozen as a regression
-    nat = natural_leq(s)
-    assert nat.check_reflexive() is None
-    assert nat.check_antisymmetric() is None
-    assert nat.check_transitive() is None
+    assert _law_violation(natural_leq(s)) is None
 
 
 def test_idempotent_leq(chain3, z2):
-    assert idempotent_leq(chain3, 0, 1)
-    assert not idempotent_leq(chain3, 1, 0)
-    assert idempotent_leq(chain3, 1, 1)
-    with pytest.raises(NotIdempotent):
-        idempotent_leq(z2, 1, 0)
+    leq = idempotent_order(chain3)
+    assert leq.holds(0, 1)
+    assert not leq.holds(1, 0)
+    assert leq.holds(1, 1)
+    # the order lives on E(S) alone
+    assert idempotent_order(z2).elements == (0,)
 
 
 @given(st.sampled_from(full_corpus(1, 2, 3)))
 def test_natural_order_extends_idempotent_order(s):
-    nat = natural_leq(s)
-    for e in sorted(idempotents(s)):
-        for f in sorted(idempotents(s)):
-            assert nat.holds(e, f) == idempotent_leq(s, e, f)
+    nat, usual = natural_leq(s), idempotent_order(s)
+    assert usual.elements == tuple(sorted(idempotents(s)))
+    for e in usual.elements:
+        for f in usual.elements:
+            assert nat.holds(e, f) == usual.holds(e, f)
 
 
 def test_variant_idempotent_leq_on_left_zero(left_zero):
@@ -89,10 +90,7 @@ def test_variant_idempotent_leq_rejects_bad_sandwich(z2):
 @given(st.sampled_from(full_corpus(1, 2, 3)))
 def test_variant_idempotent_order_is_partial_order(s):
     for e in sorted(idempotents(s)):
-        rel = variant_idempotent_leq(s, e)
-        assert rel.check_reflexive() is None
-        assert rel.check_antisymmetric() is None
-        assert rel.check_transitive() is None
+        assert _law_violation(variant_idempotent_leq(s, e)) is None
 
 
 @given(st.sampled_from(full_corpus(1, 2, 3)))
@@ -114,3 +112,16 @@ def test_variant_leq_matches_variant_natural_order(min2):
     for a in range(2):
         for b in range(2):
             assert vle.holds(a, b) == nat.holds(a, b)
+
+
+def test_law_violation_names_the_first_broken_law():
+    # reflexivity, then antisymmetry, then transitivity, each in scan order
+    def rel(*rows):
+        return OrderRelation((3, 5, 7), tuple(tuple(bool(v) for v in row) for row in rows))
+
+    assert _law_violation(rel((1, 0, 0), (0, 1, 0), (0, 0, 1))) is None
+    assert _law_violation(rel((1, 1, 1), (1, 0, 1), (1, 1, 0))) == {"law": "reflexivity", "x": 5}
+    assert _law_violation(rel((1, 0, 1), (0, 1, 1), (1, 1, 1))) == {
+        "law": "antisymmetry", "x": 3, "y": 7}
+    assert _law_violation(rel((1, 1, 0), (0, 1, 1), (0, 0, 1))) == {
+        "law": "transitivity", "x": 3, "y": 5, "z": 7}
