@@ -34,6 +34,10 @@ R, L*, R*, L~ or R~, ``_natural_leq_lit(table)`` returns ``leq(a, b)``.
 A left-hand relation (L, L*, L~, P2) is the right-hand one on the
 transposed table, the table of the dual semigroup.
 
+The cached accessors hold the derived objects of one table: the evaluator
+``_claim`` builds empties them all when it is called on a table other than
+the one they hold, so each object is built once per table.
+
 U-policy: claims parameterized by a subset U of E(S) iterate all
 non-empty subsets when |E(S)| <= 4, otherwise the singletons plus E(S)
 itself.
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterator
 
 from . import congruences, core, relations, variants, orders
@@ -104,30 +108,28 @@ class Claim:
 # ---------------------------------------------------------------------------
 # cached production accessors (claims share per-semigroup computations)
 
-_green = lru_cache(maxsize=512)(relations.green)
-_star = lru_cache(maxsize=512)(relations.star)
-_idem = lru_cache(maxsize=512)(idempotents)
-_natural = lru_cache(maxsize=512)(orders.natural_leq)
+_green = cache(relations.green)
+_star = cache(relations.star)
+_idem = cache(idempotents)
+_natural = cache(orders.natural_leq)
 
 
-@lru_cache(maxsize=512)
+@cache
 def _abundant(s: FiniteSemigroup) -> bool:
     return relations.is_abundant(s, _star(s))
 
 
-@lru_cache(maxsize=2048)
+@cache
 def _variant(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
     return variants.variant(s, a)
 
 
-# C-3.1 and C-FUND read it for the same table in one pass of the runner;
-# a small cache keeps the lattices of few tables alive
-@lru_cache(maxsize=32)
+@cache
 def _congruences(s: FiniteSemigroup) -> tuple[Equivalence, ...]:
     return tuple(congruences.all_congruences(s))
 
 
-@lru_cache(maxsize=2048)
+@cache
 def _tilde(s: FiniteSemigroup, u: frozenset):
     """(tilde(s, u), None), or (None, the member of u that tilde refuses)."""
     try:
@@ -136,7 +138,7 @@ def _tilde(s: FiniteSemigroup, u: frozenset):
         return None, err.element
 
 
-@lru_cache(maxsize=2048)
+@cache
 def _psets(s: FiniteSemigroup, a: int) -> variants.PSets:
     return variants.p_sets(s, a, _star(s))
 
@@ -187,6 +189,7 @@ def _claim(cid, kind, summary, instances, check, recheck) -> Claim:
     witness (FAILS)."""
 
     def evaluate(s, opts, table=None):
+        _hold(s)
         # the runner passes the table key it already built for this table
         if table is None:
             table = inline_table(s)
@@ -235,7 +238,7 @@ def _law_violation(rel: orders.OrderRelation):
     ))
 
 
-@lru_cache(maxsize=64)
+@cache
 def _isomorphism(a, b):
     """The map are_isomorphic(a, b) returns when it is a bijective
     homomorphism a -> b, else None."""
@@ -261,6 +264,11 @@ def _iso_witness(a, b, name_a, name_b):
 def _dual(table):
     """The table of the dual semigroup: x.y read as y.x."""
     return tuple(zip(*table))
+
+
+#: the relations of weak U-abundance: the only names C-1.4's
+#: weakly-abundant part, C-NONCONG and C-2.6 write
+_TILDES = ("L~", "R~")
 
 
 def _side(table, name):
@@ -553,7 +561,8 @@ def _recheck_c14(s, params, w, opts):
     if w["part"] == "refused":  # tilde refused an idempotent
         return w["element"] in us
     if w["part"] == "weakly-abundant":
-        return _bare_class_lit(t, w["relation"], w["element"], set(us), us)
+        name = w["relation"]
+        return name in _TILDES and _bare_class_lit(t, name, w["element"], set(us), us)
     first, second = (_related_lit(t, name, us) for name in w["part"].split("="))
     return first(w["x"], w["y"]) != second(w["x"], w["y"])
 
@@ -563,7 +572,7 @@ def _recheck_c14(s, params, w, opts):
 
 
 def _per_u_relation(s):
-    return [{"U": list(us), "relation": r} for us in u_subsets(s) for r in ("L~", "R~")]
+    return [{"U": list(us), "relation": r} for us in u_subsets(s) for r in _TILDES]
 
 
 def _check_noncong(s, opts, U, relation):
@@ -587,6 +596,8 @@ def _recheck_noncong(s, params, w, opts):
     t = s.table
     us = tuple(sorted(params["U"]))
     name = params["relation"]
+    if name not in _TILDES:
+        return False
     x, y, z = w["x"], w["y"], w["z"]
     m = t if name == "L~" else _dual(t)
     related = _related_lit(t, name, us)
@@ -788,7 +799,7 @@ def _per_u_idempotent(s):
     return [{"U": list(us), "e": e} for us in u_subsets(s) for e in us]
 
 
-@lru_cache(maxsize=64)
+@cache
 def _unabundant(v, us: frozenset, opts):
     """The first L~/R~ class of v at U = us without a target idempotent,
     or _NA when tilde refuses a member of us as no idempotent of v."""
@@ -814,13 +825,13 @@ def _recheck_c26(s, params, w, opts, reading):
     us = tuple(sorted(params["U"]))
     e = params["e"]
     target = set(us) if opts.strict_u else set(_idems_lit(s.table))
-    if not _classes_meet_lit(s.table, ("L~", "R~"), target, us):
+    if not _classes_meet_lit(s.table, _TILDES, target, us):
         return False
     vt = _sandwich_table(s.table, e)
     uprime = (e,)
     if reading == "inter":
         uprime = tuple(sorted(set(us) & set(_idems_lit(vt))))
-    if tuple(sorted(w["Uprime"])) != uprime:
+    if tuple(sorted(w["Uprime"])) != uprime or w["relation"] not in _TILDES:
         return False
     target = set(uprime) if opts.strict_u else set(_idems_lit(vt))
     return _bare_class_lit(vt, w["relation"], w["element"], target, uprime)
@@ -854,7 +865,7 @@ def _canonical_lit(ci, n):
         type(c) is int and (c in ci[:i] or c == len(set(ci[:i]))) for i, c in enumerate(ci))
 
 
-@lru_cache(maxsize=512)
+@cache
 def _lit_congruences(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
     """The partitions passing the literal congruence test, in
     _partitions_lit order: the brute-force side of C-3.1 and C-FUND.
@@ -936,7 +947,7 @@ def _recheck_c32(s, params, w, opts):
 # C-3.4  S^u / lambda^u is isomorphic to uS
 
 
-@lru_cache(maxsize=64)
+@cache
 def _quotient(v, p):
     """(v / p, None), or (None, its congruence kind) when quotient refuses p."""
     try:
@@ -945,7 +956,7 @@ def _quotient(v, p):
         return None, err.kind
 
 
-@lru_cache(maxsize=64)
+@cache
 def _translation(s, u):
     """(uS, x -> ux): C-3.4 reads uS and C-FHT both."""
     return u_translate_hom(s, u)
@@ -1202,6 +1213,28 @@ def _check_cnatpo(s, opts):
 
 def _recheck_cnatpo(s, params, w, opts):
     return _law_broken_lit(_natural_leq_lit(s.table), w)
+
+
+# ---------------------------------------------------------------------------
+# the caches' scope: one table
+
+#: the cached accessors above, taken at import: perfbench rebinds some of
+#: the names to tracing wrappers that have no cache_clear
+_CACHES = (
+    _green, _star, _idem, _natural, _abundant, _variant, _congruences, _tilde,
+    _psets, _isomorphism, _unabundant, _lit_congruences, _quotient, _translation,
+)
+#: [the table whose derived objects _CACHES hold], a list so that no name
+#: of the module is rebound during a run
+_held: list = [None]
+
+
+def _hold(s: FiniteSemigroup) -> None:
+    """Empty _CACHES unless they hold the derived objects of s."""
+    if s != _held[0]:
+        for c in _CACHES:
+            c.cache_clear()
+        _held[0] = s
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from semivar.report import (
 )
 from semivar.sgt import inline_table, parse_inline
 
-from .conftest import clear_claim_caches, full_corpus
+from .conftest import full_corpus
 
 
 EXPECTED_IDS = {
@@ -114,11 +114,26 @@ def test_tilde_congruence_failure_has_witness():
         assert recheck_result(r)
 
 
+#: FAILS records under a relation their claim never writes: each names a
+#: class without its target, or a pair a translate separates, but under
+#: L or L* where the claim speaks of L~
+_FORGED_RELATIONS = [
+    ("C-NONCONG", "3;0 0 0;0 0 1;0 0 2", {"U": [0], "relation": "L*"},
+     {"x": 1, "y": 2, "z": 1}),
+    ("C-2.6-inter", "3;0 0 0;0 0 1;0 1 2", {"U": [0, 2], "e": 2},
+     {"Uprime": [0, 2], "relation": "L", "element": 1}),
+    ("C-1.4", "4;0 0 0 0;0 0 0 1;0 1 2 0;0 0 0 3", {},
+     {"part": "weakly-abundant", "relation": "L", "element": 1}),
+]
+
+
 def test_recheck_rejects_fabricated_witness(left_zero):
     r = evaluate_claim("C-4.1-reverse", left_zero, params={"e": 0})[0]
     assert r.status == STATUS_FAILS
     fake = dataclasses.replace(r, witness={"f": 0, "ff": 0, "fe": 0, "ef": 0})
     assert not recheck_result(fake)
+    for cid, table, params, witness in _FORGED_RELATIONS:
+        assert not recheck_result(ClaimResult(cid, table, params, STATUS_FAILS, witness)), cid
 
 
 def test_recheck_needs_a_failure(z2):
@@ -399,8 +414,7 @@ def test_each_starred_bundle_is_built_once_a_table(corpus3):
         if event == "call" and frame.f_code is star_code:
             built.append(frame.f_locals["s"])
 
-    for s in corpus3:
-        clear_claim_caches()
+    for s in corpus3:  # each new table empties the claims' caches
         built.clear()
         sys.setprofile(profile)
         try:
@@ -415,7 +429,10 @@ def test_each_starred_bundle_is_built_once_a_table(corpus3):
 def test_each_derived_object_is_built_once_a_table(monkeypatch, corpus3):
     # C-3.4 builds each S^u/lambda^u and its isomorphism with uS; C-3.5 and
     # C-FHT read them, C-4.2 reads the S^e that C-2.1 built, and C-2.6
-    # evaluates its premise once per U
+    # evaluates its premise once per U.  On the order-6 null semigroup all
+    # 203 partitions are congruences, and C-3.4's S^u/lambda^u is C-3.1's
+    # S/universal
+    null6 = build_semigroup(6, [[0] * 6] * 6)
     built, claim = [], [None]
 
     def counted(name, build):
@@ -439,8 +456,7 @@ def test_each_derived_object_is_built_once_a_table(monkeypatch, corpus3):
         return {cid for n, cid, _ in built if n == name}
 
     for opts in (Options(), Options(strict_u=True)):
-        for s in corpus3:
-            clear_claim_caches()
+        for s in (*corpus3, null6):  # each new table empties the claims' caches
             built.clear()
             sys.setprofile(profile)
             try:
@@ -455,6 +471,27 @@ def test_each_derived_object_is_built_once_a_table(monkeypatch, corpus3):
             assert builders("variant") == {"C-2.1"}, s.table
             premises = {(s, frozenset(us), opts.strict_u) for us in claims.u_subsets(s)}
             assert premises <= {key for name, key in keys if name == "unabundant"}, s.table
+            if s is null6:
+                assert sum(name == "quotient" for name, _ in keys) == 203
+
+
+def test_every_claims_cache_is_unbounded_and_scoped():
+    # no cache size to tune: each cache holds the one table being evaluated
+    caches = {name: v for name, v in vars(claims).items() if hasattr(v, "cache_parameters")}
+    assert caches.pop("_parse_witness_table").cache_parameters()["maxsize"] == 1
+    assert all(c.cache_parameters()["maxsize"] is None for c in caches.values())
+    assert sorted(map(id, caches.values())) == sorted(map(id, claims._CACHES))
+
+
+def test_a_new_table_empties_the_caches(null2, z2):
+    for claim in REGISTRY.values():
+        claim.evaluate(null2, Options())
+    assert claims._quotient.cache_info().currsize > 0
+    evaluate_claim("C-2.5", z2)  # reads no quotient
+    assert claims._quotient.cache_info().currsize == 0
+    assert claims._variant.cache_info().currsize == 1  # S^0 of z2
+    evaluate_claim("C-2.5", z2)  # the same table keeps its objects
+    assert claims._variant.cache_info().hits == 1
 
 
 def _quotient_with_a_wrong_entry(s, p):
