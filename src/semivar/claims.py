@@ -269,6 +269,12 @@ def _dual(table):
 #: the relations of weak U-abundance: the only names C-1.4's
 #: weakly-abundant part, C-NONCONG and C-2.6 write
 _TILDES = ("L~", "R~")
+#: the sides a witness names
+_SIDES = ("L", "R")
+#: the relations C-2.4 writes, and with L and R those C-1.1 writes
+_STARS = ("L*", "R*")
+#: the inclusions C-INCL checks, as (finer, coarser) relation names
+_INCL_LINKS = (("L", "L*"), ("L*", "L~"), ("R", "R*"), ("R*", "R~"))
 
 
 def _side(table, name):
@@ -433,6 +439,8 @@ def _check_c11(s, opts):
 
 def _recheck_c11(s, params, w, opts):
     t = s.table
+    if w["relation"] not in _SIDES + _STARS:
+        return False
     return _all_regular_lit(t) and _bare_class_lit(t, w["relation"], w["element"], _idems_lit(t))
 
 
@@ -501,10 +509,9 @@ def _check_cincl(s, opts, U):
     if td is None:
         return {"part": "refused", "element": bad}
     g, st = _green(s), _star(s)
-    links = (
-        ("L", "L*", g.l, st.l_star), ("L*", "L~", st.l_star, td.l_tilde),
-        ("R", "R*", g.r, st.r_star), ("R*", "R~", st.r_star, td.r_tilde),
-    )
+    rels = {"L": g.l, "L*": st.l_star, "L~": td.l_tilde,
+            "R": g.r, "R*": st.r_star, "R~": td.r_tilde}
+    links = [(m, k, rels[m], rels[k]) for m, k in _INCL_LINKS]
     equal = set(U) == _idem(s) and core.is_regular(s)
     return _first(itertools.chain(
         ({"part": f"{m}<={k}", "x": x, "y": y}
@@ -522,11 +529,13 @@ def _recheck_cincl(s, params, w, opts):
     us = tuple(sorted(params["U"]))
     if w["part"] == "refused":  # tilde refused an idempotent in U
         return w["element"] in set(us).intersection(_idems_lit(t))
-    body = w["part"].split(":", 1)[-1]
-    names = body.split("<=" if "<=" in body else "=")
+    eq = w["part"].startswith("eq:")
+    names = tuple(w["part"].removeprefix("eq:").split("=" if eq else "<="))
+    if names not in _INCL_LINKS:
+        return False
     first, second = (_related_lit(t, name, us) for name in names)
     a, b = first(w["x"], w["y"]), second(w["x"], w["y"])
-    if w["part"].startswith("eq:"):
+    if eq:
         return _all_regular_lit(t) and set(us) == set(_idems_lit(t)) and a != b
     return a and not b
 
@@ -563,6 +572,8 @@ def _recheck_c14(s, params, w, opts):
     if w["part"] == "weakly-abundant":
         name = w["relation"]
         return name in _TILDES and _bare_class_lit(t, name, w["element"], set(us), us)
+    if w["part"] not in ("L*=L~", "R*=R~"):
+        return False
     first, second = (_related_lit(t, name, us) for name in w["part"].split("="))
     return first(w["x"], w["y"]) != second(w["x"], w["y"])
 
@@ -771,6 +782,8 @@ def _recheck_c24(s, params, w, opts):
     if e is None or not _abundant_lit(t):
         return False
     if not any(t[a][b] == e == t[b][a] for b in range(n)):
+        return False
+    if w["relation"] not in _STARS:
         return False
     vt = _sandwich_table(t, a)
     return _bare_class_lit(vt, w["relation"], w["element"], _idems_lit(vt))
@@ -1399,8 +1412,9 @@ def _out_of_range(fields, n: int) -> bool:
 def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
     witness alone.  True means the failure is confirmed; params or a
-    witness holding an element id outside the table, or a bool where an
-    id belongs, never are."""
+    witness holding an element id outside the table, a bool where an id
+    belongs, or a side or relation name its claim never writes, never
+    are."""
     claim = REGISTRY.get(result.claim_id)
     if claim is None:
         raise UnknownClaim(result.claim_id)
@@ -1408,5 +1422,7 @@ def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
         return False
     s = _parse_witness_table(result.table)
     if _out_of_range([*result.params.items(), *result.witness.items()], s.order):
+        return False
+    if result.witness.get("side", "R") not in _SIDES:  # C-1.2, C-1.3, C-2.2, C-2.3
         return False
     return claim.recheck(s, result.params, result.witness, options or Options())

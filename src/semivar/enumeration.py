@@ -5,20 +5,29 @@ placement, checks every associativity triple that just became fully
 decidable.  A triple (x, y, z) needs the entries (x,y), (y,z), (xy,z)
 and (x,yz); it is checked exactly when the last of those is placed, so
 each completed table has every triple verified and dead branches are cut
-as early as the constraints allow.  Tables are emitted in lexicographic
+as early as the constraints allow.  The placed entry (i, j) = v is xy in
+the triples (i, j, z), yz in (x, i, j), (xy)z in (x, y, j) for the
+placed cells (x, y) holding i, and x(yz) in (i, y, z) for those holding
+j; ``at[v]`` lists the placed cells holding v, so those last two loops
+visit only them, not all n^2 cells.  Tables are emitted in lexicographic
 order of their row-major flattening.
 
 Asked for isomorphism classes, the same search also prunes by lex-leader
 (Read's orderly generation; Distler, Jefferson, Kelsey and Kotthoff, "The
-semigroups of order 10", CP 2012).  After each placement it compares the
-partial table T with every relabeling T^p, ``T^p[i][j] = p[T[q i][q j]]``
-for q the inverse of p, entry by entry in row-major order, up to the
-first entry undecided in either table.  If T^p is smaller there, every
-completion of T has a smaller relabeling and the branch is cut; if it is
-larger, p can never win below this node and is dropped from the
-subtree's list.  What survives is exactly the lexicographically least
-table of each class, the one ``canonical_form`` picks, in the order the
-labeled search would reach it: 1, 5, 24, 188, 1915 classes for n = 1..5.
+semigroups of order 10", CP 2012).  It compares the partial table T with
+every relabeling T^p, ``T^p[i][j] = p[T[q i][q j]]`` for q the inverse
+of p, entry by entry in row-major order.  Entry k of T^p reads cell
+``src[k]`` of T, so both are decided once cell ``max(src[k], k)`` is
+placed (``_relabelings``).  A relabeling tied with T up to entry k waits
+in the list ``waiting[c]`` of that cell c, and only the relabelings
+waiting on a cell wake when it is placed.  Each advances until it ties
+on an undecided entry and moves to a later cell's list, or T^p is
+larger there, and p is dropped for the subtree, or T^p is smaller, and
+every completion of T has a smaller relabeling, so the branch is cut.
+On backtrack a node pops exactly what it pushed.  What survives is
+exactly the lexicographically least table of each class, the one
+``canonical_form`` picks, in the order the labeled search would reach
+it: 1, 5, 24, 188, 1915, 28634 classes for n = 1..6.
 ``canonical_form`` itself, which tries all n! relabelings of a finished
 table, is kept as the test suite's oracle for the pruned search.
 """
@@ -65,68 +74,82 @@ def enumerate_semigroups(
     """
     _check_order(n, classes)
     t = [[-1] * n for _ in range(n)]
+    flat = [-1] * (n * n)  # t in row-major order, for the lex-leader test
     rng = range(n)
+    upto = [range(x + 1) for x in rng]
     total = n * n
     count = 0
+    # at[v]: the placed cells (x, y) with t[x][y] == v, in placement order
+    at: list[list[tuple[int, int]]] = [[] for _ in rng]
+    # waiting[c]: (p, src, due, k) for each relabeling tied with t on
+    # entries 0..k-1 whose entry k is decided once cell c is placed
+    waiting: list[list[tuple]] = [[] for _ in range(total)]
+    if classes:
+        for p, src, due in _relabelings(n):
+            waiting[due[0]].append((p, src, due, 0))
 
-    def check(x: int, y: int, z: int) -> bool:
-        # True when the triple holds or is not yet decidable.
-        xy = t[x][y]
-        if xy < 0:
-            return True
-        yz = t[y][z]
-        if yz < 0:
-            return True
-        left = t[xy][z]
-        if left < 0:
-            return True
-        right = t[x][yz]
-        return right < 0 or left == right
-
-    def consistent(i: int, j: int) -> bool:
-        # Every triple in which the just-placed entry (i, j) plays a role.
-        for z in rng:
-            if not check(i, j, z):
-                return False
-        for x in rng:
-            if not check(x, i, j):
-                return False
-        for x in rng:
-            row = t[x]
-            for y in rng:
-                if row[y] == i and not check(x, y, j):
+    def consistent(i: int, j: int, v: int) -> bool:
+        # Every triple (x, y, z) in which the just-placed entry
+        # (i, j) = v is xy, yz, (xy)z or x(yz), with the other three
+        # entries placed, holds.  Rows after i are empty, so the triples
+        # (i, j, z) need j <= i and the triples (x, i, j) need x <= i.
+        ti = t[i]
+        tj = t[j]
+        tv = t[v]
+        for z in rng if j <= i else ():  # (i, j, z): xy = v
+            yz = tj[z]
+            if yz >= 0:
+                left = tv[z]
+                if left >= 0:
+                    right = ti[yz]
+                    if right >= 0 and left != right:
+                        return False
+        for x in upto[i]:  # (x, i, j): yz = v
+            tx = t[x]
+            xy = tx[i]
+            if xy >= 0:
+                left = t[xy][j]
+                if left >= 0:
+                    right = tx[v]
+                    if right >= 0 and left != right:
+                        return False
+        for x, y in at[i]:  # (x, y, j) with xy = i: (xy)z = v
+            yz = t[y][j]
+            if yz >= 0:
+                right = t[x][yz]
+                if right >= 0 and right != v:
                     return False
-        for y in rng:
-            row = t[y]
-            for z in rng:
-                if row[z] == j and not check(i, y, z):
+        for y, z in at[j]:  # (i, y, z) with yz = j: x(yz) = v
+            xy = ti[y]
+            if xy >= 0:
+                left = t[xy][z]
+                if left >= 0 and left != v:
                     return False
         return True
 
-    def leader(pos: int, live: list) -> list | None:
-        # live holds (p, cells, k) for the relabelings p whose T^p equals
-        # t on entries 0..k-1; cells[k] = (q i, q j, i, j) for entry
-        # k = (i, j).  Returns those still tied once entry pos is placed,
-        # or None when some T^p is already lex-smaller than t.
-        tied = []
-        for p, cells, k in live:
-            while k <= pos:
-                a, b, i, j = cells[k]
-                x = t[a][b]
-                if x < 0:
+    def wake(pos: int, pushed: list) -> bool:
+        # Advance each relabeling waiting on cell pos, now placed: push
+        # it onto the list of the cell its next undecided entry waits
+        # for (recorded in pushed), drop it once T^p is lex-greater, or
+        # return False when T^p is lex-smaller than t.
+        for p, src, due, k in waiting[pos]:
+            while True:
+                c = due[k]
+                if c > pos:
+                    waiting[c].append((p, src, due, k))
+                    pushed.append(c)
                     break
-                x, y = p[x], t[i][j]
+                x, y = p[flat[src[k]]], flat[k]
                 if x != y:
                     if x < y:
-                        return None
-                    k = -1  # lex-greater for good: p is out of this subtree
-                    break
+                        return False
+                    break  # lex-greater for good: p is out of this subtree
                 k += 1
-            if k >= 0:
-                tied.append((p, cells, k))
-        return tied
+                if k == total:
+                    break  # T^p == t: p is an automorphism
+        return True
 
-    def fill(pos: int, live: list | None) -> None:
+    def fill(pos: int) -> None:
         nonlocal count
         if pos == total:
             table = tuple(tuple(row) for row in t)
@@ -134,32 +157,45 @@ def enumerate_semigroups(
             consumer(table)
             return
         i, j = divmod(pos, n)
+        row = t[i]
+        cell = (i, j)
         for v in rng:
-            t[i][j] = v
-            if consistent(i, j):
-                if live is None:
-                    fill(pos + 1, None)
-                else:
-                    tied = leader(pos, live)
-                    if tied is not None:
-                        fill(pos + 1, tied)
-        t[i][j] = -1
+            row[j] = v
+            flat[pos] = v
+            if consistent(i, j, v):
+                pushed: list[int] = []
+                if not classes or wake(pos, pushed):
+                    at[v].append(cell)
+                    fill(pos + 1)
+                    at[v].pop()
+                for c in pushed:
+                    waiting[c].pop()
+        row[j] = -1
+        flat[pos] = -1
 
-    fill(0, _relabelings(n) if classes else None)
+    fill(0)
     return count
 
 
 def _relabelings(n: int) -> list:
-    """(p, cells, 0) for every permutation p of 0..n-1 but the identity,
-    cells[k] = (q i, q j, i, j) for entry k = (i, j) and q the inverse of p."""
+    """(p, src, due) for every permutation p of 0..n-1 but the identity.
+
+    For q the inverse of p, entry k = (i, j) of the relabeled table T^p
+    is p[T[q i][q j]]: src[k] = q i * n + q j is the row-major cell it
+    reads, and due[k] = max(src[k], k) the cell whose placement decides
+    both T^p and T at entry k, so the row-major search can compare them
+    there.  A tied relabeling waits on the list of due[k] for its next
+    entry k and is woken only when that cell is placed.
+    """
     out = []
     # permutations() yields the identity first
     for p in itertools.islice(itertools.permutations(range(n)), 1, None):
         q = [0] * n
         for i, pi in enumerate(p):
             q[pi] = i
-        cells = [(q[i], q[j], i, j) for i in range(n) for j in range(n)]
-        out.append((p, cells, 0))
+        src = [q[i] * n + q[j] for i in range(n) for j in range(n)]
+        due = [max(s, k) for k, s in enumerate(src)]
+        out.append((p, src, due))
     return out
 
 

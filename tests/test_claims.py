@@ -114,9 +114,11 @@ def test_tilde_congruence_failure_has_witness():
         assert recheck_result(r)
 
 
-#: FAILS records under a relation their claim never writes: each names a
-#: class without its target, or a pair a translate separates, but under
-#: L or L* where the claim speaks of L~
+#: FAILS records under a relation their claim never writes: the first
+#: three name a class without its target, or a pair a translate
+#: separates, but under L or L* where the claim speaks of L~; the rest
+#: name a relation or side no claim writes, on a table whose recheckers
+#: reach the name
 _FORGED_RELATIONS = [
     ("C-NONCONG", "3;0 0 0;0 0 1;0 0 2", {"U": [0], "relation": "L*"},
      {"x": 1, "y": 2, "z": 1}),
@@ -124,6 +126,11 @@ _FORGED_RELATIONS = [
      {"Uprime": [0, 2], "relation": "L", "element": 1}),
     ("C-1.4", "4;0 0 0 0;0 0 0 1;0 1 2 0;0 0 0 3", {},
      {"part": "weakly-abundant", "relation": "L", "element": 1}),
+    ("C-2.4", "1;0", {"a": 0}, {"relation": "P1", "element": 0}),
+    ("C-1.1", "1;0", {}, {"relation": "X", "element": 0}),
+    ("C-INCL", "1;0", {"U": [0]}, {"part": "L<=Q", "x": 0, "y": 0}),
+    ("C-1.4", "1;0", {}, {"part": "L*=Q", "x": 0, "y": 0}),
+    ("C-1.2", "1;0", {}, {"side": "X", "a": 0, "b": 0, "bundle": True, "literal": False}),
 ]
 
 

@@ -1,11 +1,13 @@
 """Exhaustive enumeration and canonical forms."""
 
+import hashlib
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semivar.cli import main
 from semivar.core import OrderTooLarge, build_semigroup
 from semivar.enumeration import (
     DEDUP_ISO,
@@ -77,6 +79,26 @@ def test_dedup_counts(n, count):
 
 def test_order5_class_count(classes5):
     assert len(classes5) == 1915
+
+
+def test_order5_class_stream_is_canonical_and_ascending(classes5):
+    # with the 1,915 count and the orbit sum of 183,732 below, this pins the
+    # stream: one canonical table per class, in key order
+    tables = [s.table for s in classes5]
+    assert all(canonical_form(s) == s.table for s in classes5)
+    assert all(a < b for a, b in zip(tables, tables[1:]))
+
+
+# sha256 of the `semivar enumerate --order 6 --dedup` listing, newlines included
+ORDER6_CLASSES = "fa526358d0abf1011febca55763514ba68a13617b789f7a5c7403d6bf48a315d"
+
+
+@pytest.mark.slow
+def test_order6_class_stream_matches_golden_digest(capsys):
+    assert main(["enumerate", "--order", "6", "--dedup"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 28634  # A027851
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_CLASSES
 
 
 def test_orbits_of_the_classes_give_back_the_labeled_counts(classes5):
