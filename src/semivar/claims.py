@@ -212,11 +212,14 @@ def _first(witnesses):
 
 def _diff_pairs(p: Equivalence, q: Equivalence):
     """The pairs x < y, in scan order, on which p and q disagree."""
+    a, b, n = p.class_index, q.class_index, p.n
+    if a == b:  # equal class indices, equal partitions
+        return iter(())
     return (
         (x, y)
-        for x in range(p.n)
-        for y in range(x + 1, p.n)
-        if p.same(x, y) != q.same(x, y)
+        for x in range(n)
+        for y in range(x + 1, n)
+        if (a[x] == a[y]) != (b[x] == b[y])
     )
 
 
@@ -591,15 +594,17 @@ def _check_noncong(s, opts, U, relation):
     if td is None:  # C-INCL reports a refused U
         return _NA
     rel = td.l_tilde if relation == "L~" else td.r_tilde
-    # L~ is tested on right translates x.z, R~ on left translates z.x
+    # L~ is tested on right translates x.z, R~ on left translates z.x;
+    # rows[x][z] is the class of that translate
     t = s.table if relation == "L~" else _dual(s.table)
+    ci, r = rel.class_index, range(s.order)
+    rows = [[ci[v] for v in row] for row in t]
     return _first(
-        {"x": x, "y": y, "z": z}
+        {"x": x, "y": y, "z": next(z for z in r if rows[x][z] != rows[y][z])}
         for block in rel.classes
         for i, x in enumerate(block)
         for y in block[i + 1:]
-        for z in range(s.order)
-        if not rel.same(t[x][z], t[y][z])
+        if rows[x] != rows[y]
     )
 
 
@@ -1029,12 +1034,13 @@ def _recheck_c35(s, params, w, opts):
 
 def _check_cfht(s, opts, u):
     image, f = _translation(s, u)
-    v, it = _variant(s, u), image.table
+    v, it, r = _variant(s, u), image.table, range(s.order)
+    vt = v.table
     broken = _first(
         {"part": "hom", "x": x, "y": y}
-        for x in s.elements
-        for y in s.elements
-        if f[v.table[x][y]] != it[f[x]][f[y]]
+        for x in r
+        for y in r
+        if f[vt[x][y]] != it[f[x]][f[y]]
     )
     if broken:
         return broken
@@ -1080,11 +1086,12 @@ def _recheck_cfund(s, params, w, opts):
 
 def _check_c40(s, opts):
     leq, usual = _natural(s).leq, orders.idempotent_order(s)
+    ids = usual.elements
     return _first(
         {"e": e, "f": f, "natural": leq[e][f], "usual": not leq[e][f]}
-        for e in usual.elements
-        for f in usual.elements
-        if leq[e][f] != usual.holds(e, f)
+        for e, row in zip(ids, usual.leq)
+        for f, holds in zip(ids, row)
+        if leq[e][f] != holds
     )
 
 
@@ -1125,7 +1132,7 @@ def _check_c41r(s, opts, e):
     vt = _variant(s, e).table
     return _first(
         {"f": f, "ff": t[f][f], "fe": t[f][e], "ef": t[e][f]}
-        for f in s.elements
+        for f in range(s.order)
         if vt[f][f] == f
         and not (t[f][f] == f and t[f][e] == f and t[e][f] == f)
     )
@@ -1162,11 +1169,11 @@ def _recheck_c42(s, params, w, opts):
 
 
 def _check_c43(s, opts, e):
-    leq, vleq = _natural(s).leq, _natural(_variant(s, e)).leq
+    leq, vleq, r = _natural(s).leq, _natural(_variant(s, e)).leq, range(s.order)
     return _first(
         {"a": a, "b": b}
-        for a in s.elements
-        for b in s.elements
+        for a in r
+        for b in r
         if vleq[a][b] and not leq[a][b]
     )
 
@@ -1182,12 +1189,12 @@ def _recheck_c43(s, params, w, opts):
 
 
 def _check_c44a(s, opts, e):
-    vt, leq = _variant(s, e).table, _natural(_variant(s, e)).leq
+    vt, leq, r = _variant(s, e).table, _natural(_variant(s, e)).leq, range(s.order)
     return _first(
         {"a": a, "f": f}
-        for f in s.elements
+        for f in r
         if vt[f][f] == f
-        for a in s.elements
+        for a in r
         if leq[a][f] and vt[a][a] != a
     )
 
@@ -1200,12 +1207,12 @@ def _recheck_c44a(s, params, w, opts):
 
 
 def _check_c44b(s, opts, e):
-    v, leq = _variant(s, e), _natural(_variant(s, e)).leq
-    regular = [core.is_regular_element(v, x) for x in s.elements]
+    v, leq, r = _variant(s, e), _natural(_variant(s, e)).leq, range(s.order)
+    regular = [core.is_regular_element(v, x) for x in r]
     return _first(
         {"a": a, "b": b}
-        for a in s.elements
-        for b in s.elements
+        for a in r
+        for b in r
         if leq[a][b] and regular[b] and not regular[a]
     )
 

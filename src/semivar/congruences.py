@@ -33,21 +33,20 @@ def congruence_kind(s: FiniteSemigroup, p: Equivalence) -> str:
     """Strongest compatibility of p with translations: none / left / right / two_sided."""
     if p.n != s.order:
         raise CarrierMismatch(f"carriers differ: {p.n} vs {s.order}")
-    t = s.table
-    left = right = True
-    for block in p.classes:
-        for i, x in enumerate(block):
-            for y in block[i + 1:]:
-                for z in s.elements:
-                    if left and not p.same(t[z][x], t[z][y]):
-                        left = False
-                    if right and not p.same(t[x][z], t[y][z]):
-                        right = False
-                    if not left and not right:
-                        return KIND_NONE
+    # rows[x][z] is the class of xz, cols[x][z] the class of zx: p is a
+    # right congruence when related x, y have equal rows, a left one when
+    # they have equal columns, and it suffices to compare each member of a
+    # class with its least
+    ci = p.class_index
+    rows = [[ci[v] for v in row] for row in s.table]
+    cols = list(zip(*rows))
+    right = all(rows[x] == rows[b[0]] for b in p.classes for x in b[1:])
+    left = all(cols[x] == cols[b[0]] for b in p.classes for x in b[1:])
     if left and right:
         return KIND_TWO_SIDED
-    return KIND_LEFT if left else KIND_RIGHT
+    if left:
+        return KIND_LEFT
+    return KIND_RIGHT if right else KIND_NONE
 
 
 def principal_congruence(s: FiniteSemigroup, x: int, y: int) -> Equivalence:

@@ -78,6 +78,15 @@ class FiniteSemigroup:
     order: int
     table: Table
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash, computed on first use: the claims' caches look a
+        table up many times, and hashing it reads all n*n entries."""
+        return hash((self.order, self.table))
+
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
@@ -140,7 +149,8 @@ def check_element(s: FiniteSemigroup, x: object) -> None:
 
 def idempotents(s: FiniteSemigroup) -> ElementSubset:
     """E(S): the elements with x.x = x."""
-    return frozenset(x for x in s.elements if s.table[x][x] == x)
+    t = s.table
+    return frozenset([x for x in range(s.order) if t[x][x] == x])
 
 
 def is_regular_element(s: FiniteSemigroup, x: int) -> bool:

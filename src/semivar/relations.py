@@ -42,18 +42,14 @@ class Equivalence:
 
     @classmethod
     def from_keys(cls, n: int, keys: Sequence[Hashable]) -> "Equivalence":
-        """Group 0..n-1 by key; class numbering follows first occurrence."""
+        """Group 0..n-1 by key; class numbering follows first occurrence.
+        keys[x] is read for each x < n, so fewer keys raise IndexError."""
         index: dict = {}
-        class_index = []
-        members: list[list[int]] = []
-        for x in range(n):
-            c = index.get(keys[x])
-            if c is None:
-                c = index[keys[x]] = len(members)
-                members.append([])
-            class_index.append(c)
+        class_index = [index.setdefault(keys[x], len(index)) for x in range(n)]
+        members: list[list[int]] = [[] for _ in index]
+        for x, c in enumerate(class_index):
             members[c].append(x)
-        return cls(n, tuple(class_index), tuple(tuple(m) for m in members))
+        return cls(n, tuple(class_index), tuple([tuple(m) for m in members]))
 
     @classmethod
     def identity(cls, n: int) -> "Equivalence":
@@ -206,7 +202,7 @@ def green(s: FiniteSemigroup) -> GreenBundle:
 def _kernel_key(values: Sequence[int]) -> tuple[int, ...]:
     """Canonical encoding of the kernel of a map given by its value list."""
     seen: dict[int, int] = {}
-    return tuple(seen.setdefault(v, len(seen)) for v in values)
+    return tuple([seen.setdefault(v, len(seen)) for v in values])
 
 
 def star(s: FiniteSemigroup) -> StarBundle:
@@ -226,12 +222,15 @@ def star(s: FiniteSemigroup) -> StarBundle:
 
 
 def _checked_u(s: FiniteSemigroup, u: Iterable[int]) -> tuple[int, ...]:
+    """U's members in ascending order; each must be an element id e of S,
+    an int but not a bool, with ee = e."""
     members = sorted(set(u))
     if not members:
         raise EmptyU("U must be a non-empty subset of E(S)")
-    e_of_s = idempotents(s)
+    t = s.table
     for e in members:
-        if e not in e_of_s:
+        if (not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < s.order
+                or t[e][e] != e):
             raise NotIdempotentMember(e)
     return tuple(members)
 
@@ -245,10 +244,10 @@ def tilde(s: FiniteSemigroup, u: Iterable[int]) -> TildeBundle:
     n = s.order
     t = s.table
     l = Equivalence.from_keys(
-        n, [tuple(t[a][e] == a for e in members) for a in range(n)]
+        n, [tuple([t[a][e] == a for e in members]) for a in range(n)]
     )
     r = Equivalence.from_keys(
-        n, [tuple(t[e][a] == a for e in members) for a in range(n)]
+        n, [tuple([t[e][a] == a for e in members]) for a in range(n)]
     )
     return TildeBundle(u=frozenset(members), l_tilde=l, r_tilde=r)
 

@@ -6,8 +6,11 @@ summary record carrying tallies, corpus description, configuration,
 tool version, and a timestamp.  Apart from the timestamp the output is a
 pure function of the inputs.  Records are sorted by claim id, then table
 key, then params (``ClaimResult.sort_key``).  ``record_line`` and
-``summary_line`` are the one serialization of each line, and
-``add_tallies`` the one count of statuses, shared by ``Report`` and the
+``summary_line`` are the one serialization of each line.  ``record_line``
+writes the record's keys in sorted order around its JSON-escaped claim
+id, status and table and its params and witness, which one encoder built
+at import encodes, so a line is the bytes ``_encode`` gives the record.
+``add_tallies`` is the one count of statuses, shared by ``Report`` and the
 streaming writer in ``runner``.  On the way in, ``read_summary`` checks
 the summary line and ``read_records`` is the one reader of record lines,
 shared by ``Report.loads`` and ``semivar recheck``; both hold one line
@@ -20,6 +23,7 @@ import json
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import __version__
 
@@ -42,7 +46,14 @@ _SUMMARY_FIELDS = {"tallies": dict, "corpus": dict, "config": dict,
                    "version": str, "timestamp": str}
 
 #: compact JSON with sorted keys, the encoding of every report line
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode = _ENCODER.encode
+#: _ENCODER's C encoder, built once: _ENCODER.encode builds a new one per
+#: call.  It returns the chunks of its argument's encoding.  It keeps no
+#: markers, so it does not look for cycles: a record is a tree.
+_encode_chunks = c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, None, _ENCODER.key_separator,
+    _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 
 @dataclass
@@ -83,8 +94,13 @@ class ClaimResult:
 
 
 def record_line(r: ClaimResult) -> str:
-    """The report line of one result, without its newline."""
-    return _encode(r.to_record())
+    """The report line of one result, without its newline:
+    ``_encode(r.to_record())``, built from its parts."""
+    return (f'{{"claim_id":{encode_basestring_ascii(r.claim_id)},'
+            f'"params":{"".join(_encode_chunks(r.params, 0))},'
+            f'"status":{encode_basestring_ascii(r.status)},'
+            f'"table":{encode_basestring_ascii(r.table)},'
+            f'"witness":{"".join(_encode_chunks(r.witness, 0))}}}')
 
 
 def _utcnow() -> str:

@@ -23,8 +23,8 @@ def variant(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
     """S^a; the sandwich product is associative by construction."""
     check_element(s, a)
     t = s.table
-    rows = tuple(tuple(t[t[x][a]][y] for y in s.elements) for x in s.elements)
-    return FiniteSemigroup(s.order, rows)
+    # row x of S^a, the products x.a.y, is row xa of S
+    return FiniteSemigroup(s.order, tuple([t[row[a]] for row in t]))
 
 
 def idempotent_variant(s: FiniteSemigroup, e: int) -> FiniteSemigroup:
@@ -39,7 +39,8 @@ def idempotent_variant(s: FiniteSemigroup, e: int) -> FiniteSemigroup:
 def p_sets(s: FiniteSemigroup, a: int, bundle: StarBundle) -> PSets:
     """The P-sets of the sandwich element a; bundle is ``star(s)``, the base's."""
     check_element(s, a)
-    t = s.table
-    p1 = frozenset(x for x in s.elements if bundle.r_star.same(t[a][x], x))
-    p2 = frozenset(x for x in s.elements if bundle.l_star.same(t[x][a], x))
+    t, r = s.table, range(s.order)
+    rci, lci, ta = bundle.r_star.class_index, bundle.l_star.class_index, t[a]
+    p1 = frozenset([x for x in r if rci[ta[x]] == rci[x]])
+    p2 = frozenset([x for x in r if lci[t[x][a]] == lci[x]])
     return PSets(p1=p1, p2=p2, p=p1 & p2)

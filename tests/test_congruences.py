@@ -46,6 +46,24 @@ def test_congruence_kind_detects_one_sided():
     assert congruence_kind(st, p) == KIND_RIGHT
 
 
+def test_congruence_kind_matches_the_definition_on_every_partition():
+    # both one-sided conditions read straight from the definition, over
+    # every partition of every table of orders 1-3
+    kinds = {(True, True): KIND_TWO_SIDED, (True, False): KIND_LEFT,
+             (False, True): KIND_RIGHT, (False, False): KIND_NONE}
+    seen = set()
+    for s in full_corpus(1, 2, 3):
+        t, r = s.table, range(s.order)
+        for part in set_partitions(s.order):
+            p = Equivalence.from_blocks(s.order, part)
+            pairs = [(x, y) for b in part for x in b for y in b]
+            left = all(p.same(t[z][x], t[z][y]) for x, y in pairs for z in r)
+            right = all(p.same(t[x][z], t[y][z]) for x, y in pairs for z in r)
+            assert congruence_kind(s, p) == kinds[left, right], (t, part)
+            seen.add(kinds[left, right])
+    assert seen == set(kinds.values())
+
+
 def test_principal_congruence_on_chain(chain3):
     p = principal_congruence(chain3, 0, 1)
     assert p.classes == ((0, 1), (2,))

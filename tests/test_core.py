@@ -158,6 +158,18 @@ def test_an_element_id_is_an_int_in_range(z2, name, bad):
 
 def test_tables_are_hashable(z2, left_zero):
     assert len({z2, left_zero, z2}) == 2
+    # equal tables built separately are one key
+    again = build_semigroup(2, [list(row) for row in z2.table])
+    assert again is not z2 and again == z2 and hash(again) == hash(z2)
+    assert FiniteSemigroup(2, z2.table) == z2 and hash(FiniteSemigroup(2, z2.table)) == hash(z2)
+    # the trip to a worker process and back keeps equality, hash and
+    # lookup, whether or not the table was hashed before it
+    index = {z2: "z2", left_zero: "left zero"}
+    for table in (z2, build_semigroup(2, z2.table)):
+        back = pickle.loads(pickle.dumps(table))
+        assert back == z2 and hash(back) == hash(z2)
+        assert index[back] == "z2"
+        assert back.identity == 0
 
 
 @given(st.sampled_from(full_corpus(1, 2, 3)))

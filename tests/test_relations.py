@@ -36,6 +36,14 @@ def test_from_keys_groups_by_value():
     assert eq.num_classes == 3
 
 
+def test_from_keys_refuses_fewer_keys_than_elements():
+    # every element must have a key: a short key list is no partition of 0..n-1
+    with pytest.raises(IndexError):
+        Equivalence.from_keys(4, ["a", "b", "a"])
+    with pytest.raises(IndexError):
+        Equivalence.from_keys(2, [])
+
+
 def test_identity_and_universal():
     assert Equivalence.identity(3).classes == ((0,), (1,), (2,))
     assert Equivalence.universal(3).classes == ((0, 1, 2),)
@@ -204,6 +212,11 @@ def test_tilde_validates_u(min2, z2):
         tilde(min2, {0, 5})
     with pytest.raises(NotIdempotentMember):
         tilde(z2, {1})  # 1 is not idempotent in Z_2
+    # members must be element ids: neither a bool nor a float passes as 1
+    for member in (True, 1.0):
+        with pytest.raises(NotIdempotentMember) as err:
+            tilde(min2, {member})
+        assert err.value.element is member
 
 
 @given(st.sampled_from(full_corpus(1, 2, 3)))

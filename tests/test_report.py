@@ -5,13 +5,22 @@ import tracemalloc
 
 import pytest
 
+from semivar.claims import REGISTRY, Options
 from semivar.report import (
     STATUS_FAILS,
     STATUS_HOLDS,
     STATUS_NOT_APPLICABLE,
     ClaimResult,
     Report,
+    record_line,
 )
+
+from .conftest import full_corpus
+
+
+def _dumped(r: ClaimResult) -> str:
+    """The record line as json.dumps writes the record."""
+    return json.dumps(r.to_record(), sort_keys=True, separators=(",", ":"))
 
 
 def sample_report():
@@ -176,3 +185,40 @@ def test_loads_reads_a_large_text_in_place():
         tracemalloc.stop()
     assert len(text) > 2_000_000
     assert peak < 100_000, peak
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_record_line_is_the_dumped_record_on_every_result(strict_u):
+    opts = Options(strict_u=strict_u)
+    statuses = set()
+    for s in full_corpus(1, 2, 3):
+        for claim in REGISTRY.values():
+            for r in claim.evaluate(s, opts):
+                assert record_line(r) == _dumped(r)
+                statuses.add(r.status)
+    assert statuses == {STATUS_HOLDS, STATUS_FAILS, STATUS_NOT_APPLICABLE}
+
+
+@pytest.mark.parametrize("result", [
+    # nested lists, bools and None
+    ClaimResult("C-3.1", "2;0 0;0 0", {"U": [0, 1]}, STATUS_FAILS,
+                {"only_production": [[0, 1], []], "flag": True, "none": None,
+                 "no": False, "nested": {"b": [None, [True]], "a": 1}}),
+    # a string with a quote, a backslash, a control character and non-ASCII text
+    ClaimResult('C-"x"\\y', "t\u0001ab\n", {"s": "é→\"\\\t"}, "S\u00ff",
+                {"text": "ü ∀ \U0001f600 \x7f"}),
+    # params whose keys were inserted out of order
+    ClaimResult("C-2.6-inter", "1;0", {"e": 0, "U": [0], "b": 2, "a": 1}, STATUS_HOLDS),
+    ClaimResult("C", "", {}, STATUS_NOT_APPLICABLE, {"z": 0, "Z": 1, "_": 2, "10": 3, "9": 4}),
+])
+def test_record_line_is_the_dumped_record_on_crafted_records(result):
+    assert record_line(result) == _dumped(result)
+    assert json.loads(record_line(result)) == result.to_record()
+
+
+def test_record_line_refuses_an_unserializable_witness():
+    for witness in ({"x": object()}, {"x": {1, 2}}, {"x": [b"bytes"]}):
+        with pytest.raises(TypeError):
+            record_line(ClaimResult("C-2.5", "1;0", {"e": 0}, STATUS_FAILS, witness))
+    with pytest.raises(TypeError):
+        record_line(ClaimResult("C-2.5", "1;0", {"e": object()}, STATUS_HOLDS))
