@@ -34,9 +34,12 @@ R, L*, R*, L~ or R~, ``_natural_leq_lit(table)`` returns ``leq(a, b)``.
 A left-hand relation (L, L*, L~, P2) is the right-hand one on the
 transposed table, the table of the dual semigroup.
 
-The cached accessors hold the derived objects of one table: the evaluator
-``_claim`` builds empties them all when it is called on a table other than
-the one they hold, so each object is built once per table.
+The cached accessors and literal builders hold the derived objects of one
+table.  ``_hold`` empties them all when it is called on a table other
+than the one they hold; the evaluator ``_claim`` builds enters it, and so
+does ``recheck_result``.  So each object is built once per table, however
+many instances or witnesses read it: C-2.6's premise once per U, and S^e
+with E(S^e) once per e.
 
 U-policy: claims parameterized by a subset U of E(S) iterate all
 non-empty subsets when |E(S)| <= 4, otherwise the singletons plus E(S)
@@ -294,6 +297,7 @@ def _identity_lit(table):
     return next((e for e in r if all(table[e][x] == x == table[x][e] for x in r)), None)
 
 
+@cache
 def _s1_table(table):
     """(table, size) of S^1: S itself when an identity exists."""
     n = len(table)
@@ -304,8 +308,10 @@ def _s1_table(table):
     return tuple(rows), n + 1
 
 
+@cache
 def _related_lit(table, name, us=()):
-    """The test related(x, y) of L, R, L*, R* or L~, R~ relative to us."""
+    """The test related(x, y) of L, R, L*, R* or L~, R~ relative to the
+    tuple us."""
     t, kind = _side(table, name), name[1:]
     if kind == "":  # equal principal right ideals xS^1 = yS^1
         ideals = [frozenset(row) | {x} for x, row in enumerate(t)]
@@ -315,9 +321,16 @@ def _related_lit(table, name, us=()):
         r = range(n1)
         return lambda a, b: all(
             (t1[x][a] == t1[y][a]) == (t1[x][b] == t1[y][b]) for x in r for y in r)
-    if kind == "~":  # ex = x <=> ey = y for every e in us
-        return lambda x, y: all((t[e][x] == x) == (t[e][y] == y) for e in us)
+    if kind == "~":  # ex = x <=> ey = y for every e in us: equal vectors
+        fixed = _fixed_lit(t, us)
+        return lambda x, y: fixed[x] == fixed[y]
     raise ValueError(f"unknown relation {name!r}")
+
+
+def _fixed_lit(t, us):
+    """For each x, the vector (ex = x for e in us) on the side table t: x
+    R~ y relative to us when their vectors are equal (L~ on the dual)."""
+    return [tuple([t[e][x] == x for e in us]) for x in range(len(t))]
 
 
 def _bare_class_lit(table, name, a, target, us=()):
@@ -338,23 +351,20 @@ def _all_regular_lit(table):
     return all(_regular_lit(table, x) for x in range(len(table)))
 
 
-def _classes_meet_lit(table, names, target, us=()):
-    """True when every class of each relation in names meets target:
-    abundance for L*, R* and E(S); weak U-abundance for L~, R~."""
+def _abundant_lit(table):
+    """True when every L*- and every R*-class meets E(S)."""
+    es = _idems_lit(table)
     return all(
-        any(related(a, b) for b in target)
-        for related in (_related_lit(table, name, us) for name in names)
+        any(related(a, b) for b in es)
+        for related in (_related_lit(table, name) for name in _STARS)
         for a in range(len(table))
     )
 
 
-def _abundant_lit(table):
-    return _classes_meet_lit(table, ("L*", "R*"), set(_idems_lit(table)))
-
-
+@cache
 def _sandwich_table(table, a):
-    n = len(table)
-    return tuple(tuple(table[table[x][a]][y] for y in range(n)) for x in range(n))
+    """The table of S^a: x * y = (xa)y, so row x is row xa of S."""
+    return tuple(table[table[x][a]] for x in range(len(table)))
 
 
 def _natural_leq_lit(table):
@@ -839,19 +849,35 @@ def _check_c26(s, opts, U, e, reading):
     return w if w is None or w is _NA else {"Uprime": uprime, **w}
 
 
+@cache
+def _u_abundant_lit(s, us, strict):
+    """True when S is weakly U-abundant at U = us: every L~- and R~-class,
+    the elements with one vector of fixed points, holds a member of us
+    (strict) or of E(S)."""
+    target = us if strict else _idems_lit(s.table)
+    return all({*fixed} <= {fixed[b] for b in target}
+               for fixed in (_fixed_lit(_side(s.table, name), us) for name in _TILDES))
+
+
+@cache
+def _sandwich_lit(s, e):
+    """(table, idempotents) of the variant S^e."""
+    vt = _sandwich_table(s.table, e)
+    return vt, frozenset(_idems_lit(vt))
+
+
 def _recheck_c26(s, params, w, opts, reading):
     us = tuple(sorted(params["U"]))
     e = params["e"]
-    target = set(us) if opts.strict_u else set(_idems_lit(s.table))
-    if not _classes_meet_lit(s.table, _TILDES, target, us):
+    if not _u_abundant_lit(s, us, opts.strict_u):
         return False
-    vt = _sandwich_table(s.table, e)
+    vt, ves = _sandwich_lit(s, e)
     uprime = (e,)
     if reading == "inter":
-        uprime = tuple(sorted(set(us) & set(_idems_lit(vt))))
+        uprime = tuple(sorted(ves.intersection(us)))
     if tuple(sorted(w["Uprime"])) != uprime or w["relation"] not in _TILDES:
         return False
-    target = set(uprime) if opts.strict_u else set(_idems_lit(vt))
+    target = set(uprime) if opts.strict_u else ves
     return _bare_class_lit(vt, w["relation"], w["element"], target, uprime)
 
 
@@ -1238,11 +1264,13 @@ def _recheck_cnatpo(s, params, w, opts):
 # ---------------------------------------------------------------------------
 # the caches' scope: one table
 
-#: the cached accessors above, taken at import: perfbench rebinds some of
-#: the names to tracing wrappers that have no cache_clear
+#: the cached accessors and literal builders above, taken at import:
+#: perfbench rebinds some of the names to tracing wrappers that have no
+#: cache_clear
 _CACHES = (
     _green, _star, _idem, _natural, _abundant, _variant, _congruences, _tilde,
     _psets, _isomorphism, _unabundant, _lit_congruences, _quotient, _translation,
+    _s1_table, _related_lit, _sandwich_table, _u_abundant_lit, _sandwich_lit,
 )
 #: [the table whose derived objects _CACHES hold], a list so that no name
 #: of the module is rebound during a run
@@ -1251,7 +1279,7 @@ _held: list = [None]
 
 def _hold(s: FiniteSemigroup) -> None:
     """Empty _CACHES unless they hold the derived objects of s."""
-    if s != _held[0]:
+    if s is not _held[0] and s != _held[0]:
         for c in _CACHES:
             c.cache_clear()
         _held[0] = s
@@ -1384,7 +1412,8 @@ def evaluate_claim(
 # A report's records of one claim arrive in table order, so the witnesses
 # on one table form a run and its key is parsed once per run.  Each distinct
 # key still goes through the validating parse_inline, and a key that fails
-# to parse is not cached.
+# to parse is not cached.  The one table kept here is the one recheck_result
+# then holds (_hold), so the re-checkers' cached builders share its scope.
 @lru_cache(maxsize=1)
 def _parse_witness_table(key: str) -> FiniteSemigroup:
     return parse_inline(key)
@@ -1399,37 +1428,48 @@ _FLAG_FIELDS = frozenset({
 
 
 def _out_of_range(fields, n: int) -> bool:
-    """True when a (name, value) field holds an int outside 0..n-1,
-    directly or in a list at any depth, or a bool outside _FLAG_FIELDS.
-    Every other int in params and witnesses is an element id or a class
-    index, both below n; a negative one would index a row from its end,
-    and True would pass for id 1."""
+    """True when a (name, value) field holds an int outside 0..n-1, or any
+    float, directly or in a list at any depth, or a bool outside
+    _FLAG_FIELDS.  Every other int in params and witnesses is an element
+    id or a class index, both below n, and no evaluator writes a float; a
+    negative id would index a row from its end, True would pass for id 1
+    and 0.0 would compare equal to id 0."""
     for name, v in fields:
-        if type(v) is list:
+        kind = type(v)
+        if kind is int:
+            if not 0 <= v < n:
+                return True
+        elif kind is list:
             if _out_of_range(((name, x) for x in v), n):
                 return True
-        elif type(v) is bool:
+        elif kind is bool:
             if name not in _FLAG_FIELDS:
                 return True
-        elif type(v) is int and not 0 <= v < n:
+        elif kind is float:
             return True
     return False
+
+
+#: the options of a recheck that is given none
+_DEFAULT_OPTIONS = Options()
 
 
 def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
     witness alone.  True means the failure is confirmed; params or a
     witness holding an element id outside the table, a bool where an id
-    belongs, or a side or relation name its claim never writes, never
-    are."""
+    belongs, a float, or a side or relation name its claim never writes,
+    never are."""
     claim = REGISTRY.get(result.claim_id)
     if claim is None:
         raise UnknownClaim(result.claim_id)
     if result.status != STATUS_FAILS or result.witness is None:
         return False
     s = _parse_witness_table(result.table)
-    if _out_of_range([*result.params.items(), *result.witness.items()], s.order):
+    _hold(s)
+    params, witness = result.params, result.witness
+    if _out_of_range(params.items(), s.order) or _out_of_range(witness.items(), s.order):
         return False
-    if result.witness.get("side", "R") not in _SIDES:  # C-1.2, C-1.3, C-2.2, C-2.3
+    if witness.get("side", "R") not in _SIDES:  # C-1.2, C-1.3, C-2.2, C-2.3
         return False
-    return claim.recheck(s, result.params, result.witness, options or Options())
+    return claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS)

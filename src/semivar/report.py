@@ -65,7 +65,9 @@ class ClaimResult:
     witness: dict | None = None
 
     def sort_key(self) -> tuple[str, str, str]:
-        return (self.claim_id, self.table, json.dumps(self.params, sort_keys=True))
+        """(claim id, table key, params encoded as the report line encodes
+        them): the order the writer sorts its lines in."""
+        return (self.claim_id, self.table, "".join(_encode_chunks(self.params, 0)))
 
     def to_record(self) -> dict:
         return {

@@ -5,6 +5,7 @@ import builtins
 import dataclasses
 import inspect
 import itertools
+import json
 import re
 import sys
 import textwrap
@@ -171,6 +172,54 @@ def test_recheck_validates_a_new_key_after_a_cached_one(left_zero):
     assert recheck_result(r)
 
 
+def _cache_sizes():
+    return [c.cache_info().currsize for c in claims._CACHES]
+
+
+def _fresh_recheck(r, opts):
+    """recheck_result(r, opts) with every cache emptied first."""
+    for c in claims._CACHES:
+        c.cache_clear()
+    return recheck_result(r, opts)
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_recheck_verdicts_do_not_depend_on_order_or_scope(cli_reports3, strict_u):
+    # the re-checkers' caches hold one table: whatever was rechecked
+    # before, a witness gets the verdict a fresh recheck gives it
+    fails = [r for r in Report.loads(cli_reports3[strict_u].read_text()).results
+             if r.status == STATUS_FAILS]
+    both = (Options(), Options(strict_u=True))
+    fresh = {(i, opts): _fresh_recheck(r, opts) for i, r in enumerate(fails) for opts in both}
+    own = Options(strict_u=strict_u)
+    assert all(fresh[i, own] for i in range(len(fails)))
+    assert any(fresh[i, both[0]] != fresh[i, both[1]] for i in range(len(fails)))
+    # runs of one table, taken two at a time and alternately, each witness
+    # under both options
+    runs = [list(g) for _, g in itertools.groupby(range(len(fails)), lambda i: fails[i].table)]
+    pairs = itertools.zip_longest(runs[::2], runs[1::2], fillvalue=())
+    alternating = [(i, opts) for a, b in pairs for ab in itertools.zip_longest(a, b)
+                   for i in ab if i is not None for opts in both]
+    orders = {
+        "file": [(i, own) for i in range(len(fails))],
+        "reversed": [(i, own) for i in reversed(range(len(fails)))],
+        "alternating": alternating,
+    }
+    for name, order in orders.items():
+        assert sorted({i for i, _ in order}) == list(range(len(fails))), name
+        for i, opts in order:
+            assert recheck_result(fails[i], opts) == fresh[i, opts], (name, fails[i], opts)
+        # the caches hold what the last table's own witnesses built
+        last = fails[order[-1][0]].table
+        tail = list(itertools.takewhile(lambda io: fails[io[0]].table == last, order[::-1]))
+        sizes = _cache_sizes()
+        for c in claims._CACHES:
+            c.cache_clear()
+        for i, opts in tail[::-1]:
+            recheck_result(fails[i], opts)
+        assert _cache_sizes() == sizes, name
+
+
 def test_recheck_parses_each_run_of_equal_keys_once(cli_reports3):
     fails = [r for r in Report.loads(cli_reports3[False].read_text()).results
              if r.status == STATUS_FAILS]
@@ -182,17 +231,17 @@ def test_recheck_parses_each_run_of_equal_keys_once(cli_reports3):
     assert len(fails) == 1436 and runs < len(fails) / 2
 
 
-def _negated_ids(r):
-    """Copies of r with one positive id v of its params or witness, or of
-    a list there, replaced by v - n: both pick the same row of a table."""
+def _changed_ids(r, change, least=0):
+    """Copies of r with one id v >= least of its params or witness, or of
+    a list there, replaced by change(v, n)."""
     n = int(r.table.split(";")[0])
     for section in ("params", "witness"):
         fields = getattr(r, section)
         for key, value in fields.items():
             items = value if isinstance(value, list) else [value]
             for i, v in enumerate(items):
-                if type(v) is int and v > 0:
-                    bad = items[:i] + [v - n] + items[i + 1:]
+                if type(v) is int and v >= least:
+                    bad = items[:i] + [change(v, n)] + items[i + 1:]
                     bad = bad if isinstance(value, list) else bad[0]
                     yield dataclasses.replace(r, **{section: {**fields, key: bad}})
 
@@ -215,8 +264,28 @@ def test_recheck_refuses_ids_outside_the_table(cli_reports3, strict_u):
     tampered = 0
     for r in Report.loads(cli_reports3[strict_u].read_text()).results:
         if r.status == STATUS_FAILS:
-            for bad in _negated_ids(r):
+            # v - n picks the same row of a table as v
+            for bad in _changed_ids(r, lambda v, n: v - n, least=1):
                 assert not recheck_result(bad, opts), (bad, r.witness)
+                tampered += 1
+    assert tampered > 1000
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_recheck_refuses_float_ids(cli_reports3, strict_u):
+    # no evaluator writes a float; 0.0 == 0 would pass for id 0, and a
+    # float index would raise TypeError in the re-checker
+    text = cli_reports3[strict_u].read_text()
+    floats = []
+    for line in text.splitlines():
+        json.loads(line, parse_float=floats.append)
+    assert floats == []
+    opts = Options(strict_u=strict_u)
+    tampered = 0
+    for r in Report.loads(text).results:
+        if r.status == STATUS_FAILS:
+            for bad in _changed_ids(r, lambda v, n: float(v)):
+                assert recheck_result(bad, opts) is False, (bad, r.witness)
                 tampered += 1
     assert tampered > 1000
 
@@ -281,9 +350,11 @@ def _foreign_calls(fn):
 
 
 def test_recheckers_call_only_definitional_code():
-    helpers = [fn for name, fn in vars(claims).items()
-               if _HELPER.fullmatch(name) and inspect.isfunction(fn)]
-    assert len(helpers) > 20
+    # a helper behind functools.cache is no function itself: unwrap it
+    helpers = [inspect.unwrap(fn) for name, fn in vars(claims).items()
+               if _HELPER.fullmatch(name) and callable(fn)]
+    assert all(map(inspect.isfunction, helpers))
+    assert len(helpers) >= 25
     for fn in helpers:
         assert _foreign_calls(fn) == set(), fn.__name__
     for cid, claim in REGISTRY.items():
@@ -336,14 +407,19 @@ def test_a_refused_congruence_is_a_fails(monkeypatch, corpus3):
 
 def test_literal_builders_agree_with_production(corpus3, classes5):
     # C-1.2 compares R* and L*; this compares every relation test, at every
-    # U a claim ranges over, and the natural order, on all pairs
+    # U a claim ranges over, weak U-abundance under both U-policies, and
+    # the natural order, on all pairs
     for s in itertools.chain(corpus3, classes5):
+        claims._hold(s)
         t, r = s.table, range(s.order)
         g, st = relations.green(s), relations.star(s)
         cases = [("L", g.l, ()), ("R", g.r, ()), ("L*", st.l_star, ()), ("R*", st.r_star, ())]
         for us in claims.u_subsets(s):
             td = relations.tilde(s, frozenset(us))
             cases += [("L~", td.l_tilde, us), ("R~", td.r_tilde, us)]
+            for strict in (False, True):
+                assert (claims._u_abundant_lit(s, us, strict)
+                        == relations.is_weakly_u_abundant(s, us, strict)), (t, us, strict)
         for name, rel, us in cases:
             related = claims._related_lit(t, name, us)
             assert all(related(x, y) == rel.same(x, y) for x in r for y in r), (t, name, us)

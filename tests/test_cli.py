@@ -348,6 +348,12 @@ def _bool_ids(lines):
     _edit_record(lines, i, lambda r: r["witness"].update(f=True, ff=True, fe=True))
 
 
+def _float_ids(lines):
+    # the left-zero band 2;0 0;1 1 at e = 0; 0.0 == 0 would pass for ef = 0
+    i = _first_fails(lines, "C-4.1-reverse")
+    _edit_record(lines, i, lambda r: r["witness"].update(ef=0.0))
+
+
 def _witness_without_a_field(lines):
     i = _first_fails(lines, "C-NONCONG")
     _edit_record(lines, i, lambda r: r["witness"].pop("z"))
@@ -381,6 +387,7 @@ def _other_version(lines):
     (_negative_id, "C-2.2-quantifier on .* witness not confirmed"),
     (_wrong_product, "C-4.1-reverse on .* witness not confirmed"),
     (_bool_ids, "C-4.1-reverse on 2;0 0;1 1 params={'e': 0}: witness not confirmed"),
+    (_float_ids, "C-4.1-reverse on 2;0 0;1 1 params={'e': 0}: witness not confirmed"),
     (_witness_without_a_field, "C-NONCONG on .* witness not confirmed"),
     (_unknown_relation, "C-2.6-inter on .* witness not confirmed"),
     (_unknown_side, "C-2.3-literal on .* witness not confirmed"),

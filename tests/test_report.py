@@ -103,6 +103,8 @@ def test_sort_key_orders_by_claim_then_table_then_params():
     c = ClaimResult("C-1.1", "2;0 0;1 1", {"a": 1}, STATUS_HOLDS)
     d = ClaimResult("C-2.1", "1;0", {}, STATUS_HOLDS)
     assert sorted([d, c, b, a], key=lambda r: r.sort_key()) == [a, b, c, d]
+    # the params as the report line encodes them
+    assert b.sort_key()[2] == '{"a":0}'
 
 
 def test_results_iterate_twice_with_equal_results():
