@@ -22,19 +22,9 @@ witness the re-checker refuses, not a crash or a HOLDS.  The
 differential claims C-1.2, C-1.3, C-3.1 and C-FUND compare production
 with a definition by design.
 
-``recheck_result`` reproduces a FAILS result from the serialized table,
-params, and witness alone; an element id outside the table, or a bool
-outside the flag fields, refutes the witness before its re-checker runs.
-Re-checkers are definitional: they scan raw tables instead of calling
-production code, except where the claim is about that code (C-1.2
-``star``, C-3.1 ``all_congruences`` and ``quotient``, C-FUND
-``is_fundamental``).  Literal helpers build tests, deriving S^1 once per
-table: ``_related_lit(table, name, us)`` returns ``related(x, y)`` for L,
-R, L*, R*, L~ or R~, ``_natural_leq_lit(table)`` returns ``leq(a, b)``.
-A left-hand relation (L, L*, L~, P2) is the right-hand one on the
-transposed table, the table of the dual semigroup.
-
-The cached accessors and literal builders hold the derived objects of one
+Each claim's re-checker, and the literal tests the differential claims
+read, are in ``literal``, the definitional side.  The cached accessors
+here and the literal builders there hold the derived objects of one
 table.  ``_hold`` empties them all when it is called on a table other
 than the one they hold; the evaluator ``_claim`` builds enters it, and so
 does ``recheck_result``.  So each object is built once per table, however
@@ -55,22 +45,20 @@ from typing import Callable, Iterator
 
 from . import congruences, core, relations, variants, orders
 from .congruences import (
-    CONGRUENCE_ORDER_BOUND,
-    KIND_LEFT,
-    KIND_RIGHT,
-    KIND_TWO_SIDED,
-    NotACongruence,
-    all_congruences,
-    are_isomorphic,
-    congruence_kind,
-    fundamental_among,
-    is_fundamental,
-    quotient,
-    sandwich_lambda,
-    sandwich_rho,
-    u_translate_hom,
+    CONGRUENCE_ORDER_BOUND, KIND_LEFT, KIND_RIGHT, KIND_TWO_SIDED, NotACongruence,
+    are_isomorphic, congruence_kind, fundamental_among, quotient, sandwich_lambda,
+    sandwich_rho, u_translate_hom,
 )
-from .core import FiniteSemigroup, OrderTooLarge, SemigroupError, idempotents
+from .core import FiniteSemigroup, SemigroupError, idempotents
+from .literal import (
+    _INCL_LINKS, _TILDES, _c13_lit, _dual, _idems_lit, _lit_congruences, _recheck_c11,
+    _recheck_c12, _recheck_c13, _recheck_c14, _recheck_c21, _recheck_c22c, _recheck_c22q,
+    _recheck_c23l, _recheck_c23r, _recheck_c24, _recheck_c25, _recheck_c26, _recheck_c31,
+    _recheck_c32, _recheck_c34, _recheck_c35, _recheck_c40, _recheck_c41f, _recheck_c41r,
+    _recheck_c42, _recheck_c43, _recheck_c44a, _recheck_c44b, _recheck_cfund, _recheck_cincl,
+    _recheck_cnatpo, _recheck_noncong, _related_lit, _s1_table, _sandwich_lit, _sandwich_table,
+    _separating_lit, _u_abundant_lit, _well_formed,
+)
 from .relations import Equivalence, NotIdempotentMember, bare_classes
 from .report import (
     STATUS_FAILS,
@@ -262,182 +250,6 @@ def _iso_witness(a, b, name_a, name_b):
 
 
 # ---------------------------------------------------------------------------
-# definitional helpers used by the witness re-checkers.  These work on raw
-# tables and spell the definitions out; they deliberately avoid the
-# production partition machinery.
-
-
-def _dual(table):
-    """The table of the dual semigroup: x.y read as y.x."""
-    return tuple(zip(*table))
-
-
-#: the relations of weak U-abundance: the only names C-1.4's
-#: weakly-abundant part, C-NONCONG and C-2.6 write
-_TILDES = ("L~", "R~")
-#: the sides a witness names
-_SIDES = ("L", "R")
-#: the relations C-2.4 writes, and with L and R those C-1.1 writes
-_STARS = ("L*", "R*")
-#: the inclusions C-INCL checks, as (finer, coarser) relation names
-_INCL_LINKS = (("L", "L*"), ("L*", "L~"), ("R", "R*"), ("R*", "R~"))
-
-
-def _side(table, name):
-    """The table on which the right-hand helpers decide relation name:
-    the table itself for R, R*, R~, and its dual for L, L*, L~."""
-    if name[:1] not in ("L", "R"):  # a witness may name any side
-        raise ValueError(f"unknown side {name!r}")
-    return table if name[0] == "R" else _dual(table)
-
-
-def _identity_lit(table):
-    """The two-sided identity of the table, or None."""
-    r = range(len(table))
-    return next((e for e in r if all(table[e][x] == x == table[x][e] for x in r)), None)
-
-
-@cache
-def _s1_table(table):
-    """(table, size) of S^1: S itself when an identity exists."""
-    n = len(table)
-    if _identity_lit(table) is not None:
-        return table, n
-    rows = [tuple(row) + (x,) for x, row in enumerate(table)]
-    rows.append(tuple(range(n + 1)))
-    return tuple(rows), n + 1
-
-
-@cache
-def _related_lit(table, name, us=()):
-    """The test related(x, y) of L, R, L*, R* or L~, R~ relative to the
-    tuple us."""
-    t, kind = _side(table, name), name[1:]
-    if kind == "":  # equal principal right ideals xS^1 = yS^1
-        ideals = [frozenset(row) | {x} for x, row in enumerate(t)]
-        return lambda x, y: ideals[x] == ideals[y]
-    if kind == "*":  # xa = ya <=> xb = yb for all x, y in S^1
-        t1, n1 = _s1_table(t)
-        r = range(n1)
-        return lambda a, b: all(
-            (t1[x][a] == t1[y][a]) == (t1[x][b] == t1[y][b]) for x in r for y in r)
-    if kind == "~":  # ex = x <=> ey = y for every e in us: equal vectors
-        fixed = _fixed_lit(t, us)
-        return lambda x, y: fixed[x] == fixed[y]
-    raise ValueError(f"unknown relation {name!r}")
-
-
-def _fixed_lit(t, us):
-    """For each x, the vector (ex = x for e in us) on the side table t: x
-    R~ y relative to us when their vectors are equal (L~ on the dual)."""
-    return [tuple([t[e][x] == x for e in us]) for x in range(len(t))]
-
-
-def _bare_class_lit(table, name, a, target, us=()):
-    """True when the name-class of a has no member in target."""
-    related = _related_lit(table, name, us)
-    return not any(related(a, b) for b in target)
-
-
-def _idems_lit(table):
-    return [x for x in range(len(table)) if table[x][x] == x]
-
-
-def _regular_lit(table, x):
-    return any(table[table[x][y]][x] == x for y in range(len(table)))
-
-
-def _all_regular_lit(table):
-    return all(_regular_lit(table, x) for x in range(len(table)))
-
-
-def _abundant_lit(table):
-    """True when every L*- and every R*-class meets E(S)."""
-    es = _idems_lit(table)
-    return all(
-        any(related(a, b) for b in es)
-        for related in (_related_lit(table, name) for name in _STARS)
-        for a in range(len(table))
-    )
-
-
-@cache
-def _sandwich_table(table, a):
-    """The table of S^a: x * y = (xa)y, so row x is row xa of S."""
-    return tuple(table[table[x][a]] for x in range(len(table)))
-
-
-def _natural_leq_lit(table):
-    """The test leq(a, b): a = xb = by with xa = a for some x, y in S^1."""
-    t1, n1 = _s1_table(table)
-    r = range(n1)
-    return lambda a, b: (any(t1[x][b] == a and t1[x][a] == a for x in r)
-                         and any(t1[b][y] == a for y in r))
-
-
-def _law_broken_lit(leq, w):
-    """True when leq breaks the witness's partial-order law at its elements."""
-    x = w["x"]
-    if w["law"] == "reflexivity":
-        return not leq(x, x)
-    y = w["y"]
-    if w["law"] == "antisymmetry":
-        return x != y and leq(x, y) and leq(y, x)
-    z = w["z"]
-    return leq(x, y) and leq(y, z) and not leq(x, z)
-
-
-def _is_congruence_lit(table, class_index):
-    n = len(table)
-    for x in range(n):
-        for y in range(n):
-            if class_index[x] != class_index[y]:
-                continue
-            for z in range(n):
-                if class_index[table[z][x]] != class_index[table[z][y]]:
-                    return False
-                if class_index[table[x][z]] != class_index[table[y][z]]:
-                    return False
-    return True
-
-
-def _separating_lit(class_index, es):
-    """True when the canonical class_index is not the identity partition
-    and no class holds two of the idempotents es."""
-    return max(class_index) + 1 != len(class_index) and len({class_index[x] for x in es}) == len(es)
-
-
-def _iso_exists_lit(ta, tb):
-    """Exhaustive isomorphism test between two raw tables."""
-    n = len(ta)
-    return n == len(tb) and any(
-        all(f[ta[x][y]] == tb[f[x]][f[y]] for x in range(n) for y in range(n))
-        for f in itertools.permutations(range(n))
-    )
-
-
-def _lambda_classes_lit(table, u):
-    """Class index of each x under lambda^u, classes ordered by the value ux."""
-    values = sorted(set(table[u]))
-    return [values.index(v) for v in table[u]]
-
-
-def _lambda_quotient_lit(table, u):
-    """Table of S^u / lambda^u built from scratch: classes by the value ux."""
-    idx = _lambda_classes_lit(table, u)
-    reps = [idx.index(c) for c in range(max(idx) + 1)]
-    # product in the variant: a * b = a u b
-    return tuple(tuple(idx[table[table[a][u]][b]] for b in reps) for a in reps)
-
-
-def _usub_table_lit(table, u):
-    """Table of uS with elements re-indexed by ascending original id."""
-    members = sorted(set(table[u]))
-    pos = {v: i for i, v in enumerate(members)}
-    return tuple(tuple(pos[table[a][b]] for b in members) for a in members)
-
-
-# ---------------------------------------------------------------------------
 # C-1.1  regular semigroups are abundant (classical and starred classes
 #        all meet E(S))
 
@@ -448,13 +260,6 @@ def _check_c11(s, opts):
     g, st = _green(s), _star(s)
     rels = ((g.l, "L"), (g.r, "R"), (st.l_star, "L*"), (st.r_star, "R*"))
     return _first(bare_classes(rels, _idem(s)))
-
-
-def _recheck_c11(s, params, w, opts):
-    t = s.table
-    if w["relation"] not in _SIDES + _STARS:
-        return False
-    return _all_regular_lit(t) and _bare_class_lit(t, w["relation"], w["element"], _idems_lit(t))
 
 
 # C-1.2  the kernel-based starred relations agree with the literal
@@ -474,23 +279,8 @@ def _check_c12(s, opts):
     )
 
 
-def _recheck_c12(s, params, w, opts):
-    st = relations.star(s)
-    rel = st.r_star if w["side"] == "R" else st.l_star
-    related = _related_lit(s.table, w["side"] + "*")
-    return rel.same(w["a"], w["b"]) != related(w["a"], w["b"])
-
-
 # C-1.3  a R* e (e idempotent) iff ea = a and xa = ya implies xe = ye;
 #        dually for L*
-
-
-def _c13_lit(table):
-    """The test rhs(a, e): ea = a, and xa = ya implies xe = ye over S^1."""
-    t1, n1 = _s1_table(table)
-    r = range(n1)
-    return lambda a, e: table[e][a] == a and all(
-        t1[x][a] != t1[y][a] or t1[x][e] == t1[y][e] for x in r for y in r)
 
 
 def _check_c13(s, opts):
@@ -504,13 +294,6 @@ def _check_c13(s, opts):
         for side, rel, rhs in sides
         if rel.same(a, e) != rhs(a, e)
     )
-
-
-def _recheck_c13(s, params, w, opts):
-    t = _side(s.table, w["side"])
-    related, rhs = _related_lit(t, "R*"), _c13_lit(t)
-    a, e = w["a"], w["e"]
-    return t[e][e] == e and related(a, e) != rhs(a, e)
 
 
 # C-INCL  L refines L* refines L~ (dually for R); all three coincide on
@@ -537,22 +320,6 @@ def _check_cincl(s, opts, U):
     ))
 
 
-def _recheck_cincl(s, params, w, opts):
-    t = s.table
-    us = tuple(sorted(params["U"]))
-    if w["part"] == "refused":  # tilde refused an idempotent in U
-        return w["element"] in set(us).intersection(_idems_lit(t))
-    eq = w["part"].startswith("eq:")
-    names = tuple(w["part"].removeprefix("eq:").split("=" if eq else "<="))
-    if names not in _INCL_LINKS:
-        return False
-    first, second = (_related_lit(t, name, us) for name in names)
-    a, b = first(w["x"], w["y"]), second(w["x"], w["y"])
-    if eq:
-        return _all_regular_lit(t) and set(us) == set(_idems_lit(t)) and a != b
-    return a and not b
-
-
 # C-1.4  on an abundant semigroup the tilde relations at U = E(S)
 #        collapse to the starred ones, and S is weakly E(S)-abundant
 
@@ -573,22 +340,6 @@ def _check_c14(s, opts):
          for x, y in _diff_pairs(p, q)),
         ({"part": "weakly-abundant", **w} for w in bare_classes(tildes, es)),
     ))
-
-
-def _recheck_c14(s, params, w, opts):
-    t = s.table
-    if not _abundant_lit(t):
-        return False
-    us = tuple(_idems_lit(t))
-    if w["part"] == "refused":  # tilde refused an idempotent
-        return w["element"] in us
-    if w["part"] == "weakly-abundant":
-        name = w["relation"]
-        return name in _TILDES and _bare_class_lit(t, name, w["element"], set(us), us)
-    if w["part"] not in ("L*=L~", "R*=R~"):
-        return False
-    first, second = (_related_lit(t, name, us) for name in w["part"].split("="))
-    return first(w["x"], w["y"]) != second(w["x"], w["y"])
 
 
 # C-NONCONG  is L~ a right congruence (R~ a left congruence)?  Observed:
@@ -618,18 +369,6 @@ def _check_noncong(s, opts, U, relation):
     )
 
 
-def _recheck_noncong(s, params, w, opts):
-    t = s.table
-    us = tuple(sorted(params["U"]))
-    name = params["relation"]
-    if name not in _TILDES:
-        return False
-    x, y, z = w["x"], w["y"], w["z"]
-    m = t if name == "L~" else _dual(t)
-    related = _related_lit(t, name, us)
-    return related(x, y) and not related(m[x][z], m[y][z])
-
-
 # C-2.1  the sandwich operation x * y = x a y is associative
 
 
@@ -640,12 +379,6 @@ def _check_c21(s, opts, a):
         for x, y, z in itertools.product(range(s.order), repeat=3)
         if vt[vt[x][y]][z] != vt[x][vt[y][z]]
     )
-
-
-def _recheck_c21(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["a"])
-    x, y, z = w["x"], w["y"], w["z"]
-    return vt[vt[x][y]][z] != vt[x][vt[y][z]]
 
 
 # C-2.2-quantifier  does quantifying the variant's cancellation condition
@@ -669,15 +402,6 @@ def _check_c22q(s, opts, a):
     )
 
 
-def _recheck_c22q(s, params, w, opts):
-    vt = _side(_sandwich_table(s.table, params["a"]), w["side"])
-    related = _related_lit(vt, "R*")
-    x, y = w["x"], w["y"]
-    r = range(len(vt))
-    plain = all((vt[u][x] == vt[v][x]) == (vt[u][y] == vt[v][y]) for u in r for v in r)
-    return related(x, y) != plain
-
-
 # C-2.2-composition  is D* of the variant the relational composition
 #                    R* o L* (= L* o R*)?  Observed.
 
@@ -697,30 +421,6 @@ def _check_c22c(s, opts, a):
         for j, p, q in [((x, y) in jp, (x, y) in rl, (x, y) in lr)]
         if len({j, p, q}) > 1
     )
-
-
-def _recheck_c22c(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["a"])
-    n = len(vt)
-
-    def least_related(name):  # the least member of each element's class
-        related = _related_lit(vt, name)
-        return [next(b for b in range(n) if related(b, c)) for c in range(n)]
-
-    lidx, ridx = least_related("L*"), least_related("R*")
-    x, y = w["x"], w["y"]
-    in_rl = any(ridx[x] == ridx[c] and lidx[c] == lidx[y] for c in range(n))
-    in_lr = any(lidx[x] == lidx[c] and ridx[c] == ridx[y] for c in range(n))
-    # D* = the join: everything reachable from x by L*- or R*-steps
-    reach, todo = {x}, [x]
-    while todo:
-        c = todo.pop()
-        for b in set(range(n)) - reach:
-            if lidx[b] == lidx[c] or ridx[b] == ridx[c]:
-                reach.add(b)
-                todo.append(b)
-    found = (y in reach, in_rl, in_lr)
-    return found == (w["in_join"], w["in_rl"], w["in_lr"]) and len(set(found)) > 1
 
 
 # C-2.3-restricted  on P1 the variant's R* agrees with the base's R*
@@ -749,15 +449,6 @@ def _check_c23r(s, opts, a):
     )
 
 
-def _recheck_c23r(s, params, w, opts):
-    a = params["a"]
-    t = _side(s.table, w["side"])
-    base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
-    x, y = w["x"], w["y"]
-    # x is in P1 when ax R* x
-    return base(t[a][x], x) and base(t[a][y], y) and variant(x, y) != base(x, y)
-
-
 def _check_c23l(s, opts, a):
     for side, pset, vrel, brel in _c23_sides(s, a):
         for x in range(s.order):
@@ -768,14 +459,6 @@ def _check_c23l(s, opts, a):
                 return {"side": side, "x": x, "y": y,
                         "in_variant_cap_p": y in lhs, "in_base": y in rhs}
     return None
-
-
-def _recheck_c23l(s, params, w, opts):
-    a = params["a"]
-    t = _side(s.table, w["side"])
-    base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
-    x, y = w["x"], w["y"]
-    return (variant(x, y) and base(t[a][y], y)) != base(x, y)
 
 
 # C-2.4  variants of an abundant monoid at invertible sandwich elements
@@ -791,32 +474,12 @@ def _check_c24(s, opts, a):
     return _first(bare_classes(rels, _idem(v)))
 
 
-def _recheck_c24(s, params, w, opts):
-    t, n, a = s.table, s.order, params["a"]
-    e = _identity_lit(t)
-    if e is None or not _abundant_lit(t):
-        return False
-    if not any(t[a][b] == e == t[b][a] for b in range(n)):
-        return False
-    if w["relation"] not in _STARS:
-        return False
-    vt = _sandwich_table(t, a)
-    return _bare_class_lit(vt, w["relation"], w["element"], _idems_lit(vt))
-
-
 # C-2.5  an idempotent sandwich element is idempotent in its own variant
 
 
 def _check_c25(s, opts, e):
     eee = _variant(s, e).table[e][e]
     return None if eee == e else {"e_star_e": eee}
-
-
-def _recheck_c25(s, params, w, opts):
-    t = s.table
-    e = params["e"]
-    eee = t[t[e][e]][e]
-    return t[e][e] == e and eee != e and w["e_star_e"] == eee
 
 
 # C-2.6  weak abundance passed to idempotent variants, under two readings
@@ -849,76 +512,9 @@ def _check_c26(s, opts, U, e, reading):
     return w if w is None or w is _NA else {"Uprime": uprime, **w}
 
 
-@cache
-def _u_abundant_lit(s, us, strict):
-    """True when S is weakly U-abundant at U = us: every L~- and R~-class,
-    the elements with one vector of fixed points, holds a member of us
-    (strict) or of E(S)."""
-    target = us if strict else _idems_lit(s.table)
-    return all({*fixed} <= {fixed[b] for b in target}
-               for fixed in (_fixed_lit(_side(s.table, name), us) for name in _TILDES))
-
-
-@cache
-def _sandwich_lit(s, e):
-    """(table, idempotents) of the variant S^e."""
-    vt = _sandwich_table(s.table, e)
-    return vt, frozenset(_idems_lit(vt))
-
-
-def _recheck_c26(s, params, w, opts, reading):
-    us = tuple(sorted(params["U"]))
-    e = params["e"]
-    if not _u_abundant_lit(s, us, opts.strict_u):
-        return False
-    vt, ves = _sandwich_lit(s, e)
-    uprime = (e,)
-    if reading == "inter":
-        uprime = tuple(sorted(ves.intersection(us)))
-    if tuple(sorted(w["Uprime"])) != uprime or w["relation"] not in _TILDES:
-        return False
-    target = set(uprime) if opts.strict_u else ves
-    return _bare_class_lit(vt, w["relation"], w["element"], target, uprime)
-
-
 # C-3.1  the congruence lattice: join-closure of principal congruences
 #        equals the brute-force partition filter, and every quotient is
 #        well defined
-
-
-def _partitions_lit(n):
-    """All partitions of 0..n-1 as canonical class-index tuples."""
-    code: list[int] = []
-
-    def rec(i, k):
-        if i == n:
-            yield tuple(code)
-            return
-        for c in range(k + 1):
-            code.append(c)
-            yield from rec(i + 1, k + 1 if c == k else k)
-            code.pop()
-
-    yield from rec(0, 0)
-
-
-def _canonical_lit(ci, n):
-    """True when ci lists n class numbers, each new one the count of those
-    before it: a class index numbered by first occurrence."""
-    return type(ci) is list and len(ci) == n and all(
-        type(c) is int and (c in ci[:i] or c == len(set(ci[:i]))) for i, c in enumerate(ci))
-
-
-@cache
-def _lit_congruences(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
-    """The partitions passing the literal congruence test, in
-    _partitions_lit order: the brute-force side of C-3.1 and C-FUND.
-    Refuses carriers above CONGRUENCE_ORDER_BOUND, as all_congruences
-    does: there are Bell(n) partitions."""
-    if s.order > CONGRUENCE_ORDER_BOUND:
-        raise OrderTooLarge(s.order, CONGRUENCE_ORDER_BOUND)
-    partitions = _partitions_lit(s.order)
-    return tuple(ci for ci in partitions if _is_congruence_lit(s.table, ci))
 
 
 def _check_c31(s, opts):
@@ -943,24 +539,6 @@ def _check_c31(s, opts):
     )
 
 
-def _recheck_c31(s, params, w, opts):
-    t, n = s.table, s.order
-    if w["part"] == "lattice":  # each partition listed is made and no congruence, or the reverse
-        made = {p.class_index for p in all_congruences(s)}
-        sides = {True: w["only_production"], False: w["only_bruteforce"]}
-        return any(sides.values()) and all(
-            _canonical_lit(ci, n) and (tuple(ci) in made) == produced != _is_congruence_lit(t, ci)
-            for produced, listed in sides.items() for ci in listed)
-    ci = w["partition"]
-    if w["part"] == "refused":  # quotient refused what is literally no congruence
-        return _canonical_lit(ci, n) and not _is_congruence_lit(t, ci)
-    if not (_canonical_lit(ci, n) and _is_congruence_lit(t, ci)):
-        return False
-    q = quotient(s, Equivalence.from_keys(n, ci))
-    x, y = w["x"], w["y"]
-    return q.table[ci[x]][ci[y]] != ci[t[x][y]]
-
-
 # C-3.2  lambda^u is a left congruence and rho^u a right congruence on
 #        the variant S^u; lambda^u is in fact two-sided there
 
@@ -976,16 +554,6 @@ def _check_c32(s, opts, u):
     if lam != KIND_TWO_SIDED:
         return {"relation": "lambda", "requirement": "right", "kind": lam}
     return None
-
-
-def _recheck_c32(s, params, w, opts):
-    """A literal scan of S^u for x, y related and z that the requirement's
-    translation (x * z for right, z * x for left) separates."""
-    t, u, r = s.table, params["u"], range(s.order)
-    key = t[u] if w["relation"] == "lambda" else [row[u] for row in t]  # ux or xu
-    vt = _sandwich_table(t, u)
-    m = vt if w["requirement"] == "right" else _dual(vt)
-    return any(key[x] == key[y] and key[m[x][z]] != key[m[y][z]] for x in r for y in r for z in r)
 
 
 # C-3.4  S^u / lambda^u is isomorphic to uS
@@ -1013,17 +581,6 @@ def _check_c34(s, opts, u):
     return _iso_witness(q, _translation(s, u)[0], "quotient", "image")
 
 
-def _recheck_c34(s, params, w, opts):
-    t = s.table
-    u = params["u"]
-    if w.get("part") == "hom":  # C-FHT: u(x.u.y) = (ux)(uy) in any semigroup
-        x, y = w["x"], w["y"]
-        return t[u][t[t[x][u]][y]] != t[t[u][x]][t[u][y]]
-    if w.get("part") == "lambda-not-congruence":
-        return not _is_congruence_lit(_sandwich_table(t, u), _lambda_classes_lit(t, u))
-    return not _iso_exists_lit(_lambda_quotient_lit(t, u), _usub_table_lit(t, u))
-
-
 # C-3.5  L-related sandwich elements give isomorphic quotients
 #        S^a/lambda^a and S^b/lambda^b.  Observed.
 
@@ -1040,18 +597,6 @@ def _check_c35(s, opts, a, b):
         if q is None:
             return {"part": "lambda-not-congruence", "at": at, "kind": kind}
     return _iso_witness(qs[a][0], qs[b][0], "quotient_a", "quotient_b")
-
-
-def _recheck_c35(s, params, w, opts):
-    t, related = s.table, _related_lit(s.table, "L")
-    a, b = params["a"], params["b"]
-    if not related(a, b):
-        return False
-    if w.get("part") == "lambda-not-congruence":
-        at = w["at"]  # as for C-3.4: lambda^at is literally no congruence on S^at
-        vt = _sandwich_table(t, at)
-        return at in (a, b) and not _is_congruence_lit(vt, _lambda_classes_lit(t, at))
-    return not _iso_exists_lit(_lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b))
 
 
 # C-FHT  first isomorphism theorem for the u-translation homomorphism:
@@ -1092,20 +637,6 @@ def _check_cfund(s, opts):
             "witness_partition": found}
 
 
-def _recheck_cfund(s, params, w, opts):
-    production = is_fundamental(s)  # raises OrderTooLarge above the bound
-    t, n, ci = s.table, s.order, w["witness_partition"]
-    # production calls S fundamental exactly when brute force names a partition
-    named = ci is not None
-    if not (production is named is w["production"] and w["bruteforce"] is not named):
-        return False
-    es = _idems_lit(t)
-    if ci is None:  # then the literal scan of all partitions finds none
-        return not any(_separating_lit(p, es) and _is_congruence_lit(t, p)
-                       for p in _partitions_lit(n))
-    return _canonical_lit(ci, n) and _separating_lit(ci, es) and _is_congruence_lit(t, ci)
-
-
 # C-4.0  the natural order restricted to idempotents is the usual
 #        idempotent order ef = fe = e
 
@@ -1119,15 +650,6 @@ def _check_c40(s, opts):
         for f, holds in zip(ids, row)
         if leq[e][f] != holds
     )
-
-
-def _recheck_c40(s, params, w, opts):
-    t, leq = s.table, _natural_leq_lit(s.table)
-    e, f = w["e"], w["f"]
-    if t[e][e] != e or t[f][f] != f:
-        return False
-    usual = t[e][f] == e and t[f][e] == e
-    return leq(e, f) != usual
 
 
 # C-4.1  E(S^e) versus {f in E(S) : f <= e}: the forward inclusion is
@@ -1144,15 +666,6 @@ def _check_c41f(s, opts, e):
     )
 
 
-def _recheck_c41f(s, params, w, opts):
-    t = s.table
-    e, f = params["e"], w["f"]
-    if t[e][e] != e or t[f][f] != f:
-        return False
-    fef = t[t[f][e]][f]
-    return t[f][e] == f and t[e][f] == f and fef != f and w["f_star_f"] == fef
-
-
 def _check_c41r(s, opts, e):
     t = s.table
     vt = _variant(s, e).table
@@ -1164,31 +677,11 @@ def _check_c41r(s, opts, e):
     )
 
 
-def _recheck_c41r(s, params, w, opts):
-    t = s.table
-    e, f = params["e"], w["f"]
-    if t[e][e] != e or (w["ff"], w["fe"], w["ef"]) != (t[f][f], t[f][e], t[e][f]):
-        return False
-    in_variant = t[t[f][e]][f] == f
-    below = t[f][f] == f and t[f][e] == f and t[e][f] == f
-    return in_variant and not below
-
-
 # C-4.2  <=_e is a partial order on E(S^e)
 
 
 def _check_c42(s, opts, e):
     return _law_violation(orders.idempotent_order(_variant(s, e)))
-
-
-def _recheck_c42(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["e"])
-
-    def leq(a, b):
-        return vt[a][a] == a and vt[b][b] == b and vt[a][b] == a and vt[b][a] == a
-
-    x = w["x"]
-    return vt[x][x] == x and _law_broken_lit(leq, w)
 
 
 # C-4.3  a <=_e b in the variant implies a <= b in the base
@@ -1202,12 +695,6 @@ def _check_c43(s, opts, e):
         for b in r
         if vleq[a][b] and not leq[a][b]
     )
-
-
-def _recheck_c43(s, params, w, opts):
-    leq, vleq = _natural_leq_lit(s.table), _natural_leq_lit(_sandwich_table(s.table, params["e"]))
-    a, b = w["a"], w["b"]
-    return vleq(a, b) and not leq(a, b)
 
 
 # C-4.4  below an idempotent of the variant everything is idempotent
@@ -1225,13 +712,6 @@ def _check_c44a(s, opts, e):
     )
 
 
-def _recheck_c44a(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["e"])
-    leq = _natural_leq_lit(vt)
-    a, f = w["a"], w["f"]
-    return vt[f][f] == f and leq(a, f) and vt[a][a] != a
-
-
 def _check_c44b(s, opts, e):
     v, leq, r = _variant(s, e), _natural(_variant(s, e)).leq, range(s.order)
     regular = [core.is_regular_element(v, x) for x in r]
@@ -1243,13 +723,6 @@ def _check_c44b(s, opts, e):
     )
 
 
-def _recheck_c44b(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["e"])
-    leq = _natural_leq_lit(vt)
-    a, b = w["a"], w["b"]
-    return leq(a, b) and _regular_lit(vt, b) and not _regular_lit(vt, a)
-
-
 # C-NAT-PO  is the natural order actually a partial order?  Measured.
 
 
@@ -1257,14 +730,10 @@ def _check_cnatpo(s, opts):
     return _law_violation(_natural(s))
 
 
-def _recheck_cnatpo(s, params, w, opts):
-    return _law_broken_lit(_natural_leq_lit(s.table), w)
-
-
 # ---------------------------------------------------------------------------
 # the caches' scope: one table
 
-#: the cached accessors and literal builders above, taken at import:
+#: the cached accessors above and literal's cached builders, taken at import:
 #: perfbench rebinds some of the names to tracing wrappers that have no
 #: cache_clear
 _CACHES = (
@@ -1419,47 +888,15 @@ def _parse_witness_table(key: str) -> FiniteSemigroup:
     return parse_inline(key)
 
 
-#: the witness fields the evaluators write as JSON booleans
-_FLAG_FIELDS = frozenset({
-    "bundle", "literal", "star", "characterization", "adjoined", "plain",
-    "in_join", "in_rl", "in_lr", "variant_related", "base_related",
-    "in_variant_cap_p", "in_base", "natural", "usual", "production", "bruteforce",
-})
-
-
-def _out_of_range(fields, n: int) -> bool:
-    """True when a (name, value) field holds an int outside 0..n-1, or any
-    float, directly or in a list at any depth, or a bool outside
-    _FLAG_FIELDS.  Every other int in params and witnesses is an element
-    id or a class index, both below n, and no evaluator writes a float; a
-    negative id would index a row from its end, True would pass for id 1
-    and 0.0 would compare equal to id 0."""
-    for name, v in fields:
-        kind = type(v)
-        if kind is int:
-            if not 0 <= v < n:
-                return True
-        elif kind is list:
-            if _out_of_range(((name, x) for x in v), n):
-                return True
-        elif kind is bool:
-            if name not in _FLAG_FIELDS:
-                return True
-        elif kind is float:
-            return True
-    return False
-
-
 #: the options of a recheck that is given none
 _DEFAULT_OPTIONS = Options()
 
 
 def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
-    witness alone.  True means the failure is confirmed; params or a
-    witness holding an element id outside the table, a bool where an id
-    belongs, a float, or a side or relation name its claim never writes,
-    never are."""
+    witness alone.  True means the failure is confirmed; a record with a
+    field literal._FIELDS does not list, or a value not of its field's
+    kind, or a relation name its claim never writes, never is."""
     claim = REGISTRY.get(result.claim_id)
     if claim is None:
         raise UnknownClaim(result.claim_id)
@@ -1468,8 +905,5 @@ def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     s = _parse_witness_table(result.table)
     _hold(s)
     params, witness = result.params, result.witness
-    if _out_of_range(params.items(), s.order) or _out_of_range(witness.items(), s.order):
-        return False
-    if witness.get("side", "R") not in _SIDES:  # C-1.2, C-1.3, C-2.2, C-2.3
-        return False
-    return claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS)
+    return (_well_formed(s.order, params, witness)
+            and claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS))

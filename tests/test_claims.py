@@ -6,7 +6,6 @@ import dataclasses
 import inspect
 import itertools
 import json
-import re
 import sys
 import textwrap
 import time
@@ -15,7 +14,7 @@ import pytest
 
 from semivar import (
     FiniteSemigroup, NotAssociative, OrderTooLarge, build_semigroup, claims, cli,
-    congruences, orders, relations, variants,
+    congruences, literal, orders, relations, variants,
 )
 from semivar.claims import (
     HARD_CLAIM_IDS,
@@ -115,11 +114,12 @@ def test_tilde_congruence_failure_has_witness():
         assert recheck_result(r)
 
 
-#: FAILS records under a relation their claim never writes: the first
-#: three name a class without its target, or a pair a translate
-#: separates, but under L or L* where the claim speaks of L~; the rest
-#: name a relation or side no claim writes, on a table whose recheckers
-#: reach the name
+#: forged FAILS records.  The first three name a class without its
+#: target, or a pair a translate separates, but under L or L* where the
+#: claim speaks of L~; the next six name a relation or side no claim
+#: writes, on a table whose recheckers reach the name (the sixth is
+#: genuine under side R); the last is a genuine witness with a key no
+#: claim writes
 _FORGED_RELATIONS = [
     ("C-NONCONG", "3;0 0 0;0 0 1;0 0 2", {"U": [0], "relation": "L*"},
      {"x": 1, "y": 2, "z": 1}),
@@ -132,6 +132,9 @@ _FORGED_RELATIONS = [
     ("C-INCL", "1;0", {"U": [0]}, {"part": "L<=Q", "x": 0, "y": 0}),
     ("C-1.4", "1;0", {}, {"part": "L*=Q", "x": 0, "y": 0}),
     ("C-1.2", "1;0", {}, {"side": "X", "a": 0, "b": 0, "bundle": True, "literal": False}),
+    ("C-2.2-quantifier", "2;0 0;0 0", {"a": 0},
+     {"side": "X", "x": 0, "y": 1, "adjoined": False, "plain": True}),
+    ("C-4.1-reverse", "2;0 0;1 1", {"e": 0}, {"f": 1, "ff": 1, "fe": 1, "ef": 0, "zz": "junk"}),
 ]
 
 
@@ -253,9 +256,41 @@ def test_recheck_refuses_bools_as_ids(left_zero):
     for name in ("f", "ff", "fe"):
         assert not recheck_result(dataclasses.replace(r, witness={**r.witness, name: True}))
     assert not recheck_result(dataclasses.replace(r, params={"e": False}))
-    # a flag field holds a bool, and a list of ids no bool
-    assert claims._out_of_range([("adjoined", True), ("x", [0, 1])], 2) is False
-    assert claims._out_of_range([("x", [0, True])], 2) is True
+
+
+def _other_kinds(value, n):
+    """A value of each JSON kind other than value's: a string, null, an
+    object, a list, a float, a bool and an int outside 0..n-1.  A list of
+    ints also gets a copy with a bool for its first element."""
+    kinds = {str: "junk", type(None): None, dict: {}, list: [None], float: 0.0, bool: True}
+    out = [v for kind, v in kinds.items() if type(value) is not kind] + [n]
+    if type(value) is list and value and type(value[0]) is int:
+        out.append([True, *value[1:]])
+    return out
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_recheck_refuses_every_field_of_another_kind(cli_reports3, strict_u):
+    # each params and witness field set, one at a time, to a value of
+    # another JSON kind: the record is refused, and recheck_result raises
+    # nothing.  A flag field holds a bool in the genuine records
+    opts = Options(strict_u=strict_u)
+    fails = [r for r in Report.loads(cli_reports3[strict_u].read_text()).results
+             if r.status == STATUS_FAILS]
+    tampered, flags = 0, set()
+    for r in fails:
+        assert recheck_result(r, opts)
+        n = int(r.table.split(";")[0])
+        for section in ("params", "witness"):
+            fields = getattr(r, section)
+            flags |= {key for key, v in fields.items() if type(v) is bool}
+            for key, value in fields.items():
+                for bad in _other_kinds(value, n):
+                    forged = dataclasses.replace(r, **{section: {**fields, key: bad}})
+                    assert recheck_result(forged, opts) is False, (forged, value)
+                    tampered += 1
+    assert tampered > 10000
+    assert flags == {"adjoined", "plain", "in_variant_cap_p", "in_base"}
 
 
 @pytest.mark.parametrize("strict_u", [False, True])
@@ -308,27 +343,36 @@ def test_recheck_compares_the_witness_products(cli_reports3):
     assert tampered > 100
 
 
-# The definitional helpers a re-checker may call, by name.
-_HELPER = re.compile(r"_dual|_side|_sandwich_table|_s1_table|_c13_rhs|_\w+_lit")
-
-# The production code a re-checker reads because its claim is about it.
+# The production code a function of semivar.literal calls because its
+# claim is about that code, and the error _lit_congruences raises.
 _PRODUCTION_READ = {
-    "C-1.2": {"relations.star", "rel.same"},
-    "C-3.1": {"all_congruences", "quotient", "Equivalence.from_keys"},
-    "C-FUND": {"is_fundamental"},
+    "_recheck_c12": {"star", "rel.same"},
+    "_recheck_c31": {"all_congruences", "quotient", "Equivalence.from_keys"},
+    "_recheck_cfund": {"is_fundamental"},
+    "_lit_congruences": {"OrderTooLarge"},
 }
 
 
-def _foreign_calls(fn):
-    """The calls in fn's source that are not to a builtin, a builtin
-    type's method, a definitional helper, itertools or a callable fn
-    holds in a local name (a parameter, a closure, what a helper
-    returned), written as in the source."""
-    tree = ast.parse(inspect.getsource(fn)).body[0]
-    local = {a.arg for a in ast.walk(tree.args) if isinstance(a, ast.arg)}
+def _is_literal(obj):
+    """True when obj, unwrapped from a cache, is a function that
+    semivar.literal defines."""
+    fn = inspect.unwrap(obj)
+    return inspect.isfunction(fn) and fn.__module__ == literal.__name__
+
+
+def _foreign_calls(tree):
+    """The calls in the source tree (a function's definition, or the rest
+    of the module) that are not to a builtin, a builtin type's method, a
+    function of semivar.literal, a table of them, itertools or a callable
+    the function holds in a local name (a parameter, a closure, what a
+    helper returned), written as in the source."""
+    local = set()
+    if isinstance(tree, ast.FunctionDef):
+        local = {a.arg for a in ast.walk(tree.args) if isinstance(a, ast.arg)}
     local |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
               and isinstance(n.ctx, ast.Store)}
-    local |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)} - {fn.__name__}
+    local |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)} - {
+        getattr(tree, "name", None)}
     # a local name that only aliases a global is not a closure
     local -= {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
               and isinstance(n.value, (ast.Name, ast.Attribute))
@@ -338,10 +382,13 @@ def _foreign_calls(fn):
     for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
         f = call.func
         if isinstance(f, ast.Name):
-            ok = (f.id in local or hasattr(builtins, f.id) or _HELPER.fullmatch(f.id))
+            ok = f.id in local or hasattr(builtins, f.id) or _is_literal(vars(literal).get(f.id))
         elif isinstance(f, ast.Attribute):
             base = f.value.id if isinstance(f.value, ast.Name) else None
-            ok = base == "itertools" or (base not in vars(claims) and f.attr in methods)
+            ok = base == "itertools" or (base not in vars(literal) and f.attr in methods)
+        elif isinstance(f, ast.Subscript) and isinstance(f.value, ast.Name):
+            table = vars(literal).get(f.value.id)
+            ok = isinstance(table, dict) and all(map(_is_literal, table.values()))
         else:
             ok = False
         if not ok:
@@ -350,17 +397,38 @@ def _foreign_calls(fn):
 
 
 def test_recheckers_call_only_definitional_code():
-    # a helper behind functools.cache is no function itself: unwrap it
-    helpers = [inspect.unwrap(fn) for name, fn in vars(claims).items()
-               if _HELPER.fullmatch(name) and callable(fn)]
-    assert all(map(inspect.isfunction, helpers))
-    assert len(helpers) >= 25
-    for fn in helpers:
-        assert _foreign_calls(fn) == set(), fn.__name__
+    # every function of semivar.literal, and its module-level code, calls
+    # only definitional code, but for what _PRODUCTION_READ names
+    tree = ast.parse(inspect.getsource(literal))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert {name for name, fn in vars(literal).items() if _is_literal(fn)} == set(defs)
+    assert len(defs) >= 52  # the helpers and re-checkers that left claims
+    for name, node in defs.items():
+        assert _foreign_calls(node) == _PRODUCTION_READ.get(name, set()), name
+    rest = ast.Module([n for n in tree.body if not isinstance(n, ast.FunctionDef)], [])
+    assert _foreign_calls(rest) == set()
     for cid, claim in REGISTRY.items():
         fn = getattr(claim.recheck, "func", claim.recheck)  # C-2.6 binds a reading
-        assert fn.__name__.startswith("_recheck_"), cid
-        assert _foreign_calls(fn) == _PRODUCTION_READ.get(cid, set()), cid
+        assert _is_literal(fn) and fn.__name__.startswith("_recheck_"), cid
+
+
+def test_literal_imports_only_what_its_claims_are_about():
+    # the definitional side imports the stdlib and the production names
+    # its differential re-checkers read, and never claims
+    absolute, relative = set(), set()
+    for n in ast.walk(ast.parse(inspect.getsource(literal))):
+        if isinstance(n, ast.ImportFrom) and n.level:
+            relative |= {(n.level, n.module, a.name) for a in n.names}
+        elif isinstance(n, ast.ImportFrom):
+            absolute.add(n.module)
+        elif isinstance(n, ast.Import):
+            absolute |= {a.name for a in n.names}
+    assert absolute == {"__future__", "itertools", "functools"}
+    assert relative == {
+        (1, "congruences", "CONGRUENCE_ORDER_BOUND"), (1, "congruences", "all_congruences"),
+        (1, "congruences", "is_fundamental"), (1, "congruences", "quotient"),
+        (1, "core", "OrderTooLarge"), (1, "relations", "Equivalence"), (1, "relations", "star"),
+    }
 
 
 # The claims that compare production with a definition by design.
@@ -368,8 +436,9 @@ _DIFFERENTIAL = {"C-1.2", "C-1.3", "C-3.1", "C-FUND"}
 
 
 def _reached(fn):
-    """The names of the claims-module functions fn names in its source,
-    transitively, each mapped to its function (unwrapped from a cache)."""
+    """The names of the claims and literal functions fn names in its
+    source, transitively through the claims functions, each mapped to its
+    function (unwrapped from a cache)."""
     reached, todo = {}, [fn]
     while todo:
         tree = ast.parse(textwrap.dedent(inspect.getsource(todo.pop())))
@@ -379,21 +448,57 @@ def _reached(fn):
                 if inspect.isfunction(g) and g.__module__ == claims.__name__:
                     reached[n.id] = g
                     todo.append(g)
+                elif _is_literal(g):
+                    reached[n.id] = g
     return reached
+
+
+def _checks():
+    """{claim id: (check, instance domain)}, unbound from a C-2.6 reading."""
+    out = {}
+    for cid, claim in REGISTRY.items():
+        nonlocals = inspect.getclosurevars(claim.evaluate).nonlocals
+        check = nonlocals["check"]
+        out[cid] = getattr(check, "func", check), nonlocals["instances"]
+    return out
 
 
 def test_evaluators_reach_no_literal_helper():
     # production decides a claim and definitional code confirms its witness
-    checks = {}
-    for cid, claim in REGISTRY.items():
-        check = inspect.getclosurevars(claim.evaluate).nonlocals["check"]
-        checks[cid] = getattr(check, "func", check)  # C-2.6 binds a reading
+    checks = {cid: check for cid, (check, _) in _checks().items()}
     assert {fn.__name__ for fn in checks.values()} == {
         name for name in vars(claims) if name.startswith("_check_")}
     for cid, fn in checks.items():
-        helpers = {name for name in _reached(fn) if _HELPER.fullmatch(name)} - {"_dual"}
+        helpers = {name for name, g in _reached(fn).items() if _is_literal(g)} - {"_dual"}
         # the search sees the helpers a differential claim reaches
         assert bool(helpers) == (cid in _DIFFERENTIAL), (cid, helpers)
+
+
+def _written_keys(fn):
+    """The string keys of fn's dict displays, but for one assigned to a
+    local name, and the string arguments of its _iso_witness calls."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    local = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Assign)}
+    keys = {k.value for d in ast.walk(tree) if isinstance(d, ast.Dict) and id(d) not in local
+            for k in d.keys if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+    return keys | {a.value for c in ast.walk(tree) if isinstance(c, ast.Call)
+                   and ast.unparse(c.func) == "_iso_witness"
+                   for a in c.args if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+
+
+def test_the_field_table_lists_exactly_the_fields_claims_write():
+    # so a genuine witness of a hard claim, which the corpus never writes,
+    # has no field the table refuses
+    written = _written_keys(relations.bare_classes)
+    for check, instances in _checks().values():
+        if instances.__name__ == "<lambda>":  # _per_element(name): {name: x}
+            written.add(inspect.getclosurevars(instances).nonlocals["name"])
+        for fn in (check, instances):
+            reached = [g for g in _reached(fn).values() if g.__module__ == claims.__name__]
+            for g in (fn, *reached):
+                written |= _written_keys(g)
+    assert set(literal._FIELDS) == written
+    assert {"a", "u", "law", "quotient_a", "witness_partition", "only_bruteforce"} <= written
 
 
 def test_a_refused_congruence_is_a_fails(monkeypatch, corpus3):
@@ -418,12 +523,12 @@ def test_literal_builders_agree_with_production(corpus3, classes5):
             td = relations.tilde(s, frozenset(us))
             cases += [("L~", td.l_tilde, us), ("R~", td.r_tilde, us)]
             for strict in (False, True):
-                assert (claims._u_abundant_lit(s, us, strict)
+                assert (literal._u_abundant_lit(s, us, strict)
                         == relations.is_weakly_u_abundant(s, us, strict)), (t, us, strict)
         for name, rel, us in cases:
-            related = claims._related_lit(t, name, us)
+            related = literal._related_lit(t, name, us)
             assert all(related(x, y) == rel.same(x, y) for x in r for y in r), (t, name, us)
-        leq, natural = claims._natural_leq_lit(t), orders.natural_leq(s).leq
+        leq, natural = literal._natural_leq_lit(t), orders.natural_leq(s).leq
         assert all(leq(a, b) == natural[a][b] for a in r for b in r), t
 
 
@@ -559,8 +664,10 @@ def test_each_derived_object_is_built_once_a_table(monkeypatch, corpus3):
 
 
 def test_every_claims_cache_is_unbounded_and_scoped():
-    # no cache size to tune: each cache holds the one table being evaluated
-    caches = {name: v for name, v in vars(claims).items() if hasattr(v, "cache_parameters")}
+    # no cache size to tune: each cache of either side holds the one table
+    # being evaluated or rechecked
+    caches = {name: v for module in (claims, literal) for name, v in vars(module).items()
+              if hasattr(v, "cache_parameters")}
     assert caches.pop("_parse_witness_table").cache_parameters()["maxsize"] == 1
     assert all(c.cache_parameters()["maxsize"] is None for c in caches.values())
     assert sorted(map(id, caches.values())) == sorted(map(id, claims._CACHES))
@@ -587,7 +694,8 @@ def _quotient_with_a_wrong_entry(s, p):
 def test_c31_catches_a_quotient_that_is_not_well_defined(tmp_path, monkeypatch):
     # a quotient whose table breaks the projection must show up as C-3.1
     # welldef FAILS that the re-checker confirms, not as a crash
-    monkeypatch.setattr(claims, "quotient", _quotient_with_a_wrong_entry)
+    for module in (claims, literal):
+        monkeypatch.setattr(module, "quotient", _quotient_with_a_wrong_entry)
     out = tmp_path / "r.jsonl"
     argv = ["check", "--orders", "2", "--claims", "C-3.1", "--out", str(out)]
     assert cli.main(argv) == 2
@@ -618,7 +726,7 @@ def test_c31_confirms_a_wrong_lattice_and_refuses_forged_witnesses(corpus3, monk
     def wrong(s):
         return real(s)[:-1] + [Equivalence.from_keys(3, [0, 1, 0])]
 
-    monkeypatch.setattr(claims, "all_congruences", wrong)
+    monkeypatch.setattr(literal, "all_congruences", wrong)
     monkeypatch.setattr(claims, "_congruences", wrong)
     [r] = evaluate_claim("C-3.1", s)
     assert r.witness == {"part": "lattice", "only_production": [[0, 1, 0]],
@@ -698,6 +806,6 @@ def test_every_claim_finishes_beyond_the_enumerable_orders():
     for cid in ("C-3.1", "C-FUND"):
         assert [r.status for r in results[cid]] == [STATUS_NOT_APPLICABLE]
     with pytest.raises(OrderTooLarge):
-        claims._lit_congruences(t3)
+        literal._lit_congruences(t3)
     fails = [r for rs in results.values() for r in rs if r.status == STATUS_FAILS]
     assert fails and all(recheck_result(r) for r in fails)
