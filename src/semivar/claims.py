@@ -24,10 +24,10 @@ with a definition by design.
 
 Each claim's re-checker, and the literal tests the differential claims
 read, are in ``literal``, the definitional side.  The cached accessors
-here and the literal builders there hold the derived objects of one
-table.  ``_hold`` empties them all when it is called on a table other
-than the one they hold; the evaluator ``_claim`` builds enters it, and so
-does ``recheck_result``.  So each object is built once per table, however
+here, the literal builders there and the parse of a witness's key hold
+one table.  ``_hold`` empties them all when given a table key other than
+the one they hold; the evaluator ``_claim`` builds enters it, and so does
+``recheck_result``.  So each object is built once per table, however
 many instances or witnesses read it: C-2.6's premise once per U, and S^e
 with E(S^e) once per e.
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from typing import Callable, Iterator
 
 from . import congruences, core, relations, variants, orders
@@ -51,13 +51,13 @@ from .congruences import (
 )
 from .core import FiniteSemigroup, SemigroupError, idempotents
 from .literal import (
-    _INCL_LINKS, _TILDES, _c13_lit, _dual, _idems_lit, _lit_congruences, _recheck_c11,
+    _INCL_LINKS, _TILDES, _c13_lit, _idems_lit, _lit_congruences, _recheck_c11,
     _recheck_c12, _recheck_c13, _recheck_c14, _recheck_c21, _recheck_c22c, _recheck_c22q,
     _recheck_c23l, _recheck_c23r, _recheck_c24, _recheck_c25, _recheck_c26, _recheck_c31,
     _recheck_c32, _recheck_c34, _recheck_c35, _recheck_c40, _recheck_c41f, _recheck_c41r,
     _recheck_c42, _recheck_c43, _recheck_c44a, _recheck_c44b, _recheck_cfund, _recheck_cincl,
-    _recheck_cnatpo, _recheck_noncong, _related_lit, _s1_table, _sandwich_lit, _sandwich_table,
-    _separating_lit, _u_abundant_lit, _well_formed,
+    _recheck_cnatpo, _recheck_noncong, _related_lit, _sandwich_lit, _separating_lit,
+    _u_abundant_lit, _well_formed,
 )
 from .relations import Equivalence, NotIdempotentMember, bare_classes
 from .report import (
@@ -180,10 +180,10 @@ def _claim(cid, kind, summary, instances, check, recheck) -> Claim:
     witness (FAILS)."""
 
     def evaluate(s, opts, table=None):
-        _hold(s)
         # the runner passes the table key it already built for this table
         if table is None:
             table = inline_table(s)
+        _hold(table)
         out = []
         for p in instances(s):
             w = check(s, opts, **p)
@@ -216,7 +216,7 @@ def _diff_pairs(p: Equivalence, q: Equivalence):
 
 def _star_sides(st: relations.StarBundle, table):
     """(side, starred relation, table its literal check reads) for R, L."""
-    return (("R", st.r_star, table), ("L", st.l_star, _dual(table)))
+    return (("R", st.r_star, table), ("L", st.l_star, tuple(zip(*table))))
 
 
 def _law_violation(rel: orders.OrderRelation):
@@ -357,7 +357,7 @@ def _check_noncong(s, opts, U, relation):
     rel = td.l_tilde if relation == "L~" else td.r_tilde
     # L~ is tested on right translates x.z, R~ on left translates z.x;
     # rows[x][z] is the class of that translate
-    t = s.table if relation == "L~" else _dual(s.table)
+    t = s.table if relation == "L~" else zip(*s.table)
     ci, r = rel.class_index, range(s.order)
     rows = [[ci[v] for v in row] for row in t]
     return _first(
@@ -733,25 +733,32 @@ def _check_cnatpo(s, opts):
 # ---------------------------------------------------------------------------
 # the caches' scope: one table
 
+
+@cache
+def _witness_table(key: str) -> FiniteSemigroup:
+    """The table of a witness's key, parsed once per run of equal keys."""
+    return parse_inline(key)
+
+
 #: the cached accessors above and literal's cached builders, taken at import:
 #: perfbench rebinds some of the names to tracing wrappers that have no
 #: cache_clear
 _CACHES = (
     _green, _star, _idem, _natural, _abundant, _variant, _congruences, _tilde,
     _psets, _isomorphism, _unabundant, _lit_congruences, _quotient, _translation,
-    _s1_table, _related_lit, _sandwich_table, _u_abundant_lit, _sandwich_lit,
+    _related_lit, _u_abundant_lit, _sandwich_lit, _witness_table,
 )
-#: [the table whose derived objects _CACHES hold], a list so that no name
-#: of the module is rebound during a run
+#: [the key of the table whose derived objects _CACHES hold], a list so that
+#: no name of the module is rebound during a run
 _held: list = [None]
 
 
-def _hold(s: FiniteSemigroup) -> None:
-    """Empty _CACHES unless they hold the derived objects of s."""
-    if s is not _held[0] and s != _held[0]:
+def _hold(key: str) -> None:
+    """Empty _CACHES unless they hold the derived objects of the table key."""
+    if key != _held[0]:
         for c in _CACHES:
             c.cache_clear()
-        _held[0] = s
+        _held[0] = key
 
 
 # ---------------------------------------------------------------------------
@@ -878,32 +885,25 @@ def evaluate_claim(
     return results
 
 
-# A report's records of one claim arrive in table order, so the witnesses
-# on one table form a run and its key is parsed once per run.  Each distinct
-# key still goes through the validating parse_inline, and a key that fails
-# to parse is not cached.  The one table kept here is the one recheck_result
-# then holds (_hold), so the re-checkers' cached builders share its scope.
-@lru_cache(maxsize=1)
-def _parse_witness_table(key: str) -> FiniteSemigroup:
-    return parse_inline(key)
-
-
 #: the options of a recheck that is given none
 _DEFAULT_OPTIONS = Options()
 
 
 def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
-    witness alone.  True means the failure is confirmed; a record with a
-    field literal._FIELDS does not list, or a value not of its field's
-    kind, or a relation name its claim never writes, never is."""
+    witness alone.  True means the failure is confirmed; a record that
+    literal._FIELDS refuses, lacks a field its re-checker reads or names a
+    relation its claim never writes never is."""
     claim = REGISTRY.get(result.claim_id)
     if claim is None:
         raise UnknownClaim(result.claim_id)
     if result.status != STATUS_FAILS or result.witness is None:
         return False
-    s = _parse_witness_table(result.table)
-    _hold(s)
+    _hold(result.table)
+    s = _witness_table(result.table)
     params, witness = result.params, result.witness
-    return (_well_formed(s.order, params, witness)
-            and claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS))
+    try:
+        return (_well_formed(s.table, params, witness)
+                and claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS))
+    except KeyError:  # a field the re-checker reads is missing
+        return False

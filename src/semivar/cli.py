@@ -167,8 +167,6 @@ def _confirmed(r, options) -> bool:
         return recheck_result(r, options)
     except SemigroupError as err:  # an unknown claim, or a table that is not one
         raise _CliError(f"{r.claim_id} on {r.table}: {err}") from None
-    except LookupError:  # a field the rechecker reads is missing; recheck_result refuses the rest
-        return False
 
 
 def _cmd_recheck(args) -> int:

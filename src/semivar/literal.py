@@ -4,12 +4,12 @@ they build.
 ``claims.recheck_result`` reproduces a FAILS result from its serialized
 table, params and witness alone.  A record with a field ``_FIELDS`` does
 not list, or a value not of its field's kind, is refused before its
-re-checker runs; the relation names a claim writes, its re-checker checks.
+re-checker runs; its re-checker checks the names and flags a claim writes.
 Re-checkers are definitional: they scan raw tables instead of calling
 production code, except where the claim is about that code (C-1.2
 ``star``, C-3.1 ``all_congruences`` and ``quotient``, C-FUND
 ``is_fundamental``), and this module imports nothing else of semivar.
-Literal helpers build tests, deriving S^1 once per table:
+Literal helpers build tests, each deriving S^1 once:
 ``_related_lit(table, name, us)`` returns ``related(x, y)`` for L, R, L*,
 R*, L~ or R~, ``_natural_leq_lit(table)`` returns ``leq(a, b)``.  A
 left-hand relation (L, L*, L~, P2) is the right-hand one on the
@@ -57,7 +57,6 @@ def _identity_lit(table):
     return next((e for e in r if all(table[e][x] == x == table[x][e] for x in r)), None)
 
 
-@cache
 def _s1_table(table):
     """(table, size) of S^1: S itself when an identity exists."""
     n = len(table)
@@ -112,14 +111,10 @@ def _all_regular_lit(table):
 def _abundant_lit(table):
     """True when every L*- and every R*-class meets E(S)."""
     es = _idems_lit(table)
-    return all(
-        any(related(a, b) for b in es)
-        for related in (_related_lit(table, name) for name in _STARS)
-        for a in range(len(table))
-    )
+    return not any(_bare_class_lit(table, name, a, es)
+                   for name in _STARS for a in range(len(table)))
 
 
-@cache
 def _sandwich_table(table, a):
     """The table of S^a: x * y = (xa)y, so row x is row xa of S."""
     return tuple(table[table[x][a]] for x in range(len(table)))
@@ -236,10 +231,10 @@ def _partitions_lit(n):
     yield from rec(0, 0)
 
 
-def _canonical_lit(ci, n):
-    """True when ci lists n class numbers, each new one the count of those
-    before it: a class index numbered by first occurrence."""
-    return type(ci) is list and len(ci) == n and all(
+def _canonical_lit(ci, t):
+    """True when ci lists a class number per element of table t, each new
+    one the count of those before it: a class index numbered by first use."""
+    return type(ci) is list and len(ci) == len(t) and all(
         type(c) is int and (c in ci[:i] or c == len(set(ci[:i]))) for i, c in enumerate(ci))
 
 
@@ -259,36 +254,43 @@ def _lit_congruences(s) -> tuple[tuple[int, ...], ...]:
 # the witness fields: what recheck_result lets through to a re-checker
 
 
-def _id(v, n):
-    """An element id: an int in 0..n-1.  A negative id would index a row
-    from its end, True would pass for id 1 and 0.0 compare equal to id 0."""
-    return type(v) is int and 0 <= v < n
+def _id(v, t):
+    """An element id: an int in 0..len(t)-1.  A negative id would index a
+    row from its end, True would pass for id 1 and 0.0 compare equal to 0."""
+    return type(v) is int and 0 <= v < len(t)
+
+
+def _idempotents(v, t):
+    """A non-empty list of idempotents of table t, strictly ascending."""
+    return (type(v) is list and v != [] and all(_id(x, t) and t[x][x] == x for x in v)
+            and v == sorted(set(v)))
 
 
 #: each field name an evaluator or an instance domain writes, with the
-#: test its value passes on a table of order n: one kind per name
+#: test its value passes on the table t: one kind per name
 _FIELDS = {
-    **dict.fromkeys(("a", "b", "e", "u", "f", "x", "y", "z", "at", "element",
+    **dict.fromkeys(("a", "b", "u", "f", "x", "y", "z", "at", "element",
                      "e_star_e", "f_star_f", "ff", "fe", "ef"), _id),
-    **dict.fromkeys(("U", "Uprime"), lambda v, n: type(v) is list and all(_id(x, n) for x in v)),
+    "e": lambda v, t: _id(v, t) and t[v][v] == v,
+    **dict.fromkeys(("U", "Uprime"), _idempotents),
     **dict.fromkeys(("bundle", "literal", "star", "characterization", "adjoined", "plain",
                      "in_join", "in_rl", "in_lr", "variant_related", "base_related",
                      "in_variant_cap_p", "in_base", "natural", "usual", "production",
-                     "bruteforce"), lambda v, n: type(v) is bool),
+                     "bruteforce"), lambda v, t: type(v) is bool),
     **dict.fromkeys(("relation", "part", "kind", "requirement", "law", "quotient", "image",
-                     "quotient_a", "quotient_b"), lambda v, n: type(v) is str),
-    "side": lambda v, n: v in _SIDES,
+                     "quotient_a", "quotient_b"), lambda v, t: type(v) is str),
+    "side": lambda v, t: v in _SIDES,
     "partition": _canonical_lit,
-    "witness_partition": lambda v, n: v is None or _canonical_lit(v, n),
+    "witness_partition": lambda v, t: v is None or _canonical_lit(v, t),
     **dict.fromkeys(("only_production", "only_bruteforce"),
-                    lambda v, n: type(v) is list and all(_canonical_lit(c, n) for c in v)),
+                    lambda v, t: type(v) is list and all(_canonical_lit(c, t) for c in v)),
 }
 
 
-def _well_formed(n: int, *dicts: dict) -> bool:
+def _well_formed(t, *dicts: dict) -> bool:
     """True when each field of the params or witness dicts is in _FIELDS
-    and its value passes the field's test on a table of order n."""
-    return all(name in _FIELDS and _FIELDS[name](v, n)
+    and its value passes the field's test on the table t."""
+    return all(name in _FIELDS and _FIELDS[name](v, t)
                for fields in dicts for name, v in fields.items())
 
 
@@ -307,20 +309,21 @@ def _recheck_c12(s, params, w, opts):
     st = star(s)
     rel = st.r_star if w["side"] == "R" else st.l_star
     related = _related_lit(s.table, w["side"] + "*")
-    return rel.same(w["a"], w["b"]) != related(w["a"], w["b"])
+    a, b = w["a"], w["b"]
+    return w["bundle"] == rel.same(a, b) != related(a, b) == w["literal"]
 
 
 def _recheck_c13(s, params, w, opts):
     t = _side(s.table, w["side"])
     related, rhs = _related_lit(t, "R*"), _c13_lit(t)
     a, e = w["a"], w["e"]
-    return t[e][e] == e and related(a, e) != rhs(a, e)
+    return w["star"] == related(a, e) != rhs(a, e) == w["characterization"]
 
 
 def _recheck_cincl(s, params, w, opts):
-    t, us = s.table, tuple(sorted(params["U"]))
+    t, us = s.table, tuple(params["U"])
     if w["part"] == "refused":  # tilde refused an idempotent in U
-        return w["element"] in set(us).intersection(_idems_lit(t))
+        return w["element"] in us
     eq = w["part"].startswith("eq:")
     names = tuple(w["part"].removeprefix("eq:").split("=" if eq else "<="))
     if names not in _INCL_LINKS:
@@ -349,7 +352,7 @@ def _recheck_c14(s, params, w, opts):
 
 
 def _recheck_noncong(s, params, w, opts):
-    t, name, us = s.table, params["relation"], tuple(sorted(params["U"]))
+    t, name, us = s.table, params["relation"], tuple(params["U"])
     if name not in _TILDES:
         return False
     x, y, z = w["x"], w["y"], w["z"]
@@ -370,7 +373,7 @@ def _recheck_c22q(s, params, w, opts):
     x, y = w["x"], w["y"]
     r = range(len(vt))
     plain = all((vt[u][x] == vt[v][x]) == (vt[u][y] == vt[v][y]) for u in r for v in r)
-    return related(x, y) != plain
+    return w["adjoined"] == related(x, y) != plain == w["plain"]
 
 
 def _recheck_c22c(s, params, w, opts):
@@ -402,14 +405,16 @@ def _recheck_c23r(s, params, w, opts):
     base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
     x, y = w["x"], w["y"]
     # x is in P1 when ax R* x
-    return base(t[a][x], x) and base(t[a][y], y) and variant(x, y) != base(x, y)
+    return (base(t[a][x], x) and base(t[a][y], y)
+            and w["variant_related"] == variant(x, y) != base(x, y) == w["base_related"])
 
 
 def _recheck_c23l(s, params, w, opts):
     a, t = params["a"], _side(s.table, w["side"])
     base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
     x, y = w["x"], w["y"]
-    return (variant(x, y) and base(t[a][y], y)) != base(x, y)
+    in_cap = variant(x, y) and base(t[a][y], y)  # y in x's variant class and in P1
+    return w["in_variant_cap_p"] == in_cap != base(x, y) == w["in_base"]
 
 
 def _recheck_c24(s, params, w, opts):
@@ -425,16 +430,16 @@ def _recheck_c24(s, params, w, opts):
 def _recheck_c25(s, params, w, opts):
     t, e = s.table, params["e"]
     eee = t[t[e][e]][e]
-    return t[e][e] == e and eee != e and w["e_star_e"] == eee
+    return eee != e and w["e_star_e"] == eee
 
 
 def _recheck_c26(s, params, w, opts, reading):
-    us, e = tuple(sorted(params["U"])), params["e"]
-    if not _u_abundant_lit(s, us, opts.strict_u):
+    us, e = tuple(params["U"]), params["e"]
+    if e not in us or not _u_abundant_lit(s, us, opts.strict_u):
         return False
     vt, ves = _sandwich_lit(s, e)
     uprime = tuple(sorted(ves.intersection(us))) if reading == "inter" else (e,)
-    if tuple(sorted(w["Uprime"])) != uprime or w["relation"] not in _TILDES:
+    if tuple(w["Uprime"]) != uprime or w["relation"] not in _TILDES:
         return False
     target = set(uprime) if opts.strict_u else ves
     return _bare_class_lit(vt, w["relation"], w["element"], target, uprime)
@@ -483,44 +488,40 @@ def _recheck_c35(s, params, w, opts):
     a, b = params["a"], params["b"]
     if not related(a, b):
         return False
-    if w.get("part") == "lambda-not-congruence":
-        at = w["at"]  # as for C-3.4: lambda^at is literally no congruence on S^at
-        vt = _sandwich_table(t, at)
-        return at in (a, b) and not _is_congruence_lit(vt, _lambda_classes_lit(t, at))
+    if w.get("part") == "lambda-not-congruence":  # as C-3.4 confirms it, at a or b
+        return w["at"] in (a, b) and _recheck_c34(s, {"u": w["at"]}, w, opts)
     return not _iso_exists_lit(_lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b))
 
 
 def _recheck_cfund(s, params, w, opts):
     production = is_fundamental(s)  # raises OrderTooLarge above the bound
-    t, n, ci = s.table, s.order, w["witness_partition"]
+    ci = w["witness_partition"]
     # production calls S fundamental exactly when brute force names a partition
     named = ci is not None
     if not (production is named is w["production"] and w["bruteforce"] is not named):
         return False
-    es = _idems_lit(t)
-    if ci is None:  # then the literal scan of all partitions finds none
-        return not any(_separating_lit(p, es) and _is_congruence_lit(t, p)
-                       for p in _partitions_lit(n))
-    return _separating_lit(ci, es) and _is_congruence_lit(t, ci)
+    # the first literal congruence separating idempotents, as C-FUND names it
+    es = _idems_lit(s.table)
+    return ci == next((list(p) for p in _lit_congruences(s) if _separating_lit(p, es)), None)
 
 
 def _recheck_c40(s, params, w, opts):
     t, leq = s.table, _natural_leq_lit(s.table)
     e, f = w["e"], w["f"]
     usual = t[e][f] == e and t[f][e] == e
-    return t[e][e] == e and t[f][f] == f and leq(e, f) != usual
+    return t[f][f] == f and w["natural"] == leq(e, f) != usual == w["usual"]
 
 
 def _recheck_c41f(s, params, w, opts):
     t, e, f = s.table, params["e"], w["f"]
     fef = t[t[f][e]][f]
-    return (t[e][e] == e and t[f][f] == f and t[f][e] == f and t[e][f] == f
+    return (t[f][f] == f and t[f][e] == f and t[e][f] == f
             and fef != f and w["f_star_f"] == fef)
 
 
 def _recheck_c41r(s, params, w, opts):
     t, e, f = s.table, params["e"], w["f"]
-    if t[e][e] != e or (w["ff"], w["fe"], w["ef"]) != (t[f][f], t[f][e], t[e][f]):
+    if (w["ff"], w["fe"], w["ef"]) != (t[f][f], t[f][e], t[e][f]):
         return False
     in_variant = t[t[f][e]][f] == f
     below = t[f][f] == f and t[f][e] == f and t[e][f] == f

@@ -32,7 +32,7 @@ from semivar.report import (
 )
 from semivar.sgt import inline_table, parse_inline
 
-from .conftest import full_corpus
+from .conftest import NULL2, full_corpus
 
 
 EXPECTED_IDS = {
@@ -135,6 +135,15 @@ _FORGED_RELATIONS = [
     ("C-2.2-quantifier", "2;0 0;0 0", {"a": 0},
      {"side": "X", "x": 0, "y": 1, "adjoined": False, "plain": True}),
     ("C-4.1-reverse", "2;0 0;1 1", {"e": 0}, {"f": 1, "ff": 1, "fe": 1, "ef": 0, "zz": "junk"}),
+    # genuine but for a U that is empty or lacks e, or holds no idempotent
+    ("C-2.6-sandwich", "2;0 0;0 1", {"U": [], "e": 0},
+     {"Uprime": [0], "relation": "L~", "element": 1}),
+    ("C-2.6-sandwich", "2;0 0;0 1", {"U": [1], "e": 0},
+     {"Uprime": [0], "relation": "L~", "element": 1}),
+    ("C-NONCONG", "3;0 0 0;0 0 0;0 0 1", {"U": [1, 2], "relation": "R~"},
+     {"x": 1, "y": 2, "z": 2}),
+    # 1.0.1 = 0 != 1, but 1 is no idempotent, so C-2.5 is not about it
+    ("C-2.5", "2;0 0;0 0", {"e": 1}, {"e_star_e": 0}),
 ]
 
 
@@ -224,14 +233,51 @@ def test_recheck_verdicts_do_not_depend_on_order_or_scope(cli_reports3, strict_u
 
 
 def test_recheck_parses_each_run_of_equal_keys_once(cli_reports3):
+    # the parse is a cache of the one scope: a new key empties it, and the
+    # later witnesses of the run read the table parsed for the first
     fails = [r for r in Report.loads(cli_reports3[False].read_text()).results
              if r.status == STATUS_FAILS]
-    runs = sum(1 for _ in itertools.groupby(r.table for r in fails))
-    claims._parse_witness_table.cache_clear()
-    assert all(recheck_result(r) for r in fails)
-    info = claims._parse_witness_table.cache_info()
-    assert (info.misses, info.hits) == (runs, len(fails) - runs)
-    assert len(fails) == 1436 and runs < len(fails) / 2
+    runs = [list(g) for _, g in itertools.groupby(fails, lambda r: r.table)]
+    for run in runs:
+        for k, r in enumerate(run):
+            assert recheck_result(r)
+            info = claims._witness_table.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, k, 1), r
+    assert len(fails) == 1436 and len(runs) < len(fails) / 2
+
+
+def test_a_key_that_fails_to_parse_caches_nothing(cli_reports3):
+    fails = [r for r in Report.loads(cli_reports3[False].read_text()).results
+             if r.status == STATUS_FAILS]
+    bad = dataclasses.replace(fails[0], table="2;1 0;0 0")  # (0.0).1 != 0.(0.1)
+    both = (Options(), Options(strict_u=True))
+    verdicts = []
+    for r in fails[::7]:
+        for opts in both:  # the strict reading refuses some of them
+            verdicts.append(recheck_result(r, opts))
+            with pytest.raises(NotAssociative):
+                recheck_result(bad, opts)
+            assert _cache_sizes() == [0] * len(claims._CACHES)
+    fresh = [_fresh_recheck(r, opts) for r in fails[::7] for opts in both]
+    assert verdicts == fresh and False in fresh
+
+
+def _evaluate_all(s):
+    """The cache_info of each of _CACHES after every claim evaluates s."""
+    for claim in REGISTRY.values():
+        claim.evaluate(s, Options())
+    return [c.cache_info() for c in claims._CACHES]
+
+
+def test_equal_tables_built_apart_share_one_scope():
+    # the scope is the table key: evaluating an equal table clears nothing
+    # (a clear would reset the counts), and the second pass builds nothing
+    first, second = build_semigroup(2, NULL2), build_semigroup(2, NULL2)
+    assert first is not second
+    built, again = _evaluate_all(first), _evaluate_all(second)
+    assert [i.misses for i in again] == [i.misses for i in built]
+    assert sum(i.hits for i in again) > sum(i.hits for i in built)
+    assert sum(i.misses for i in built) > 0
 
 
 def _changed_ids(r, change, least=0):
@@ -291,6 +337,30 @@ def test_recheck_refuses_every_field_of_another_kind(cli_reports3, strict_u):
                     tampered += 1
     assert tampered > 10000
     assert flags == {"adjoined", "plain", "in_variant_cap_p", "in_base"}
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_recheck_refuses_a_record_without_one_of_its_fields(cli_reports3, strict_u):
+    # each params and witness field deleted, one at a time: the re-checker
+    # reads every field of these claims, so the copy is refused, and
+    # recheck_result raises nothing
+    opts = Options(strict_u=strict_u)
+    fails = [r for r in Report.loads(cli_reports3[strict_u].read_text()).results
+             if r.status == STATUS_FAILS]
+    deleted = 0
+    for r in fails:
+        for section in ("params", "witness"):
+            fields = getattr(r, section)
+            for key in fields:
+                rest = {k: v for k, v in fields.items() if k != key}
+                forged = dataclasses.replace(r, **{section: rest})
+                assert recheck_result(forged, opts) is False, (forged, key)
+                deleted += 1
+    assert deleted > 5000
+    # a C-4.2 witness of transitivity without its y is refused, not a KeyError
+    r = ClaimResult("C-4.2", "2;0 0;0 1", {"e": 1}, STATUS_FAILS,
+                    {"law": "transitivity", "x": 0})
+    assert recheck_result(r) is False
 
 
 @pytest.mark.parametrize("strict_u", [False, True])
@@ -469,7 +539,7 @@ def test_evaluators_reach_no_literal_helper():
     assert {fn.__name__ for fn in checks.values()} == {
         name for name in vars(claims) if name.startswith("_check_")}
     for cid, fn in checks.items():
-        helpers = {name for name, g in _reached(fn).items() if _is_literal(g)} - {"_dual"}
+        helpers = {name for name, g in _reached(fn).items() if _is_literal(g)}
         # the search sees the helpers a differential claim reaches
         assert bool(helpers) == (cid in _DIFFERENTIAL), (cid, helpers)
 
@@ -484,6 +554,19 @@ def _written_keys(fn):
     return keys | {a.value for c in ast.walk(tree) if isinstance(c, ast.Call)
                    and ast.unparse(c.func) == "_iso_witness"
                    for a in c.args if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+
+
+def test_the_field_table_gives_e_and_u_their_kinds():
+    # e is an idempotent of the table, U and Uprime non-empty, strictly
+    # ascending lists of idempotents; 1 is the one non-idempotent here
+    t = ((0, 0, 0), (0, 0, 0), (0, 0, 2))
+    kinds = literal._FIELDS
+    assert [kinds["e"](v, t) for v in (0, 1, 2, 3, True)] == [True, False, True, False, False]
+    for name in ("U", "Uprime"):
+        ok = [[0], [2], [0, 2]]
+        bad = [[], [1], [0, 1], [2, 0], [0, 0], [0, True], [0, 3], (0,), 0]
+        assert all(kinds[name](v, t) for v in ok), name
+        assert not any(kinds[name](v, t) for v in bad), name
 
 
 def test_the_field_table_lists_exactly_the_fields_claims_write():
@@ -515,7 +598,7 @@ def test_literal_builders_agree_with_production(corpus3, classes5):
     # U a claim ranges over, weak U-abundance under both U-policies, and
     # the natural order, on all pairs
     for s in itertools.chain(corpus3, classes5):
-        claims._hold(s)
+        claims._hold(inline_table(s))
         t, r = s.table, range(s.order)
         g, st = relations.green(s), relations.star(s)
         cases = [("L", g.l, ()), ("R", g.r, ()), ("L*", st.l_star, ()), ("R*", st.r_star, ())]
@@ -665,10 +748,9 @@ def test_each_derived_object_is_built_once_a_table(monkeypatch, corpus3):
 
 def test_every_claims_cache_is_unbounded_and_scoped():
     # no cache size to tune: each cache of either side holds the one table
-    # being evaluated or rechecked
+    # being evaluated or rechecked, the recheck's parse of its key too
     caches = {name: v for module in (claims, literal) for name, v in vars(module).items()
               if hasattr(v, "cache_parameters")}
-    assert caches.pop("_parse_witness_table").cache_parameters()["maxsize"] == 1
     assert all(c.cache_parameters()["maxsize"] is None for c in caches.values())
     assert sorted(map(id, caches.values())) == sorted(map(id, claims._CACHES))
 
@@ -758,6 +840,18 @@ def test_cfund_confirms_forced_failures_and_refuses_forged_witnesses(monkeypatch
     fails = [r for s in corpus for r in evaluate_claim("C-FUND", s)]
     assert len(fails) == 121 and {r.status for r in fails} == {STATUS_FAILS}
     assert all(recheck_result(r) for r in fails)
+    # the partition named is the first separating literal congruence, as
+    # the evaluator names it, so a later one is refused
+    later = 0
+    for r in fails:
+        s, named = parse_inline(r.table), r.witness["witness_partition"]
+        es = literal._idems_lit(s.table)
+        for p in map(list, literal._lit_congruences(s)):
+            if named is not None and p != named and literal._separating_lit(p, es):
+                forged = {**r.witness, "witness_partition": p}
+                assert not recheck_result(dataclasses.replace(r, witness=forged)), (r.table, p)
+                later += 1
+    assert later > 0
     monkeypatch.undo()
     assert not any(recheck_result(r) for r in fails)
     # on a fundamental table, no witness that production calls it not
