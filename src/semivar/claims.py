@@ -49,7 +49,8 @@ from .congruences import (
     are_isomorphic, congruence_kind, fundamental_among, quotient, sandwich_lambda,
     sandwich_rho, u_translate_hom,
 )
-from .core import FiniteSemigroup, SemigroupError, idempotents
+from .core import FiniteSemigroup, OrderTooLarge, SemigroupError, idempotents
+from .enumeration import ENUMERATION_CLASSES_CAP
 from .literal import (
     _INCL_LINKS, _TILDES, _c13_lit, _idems_lit, _lit_congruences, _recheck_c11,
     _recheck_c12, _recheck_c13, _recheck_c14, _recheck_c21, _recheck_c22c, _recheck_c22q,
@@ -91,6 +92,8 @@ class Claim:
     claim_id: str
     kind: str
     summary: str
+    #: the names of the params of every instance of the claim
+    param_names: frozenset
     #: evaluate(s, opts, table=None); table is inline_table(s), built when omitted
     evaluate: Callable[..., list[ClaimResult]]
     recheck: Callable[[FiniteSemigroup, dict, dict, Options], bool]
@@ -155,6 +158,9 @@ U_POLICY = "all non-empty subsets of E(S) when |E(S)| <= 4, else singletons and 
 
 #: what a check returns for an instance the claim does not apply to
 _NA = object()
+#: the left-zero band of order 2 (xy = x): its two elements are idempotent
+#: and L-related, so every instance domain has an instance on it
+_LEFT_ZERO2 = FiniteSemigroup(2, ((0, 0), (1, 1)))
 
 
 def _once(s):
@@ -177,7 +183,8 @@ def _per_u(s):
 def _claim(cid, kind, summary, instances, check, recheck) -> Claim:
     """The claim whose evaluator gives one result per params dict of
     instances(s), from check(s, opts, **params): _NA, None (HOLDS) or a
-    witness (FAILS)."""
+    witness (FAILS).  Its param_names are those of its first instance on
+    _LEFT_ZERO2."""
 
     def evaluate(s, opts, table=None):
         # the runner passes the table key it already built for this table
@@ -193,7 +200,7 @@ def _claim(cid, kind, summary, instances, check, recheck) -> Claim:
             out.append(ClaimResult(cid, table, p, status, w))
         return out
 
-    return Claim(cid, kind, summary, evaluate, recheck)
+    return Claim(cid, kind, summary, frozenset(instances(_LEFT_ZERO2)[0]), evaluate, recheck)
 
 
 def _first(witnesses):
@@ -333,12 +340,12 @@ def _check_c14(s, opts):
         return {"part": "refused", "element": bad}
     st = _star(s)
     pairs = ((st.l_star, td.l_tilde, "L*=L~"), (st.r_star, td.r_tilde, "R*=R~"))
-    tildes = ((td.l_tilde, "L~"), (td.r_tilde, "R~"))
+    bare = _unabundant(s, es, opts)  # at U = E(S) both U-policies look for E(S)
     return _first(itertools.chain(
         ({"part": name, "x": x, "y": y}
          for p, q, name in pairs
          for x, y in _diff_pairs(p, q)),
-        ({"part": "weakly-abundant", **w} for w in bare_classes(tildes, es)),
+        [{"part": "weakly-abundant", **bare}] if bare else [],
     ))
 
 
@@ -492,8 +499,8 @@ def _per_u_idempotent(s):
 
 @cache
 def _unabundant(v, us: frozenset, opts):
-    """The first L~/R~ class of v at U = us without a target idempotent,
-    or _NA when tilde refuses a member of us as no idempotent of v."""
+    """The first L~/R~ class of v at U = us without a target idempotent (None
+    when v is weakly U-abundant), or _NA when tilde refuses a member of us."""
     td, _ = _tilde(v, us)
     if td is None:
         return _NA
@@ -736,7 +743,11 @@ def _check_cnatpo(s, opts):
 
 @cache
 def _witness_table(key: str) -> FiniteSemigroup:
-    """The table of a witness's key, parsed once per run of equal keys."""
+    """The table of a witness's key, parsed once per run of equal keys.  A key
+    of an order check never writes raises OrderTooLarge before its cubic parse."""
+    order = key.partition(";")[0]
+    if order.isascii() and order.isdigit() and int(order) > ENUMERATION_CLASSES_CAP:
+        raise OrderTooLarge(int(order), ENUMERATION_CLASSES_CAP)
     return parse_inline(key)
 
 
@@ -891,9 +902,11 @@ _DEFAULT_OPTIONS = Options()
 
 def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
-    witness alone.  True means the failure is confirmed; a record that
-    literal._FIELDS refuses, lacks a field its re-checker reads or names a
-    relation its claim never writes never is."""
+    witness alone.  True means the failure is confirmed; a record whose
+    params names are not its instance domain's, that literal._FIELDS
+    refuses, lacks a field its re-checker reads or names a relation its
+    claim never writes never is.  A key of too large an order raises
+    OrderTooLarge (see _witness_table)."""
     claim = REGISTRY.get(result.claim_id)
     if claim is None:
         raise UnknownClaim(result.claim_id)
@@ -904,6 +917,7 @@ def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     params, witness = result.params, result.witness
     try:
         return (_well_formed(s.table, params, witness)
+                and params.keys() == claim.param_names
                 and claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS))
-    except KeyError:  # a field the re-checker reads is missing
+    except KeyError:  # a field the re-checker reads, or a name it looks up, is missing
         return False

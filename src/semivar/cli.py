@@ -27,11 +27,10 @@ from pathlib import Path
 from . import __version__
 from .claims import HARD_CLAIM_IDS, Options, recheck_result
 from .congruences import all_congruences
-from .core import SemigroupError, idempotents
+from .core import OrderTooLarge, SemigroupError, idempotents
 from .enumeration import (
     DEDUP_ISO,
     DEDUP_NONE,
-    ENUMERATION_CLASSES_CAP,
     CorpusSpec,
     enumerate_semigroups,
     iter_corpus,
@@ -158,13 +157,10 @@ def _named(r) -> str:
 
 
 def _confirmed(r, options) -> bool:
-    # check writes no larger table, and parse_inline's scan is cubic in it
-    order = r.table.partition(";")[0]
-    if order.isascii() and order.isdigit() and int(order) > ENUMERATION_CLASSES_CAP:
-        raise _CliError(f"{r.claim_id}: a table of order {int(order)} exceeds "
-                        f"the configured bound {ENUMERATION_CLASSES_CAP}")
     try:
         return recheck_result(r, options)
+    except OrderTooLarge as err:
+        raise _CliError(f"{r.claim_id}: a table of {err}") from None
     except SemigroupError as err:  # an unknown claim, or a table that is not one
         raise _CliError(f"{r.claim_id} on {r.table}: {err}") from None
 

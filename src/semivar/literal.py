@@ -4,7 +4,9 @@ they build.
 ``claims.recheck_result`` reproduces a FAILS result from its serialized
 table, params and witness alone.  A record with a field ``_FIELDS`` does
 not list, or a value not of its field's kind, is refused before its
-re-checker runs; its re-checker checks the names and flags a claim writes.
+re-checker runs; its re-checker checks the names, flags, congruence kinds
+and table keys a claim writes, numbering classes by least member as
+production does (``_classes_lit``).
 Re-checkers are definitional: they scan raw tables instead of calling
 production code, except where the claim is about that code (C-1.2
 ``star``, C-3.1 ``all_congruences`` and ``quotient``, C-FUND
@@ -12,8 +14,9 @@ production code, except where the claim is about that code (C-1.2
 Literal helpers build tests, each deriving S^1 once:
 ``_related_lit(table, name, us)`` returns ``related(x, y)`` for L, R, L*,
 R*, L~ or R~, ``_natural_leq_lit(table)`` returns ``leq(a, b)``.  A
-left-hand relation (L, L*, L~, P2) is the right-hand one on the
-transposed table, the table of the dual semigroup.
+left-hand relation (L, L*, L~, P2), or compatibility with left
+translations, is the right-hand one on the transposed table, the table
+of the dual semigroup.
 """
 
 from __future__ import annotations
@@ -140,18 +143,22 @@ def _law_broken_lit(leq, w):
     return leq(x, y) and leq(y, z) and not leq(x, z)
 
 
-def _is_congruence_lit(table, class_index):
-    n = len(table)
-    for x in range(n):
-        for y in range(n):
-            if class_index[x] != class_index[y]:
-                continue
-            for z in range(n):
-                if class_index[table[z][x]] != class_index[table[z][y]]:
-                    return False
-                if class_index[table[x][z]] != class_index[table[y][z]]:
-                    return False
-    return True
+def _compatible_lit(table, ci):
+    """True when related x, y give related xz, yz for every z: the class
+    index ci is right compatible on table (left compatible on its dual)."""
+    r = range(len(table))
+    return all(ci[table[x][z]] == ci[table[y][z]]
+               for x in r for y in r if ci[x] == ci[y] for z in r)
+
+
+def _is_congruence_lit(table, ci):
+    return _compatible_lit(table, ci) and _compatible_lit(_dual(table), ci)
+
+
+def _kind_lit(table, ci):
+    """The compatibility of ci with translations, as congruence_kind names it."""
+    left, right = _compatible_lit(_dual(table), ci), _compatible_lit(table, ci)
+    return "two_sided" if left and right else "left" if left else "right" if right else "none"
 
 
 def _separating_lit(class_index, es):
@@ -169,18 +176,18 @@ def _iso_exists_lit(ta, tb):
     )
 
 
-def _lambda_classes_lit(table, u):
-    """Class index of each x under lambda^u, classes ordered by the value ux."""
-    values = sorted(set(table[u]))
-    return [values.index(v) for v in table[u]]
+def _classes_lit(keys):
+    """The class index of the partition by equal keys, numbered by least member."""
+    number: dict = {}
+    return [number.setdefault(k, len(number)) for k in keys]
 
 
 def _lambda_quotient_lit(table, u):
-    """Table of S^u / lambda^u built from scratch: classes by the value ux."""
-    idx = _lambda_classes_lit(table, u)
-    reps = [idx.index(c) for c in range(max(idx) + 1)]
+    """Table of S^u / lambda^u built from scratch: classes by least member."""
+    ci = _classes_lit(table[u])
+    reps = [ci.index(c) for c in range(max(ci) + 1)]
     # product in the variant: a * b = a u b
-    return tuple(tuple(idx[table[table[a][u]][b]] for b in reps) for a in reps)
+    return tuple(tuple(ci[table[table[a][u]][b]] for b in reps) for a in reps)
 
 
 def _usub_table_lit(table, u):
@@ -188,6 +195,11 @@ def _usub_table_lit(table, u):
     members = sorted(set(table[u]))
     pos = {v: i for i, v in enumerate(members)}
     return tuple(tuple(pos[table[a][b]] for b in members) for a in members)
+
+
+def _key_lit(table):
+    """The table's key as reports write it: the order and the rows, ';'-joined."""
+    return ";".join([str(len(table)), *(" ".join(map(str, row)) for row in table)])
 
 
 def _c13_lit(table):
@@ -216,26 +228,19 @@ def _sandwich_lit(s, e):
 
 
 def _partitions_lit(n):
-    """All partitions of 0..n-1 as canonical class-index tuples."""
-    code: list[int] = []
-
-    def rec(i, k):
-        if i == n:
-            yield tuple(code)
-            return
-        for c in range(k + 1):
-            code.append(c)
-            yield from rec(i + 1, k + 1 if c == k else k)
-            code.pop()
-
-    yield from rec(0, 0)
+    """All partitions of 0..n-1 as canonical class-index tuples, in
+    lexicographic order: each element joins a class before it or the next."""
+    codes = [()]
+    for _ in range(n):
+        codes = [c + (k,) for c in codes for k in range(max(c, default=-1) + 2)]
+    return codes
 
 
 def _canonical_lit(ci, t):
     """True when ci lists a class number per element of table t, each new
     one the count of those before it: a class index numbered by first use."""
-    return type(ci) is list and len(ci) == len(t) and all(
-        type(c) is int and (c in ci[:i] or c == len(set(ci[:i]))) for i, c in enumerate(ci))
+    return (type(ci) is list and len(ci) == len(t) and all(type(c) is int for c in ci)
+            and _classes_lit(ci) == ci)
 
 
 @cache
@@ -277,9 +282,10 @@ _FIELDS = {
                      "in_join", "in_rl", "in_lr", "variant_related", "base_related",
                      "in_variant_cap_p", "in_base", "natural", "usual", "production",
                      "bruteforce"), lambda v, t: type(v) is bool),
-    **dict.fromkeys(("relation", "part", "kind", "requirement", "law", "quotient", "image",
-                     "quotient_a", "quotient_b"), lambda v, t: type(v) is str),
+    **dict.fromkeys(("relation", "part", "kind", "law", "quotient", "image", "quotient_a",
+                     "quotient_b"), lambda v, t: type(v) is str),
     "side": lambda v, t: v in _SIDES,
+    "requirement": lambda v, t: v in ("left", "right"),
     "partition": _canonical_lit,
     "witness_partition": lambda v, t: v is None or _canonical_lit(v, t),
     **dict.fromkeys(("only_production", "only_bruteforce"),
@@ -378,24 +384,14 @@ def _recheck_c22q(s, params, w, opts):
 
 def _recheck_c22c(s, params, w, opts):
     vt = _sandwich_table(s.table, params["a"])
-    n = len(vt)
-
-    def least_related(name):  # the least member of each element's class
-        related = _related_lit(vt, name)
-        return [next(b for b in range(n) if related(b, c)) for c in range(n)]
-
-    lidx, ridx = least_related("L*"), least_related("R*")
+    l_star, r_star, r = _related_lit(vt, "L*"), _related_lit(vt, "R*"), range(len(vt))
     x, y = w["x"], w["y"]
-    in_rl = any(ridx[x] == ridx[c] and lidx[c] == lidx[y] for c in range(n))
-    in_lr = any(lidx[x] == lidx[c] and ridx[c] == ridx[y] for c in range(n))
+    in_rl = any(r_star(x, c) and l_star(c, y) for c in r)
+    in_lr = any(l_star(x, c) and r_star(c, y) for c in r)
     # D* = the join: everything reachable from x by L*- or R*-steps
-    reach, todo = {x}, [x]
-    while todo:
-        c = todo.pop()
-        for b in set(range(n)) - reach:
-            if lidx[b] == lidx[c] or ridx[b] == ridx[c]:
-                reach.add(b)
-                todo.append(b)
+    reach = {x}
+    while step := {b for b in set(r) - reach if any(l_star(b, c) or r_star(b, c) for c in reach)}:
+        reach |= step
     found = (y in reach, in_rl, in_lr)
     return found == (w["in_join"], w["in_rl"], w["in_lr"]) and len(set(found)) > 1
 
@@ -455,7 +451,7 @@ def _recheck_c31(s, params, w, opts):
             for produced, listed in sides.items() for ci in listed)
     ci = w["partition"]
     if w["part"] == "refused":  # quotient refused what is literally no congruence
-        return not _is_congruence_lit(t, ci)
+        return w["kind"] == _kind_lit(t, ci) != "two_sided"
     if not _is_congruence_lit(t, ci):
         return False
     q = quotient(s, Equivalence.from_keys(n, ci))
@@ -464,13 +460,11 @@ def _recheck_c31(s, params, w, opts):
 
 
 def _recheck_c32(s, params, w, opts):
-    """A literal scan of S^u for x, y related and z that the requirement's
-    translation (x * z for right, z * x for left) separates."""
-    t, u, r = s.table, params["u"], range(s.order)
-    key = t[u] if w["relation"] == "lambda" else [row[u] for row in t]  # ux or xu
-    vt = _sandwich_table(t, u)
-    m = vt if w["requirement"] == "right" else _dual(vt)
-    return any(key[x] == key[y] and key[m[x][z]] != key[m[y][z]] for x in r for y in r for z in r)
+    """lambda^u (ux = uy) or rho^u (xu = yu) on S^u lacks the requirement's compatibility."""
+    t, u = s.table, params["u"]
+    keys = {"lambda": t[u], "rho": [row[u] for row in t]}  # another name: KeyError, refused
+    kind = _kind_lit(_sandwich_table(t, u), _classes_lit(keys[w["relation"]]))
+    return w["kind"] == kind not in (w["requirement"], "two_sided")
 
 
 def _recheck_c34(s, params, w, opts):
@@ -479,8 +473,10 @@ def _recheck_c34(s, params, w, opts):
         x, y = w["x"], w["y"]
         return t[u][t[t[x][u]][y]] != t[t[u][x]][t[u][y]]
     if w.get("part") == "lambda-not-congruence":
-        return not _is_congruence_lit(_sandwich_table(t, u), _lambda_classes_lit(t, u))
-    return not _iso_exists_lit(_lambda_quotient_lit(t, u), _usub_table_lit(t, u))
+        return w["kind"] == _kind_lit(_sandwich_table(t, u), _classes_lit(t[u])) != "two_sided"
+    q, image = _lambda_quotient_lit(t, u), _usub_table_lit(t, u)
+    return ((w["quotient"], w["image"]) == (_key_lit(q), _key_lit(image))
+            and not _iso_exists_lit(q, image))
 
 
 def _recheck_c35(s, params, w, opts):
@@ -490,7 +486,9 @@ def _recheck_c35(s, params, w, opts):
         return False
     if w.get("part") == "lambda-not-congruence":  # as C-3.4 confirms it, at a or b
         return w["at"] in (a, b) and _recheck_c34(s, {"u": w["at"]}, w, opts)
-    return not _iso_exists_lit(_lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b))
+    qa, qb = _lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b)
+    return ((w["quotient_a"], w["quotient_b"]) == (_key_lit(qa), _key_lit(qb))
+            and not _iso_exists_lit(qa, qb))
 
 
 def _recheck_cfund(s, params, w, opts):

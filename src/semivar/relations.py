@@ -172,7 +172,6 @@ class StarBundle:
 
 @dataclass(frozen=True)
 class TildeBundle:
-    u: ElementSubset
     l_tilde: Equivalence
     r_tilde: Equivalence
 
@@ -249,7 +248,7 @@ def tilde(s: FiniteSemigroup, u: Iterable[int]) -> TildeBundle:
     r = Equivalence.from_keys(
         n, [tuple([t[e][a] == a for e in members]) for a in range(n)]
     )
-    return TildeBundle(u=frozenset(members), l_tilde=l, r_tilde=r)
+    return TildeBundle(l_tilde=l, r_tilde=r)
 
 
 def bare_classes(
@@ -271,13 +270,3 @@ def is_abundant(s: FiniteSemigroup, bundle: StarBundle) -> bool:
     rels = ((bundle.l_star, "L*"), (bundle.r_star, "R*"))
     return next(bare_classes(rels, idempotents(s)), None) is None
 
-
-def is_weakly_u_abundant(
-    s: FiniteSemigroup, u: Iterable[int], strict: bool = False
-) -> bool:
-    """Every L~-class and every R~-class relative to U contains an
-    idempotent: one of E(S), or with strict=True one of U itself."""
-    bundle = tilde(s, u)
-    target = bundle.u if strict else idempotents(s)
-    rels = ((bundle.l_tilde, "L~"), (bundle.r_tilde, "R~"))
-    return next(bare_classes(rels, target), None) is None

@@ -14,7 +14,7 @@ import pytest
 
 from semivar import (
     FiniteSemigroup, NotAssociative, OrderTooLarge, build_semigroup, claims, cli,
-    congruences, literal, orders, relations, variants,
+    congruences, idempotents, literal, orders, relations, variants,
 )
 from semivar.claims import (
     HARD_CLAIM_IDS,
@@ -114,6 +114,9 @@ def test_tilde_congruence_failure_has_witness():
         assert recheck_result(r)
 
 
+#: the order-5 table of C-3.5's first counterexample
+_C35_TABLE = "5;0 0 0 0 0;0 0 0 0 2;0 0 0 2 2;0 1 2 3 3;0 1 2 4 4"
+
 #: forged FAILS records.  The first three name a class without its
 #: target, or a pair a translate separates, but under L or L* where the
 #: claim speaks of L~; the next six name a relation or side no claim
@@ -144,6 +147,14 @@ _FORGED_RELATIONS = [
      {"x": 1, "y": 2, "z": 2}),
     # 1.0.1 = 0 != 1, but 1 is no idempotent, so C-2.5 is not about it
     ("C-2.5", "2;0 0;0 0", {"e": 1}, {"e_star_e": 0}),
+    # C-3.5's first counterexample with junk tables or none, a C-3.2
+    # relation no claim writes, and C-4.1-reverse's first counterexample
+    # with a param its instance domain never writes
+    ("C-3.5", _C35_TABLE, {"a": 3, "b": 4}, {"quotient_a": "junk", "quotient_b": "junk"}),
+    ("C-3.5", _C35_TABLE, {"a": 3, "b": 4}, {}),
+    ("C-3.2", "1;0", {"u": 0}, {"relation": "L", "requirement": "left", "kind": "none"}),
+    ("C-4.1-reverse", "2;0 0;1 1", {"e": 0, "a": 1}, {"f": 1, "ff": 1, "fe": 1, "ef": 0}),
+    ("C-4.1-reverse", "2;0 0;1 1", {"e": 0, "U": [0]}, {"f": 1, "ff": 1, "fe": 1, "ef": 0}),
 ]
 
 
@@ -361,6 +372,38 @@ def test_recheck_refuses_a_record_without_one_of_its_fields(cli_reports3, strict
     r = ClaimResult("C-4.2", "2;0 0;0 1", {"e": 1}, STATUS_FAILS,
                     {"law": "transitivity", "x": 0})
     assert recheck_result(r) is False
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_recheck_refuses_a_param_its_instance_domain_never_writes(cli_reports3, strict_u):
+    # each params name some domain writes, added with a value of its kind
+    # to a record whose domain does not write it: the copy is refused
+    opts = Options(strict_u=strict_u)
+    added = 0
+    for r in Report.loads(cli_reports3[strict_u].read_text()).results:
+        if r.status == STATUS_FAILS:
+            e = min(idempotents(parse_inline(r.table)))
+            others = {"a": 0, "b": 0, "u": 0, "e": e, "U": [e], "relation": "L~"}
+            for name, value in others.items():
+                if name not in r.params:
+                    forged = dataclasses.replace(r, params={**r.params, name: value})
+                    assert recheck_result(forged, opts) is False, forged
+                    added += 1
+    assert added > 5000
+
+
+def test_recheck_refuses_a_key_above_the_checked_orders_before_parsing_it(monkeypatch):
+    # check writes no table above order 6, and parsing a key is cubic in
+    # its order: recheck_result raises OrderTooLarge without parsing
+    def refuse(key):
+        raise AssertionError("parsed")
+
+    monkeypatch.setattr(claims, "parse_inline", refuse)
+    left_zero7 = ";".join(["7"] + [" ".join([str(x)] * 7) for x in range(7)])
+    r = ClaimResult("C-4.1-reverse", left_zero7, {"e": 0}, STATUS_FAILS,
+                    {"f": 1, "ff": 1, "fe": 1, "ef": 0})
+    with pytest.raises(OrderTooLarge, match="order 7 exceeds the configured bound 6"):
+        recheck_result(r)
 
 
 @pytest.mark.parametrize("strict_u", [False, True])
@@ -593,10 +636,22 @@ def test_a_refused_congruence_is_a_fails(monkeypatch, corpus3):
     assert not any(recheck_result(r) for r in results)
 
 
+def test_the_literal_kind_is_the_production_kind():
+    # the two _compatible_lit sides name every partition of every labeled
+    # table of orders 1-4 as congruence_kind names it
+    pairs = 0
+    for s in full_corpus(1, 2, 3, 4):
+        for ci in literal._partitions_lit(s.order):
+            kind = congruences.congruence_kind(s, Equivalence.from_keys(s.order, ci))
+            assert literal._kind_lit(s.table, ci) == kind, (s.table, ci)
+            pairs += 1
+    assert pairs == 52962
+
+
 def test_literal_builders_agree_with_production(corpus3, classes5):
     # C-1.2 compares R* and L*; this compares every relation test, at every
-    # U a claim ranges over, weak U-abundance under both U-policies, and
-    # the natural order, on all pairs
+    # U a claim ranges over, weak U-abundance under both U-policies as
+    # C-1.4 and C-2.6 decide it, and the natural order, on all pairs
     for s in itertools.chain(corpus3, classes5):
         claims._hold(inline_table(s))
         t, r = s.table, range(s.order)
@@ -606,8 +661,8 @@ def test_literal_builders_agree_with_production(corpus3, classes5):
             td = relations.tilde(s, frozenset(us))
             cases += [("L~", td.l_tilde, us), ("R~", td.r_tilde, us)]
             for strict in (False, True):
-                assert (literal._u_abundant_lit(s, us, strict)
-                        == relations.is_weakly_u_abundant(s, us, strict)), (t, us, strict)
+                bare = claims._unabundant(s, frozenset(us), Options(strict_u=strict))
+                assert literal._u_abundant_lit(s, us, strict) == (bare is None), (t, us, strict)
         for name, rel, us in cases:
             related = literal._related_lit(t, name, us)
             assert all(related(x, y) == rel.same(x, y) for x in r for y in r), (t, name, us)
@@ -633,7 +688,7 @@ SMALLEST_COUNTEREXAMPLES = {
     "C-2.2-composition": ("4;0 0 0 0;0 0 0 0;0 0 0 0;0 0 2 3", {"a": 3},
                           {"x": 1, "y": 3, "in_join": True, "in_rl": False,
                            "in_lr": True}),
-    "C-3.5": ("5;0 0 0 0 0;0 0 0 0 2;0 0 0 2 2;0 1 2 3 3;0 1 2 4 4", {"a": 3, "b": 4},
+    "C-3.5": (_C35_TABLE, {"a": 3, "b": 4},
               {"quotient_a": "4;0 0 0 0;0 0 0 0;0 0 0 2;0 1 2 3",
                "quotient_b": "4;0 0 0 0;0 0 0 2;0 0 0 2;0 1 2 3"}),
     "C-NAT-PO": None,  # no FAILS through the order-5 classes
@@ -832,6 +887,46 @@ def test_c31_confirms_a_wrong_lattice_and_refuses_forged_witnesses(corpus3, monk
     assert forged > 100
 
 
+def test_c31_confirms_a_refused_partition_with_its_own_kind(corpus3):
+    # a refused record is confirmed exactly when its partition is literally
+    # no congruence and its kind is the one congruence_kind names
+    kinds = (congruences.KIND_NONE, congruences.KIND_LEFT, congruences.KIND_RIGHT,
+             congruences.KIND_TWO_SIDED)
+    seen = set()
+    for s in corpus3:
+        for ci in literal._partitions_lit(s.order):
+            kind = congruences.congruence_kind(s, Equivalence.from_keys(s.order, ci))
+            seen.add(kind)
+            for named in kinds:
+                r = _c31_failure(s, {"part": "refused", "partition": list(ci), "kind": named})
+                assert recheck_result(r) == (named == kind != kinds[-1]), (r, kind)
+    assert seen == set(kinds)
+
+
+def test_the_quotient_recheckers_confirm_the_tables_production_built(monkeypatch, corpus3):
+    # with no isomorphism found on either side, every instance of C-3.4,
+    # C-3.5 and C-FHT fails with the tables production built; the literal
+    # side numbers them alike, so each record is confirmed, and refused
+    # with its two tables swapped or one of them junk
+    monkeypatch.setattr(claims, "are_isomorphic", lambda a, b: None)
+    monkeypatch.setattr(literal, "_iso_exists_lit", lambda ta, tb: False)
+    names = {"C-3.4": ("quotient", "image"), "C-3.5": ("quotient_a", "quotient_b"),
+             "C-FHT": ("quotient", "image")}
+    confirmed = refused = 0
+    for s in corpus3:
+        for cid, (a, b) in names.items():
+            for r in evaluate_claim(cid, s):
+                w = r.witness
+                assert r.status == STATUS_FAILS and set(w) == {a, b}, r
+                assert recheck_result(r), r
+                confirmed += 1
+                for forged in ({a: w[b], b: w[a]}, {a: w[a], b: "junk"}, {a: "junk", b: w[b]}):
+                    if forged != w:
+                        assert not recheck_result(dataclasses.replace(r, witness=forged)), r
+                        refused += 1
+    assert confirmed > 500 and refused > 1000
+
+
 def test_cfund_confirms_forced_failures_and_refuses_forged_witnesses(monkeypatch):
     corpus = full_corpus(2, 3)
     real = congruences.fundamental_among
@@ -902,4 +997,9 @@ def test_every_claim_finishes_beyond_the_enumerable_orders():
     with pytest.raises(OrderTooLarge):
         literal._lit_congruences(t3)
     fails = [r for rs in results.values() for r in rs if r.status == STATUS_FAILS]
-    assert fails and all(recheck_result(r) for r in fails)
+    # the re-checkers confirm them; recheck_result refuses a key of an
+    # order check never writes before it parses the key
+    assert fails and all(REGISTRY[r.claim_id].recheck(t3, r.params, r.witness, Options())
+                         for r in fails)
+    with pytest.raises(OrderTooLarge, match="order 27 exceeds the configured bound 6"):
+        recheck_result(fails[0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semivar import claims
 from semivar.core import adjoin_identity, idempotents, is_regular
 from semivar.relations import (
     CarrierMismatch,
@@ -15,12 +16,12 @@ from semivar.relations import (
     compose,
     green,
     is_abundant,
-    is_weakly_u_abundant,
     join,
     meet,
     star,
     tilde,
 )
+from semivar.sgt import inline_table
 from .conftest import full_corpus
 from .oracles import j_classes
 
@@ -251,13 +252,10 @@ def test_abundance(left_zero, null2, z2):
 
 def test_weak_abundance_strict_flag(min2):
     # the tilde classes at U = {0} are {0} and {1}; the class {1} meets
-    # E(S) = {0, 1} but not U itself
-    assert is_weakly_u_abundant(min2, {0}, strict=False)
-    assert not is_weakly_u_abundant(min2, {0}, strict=True)
-
-
-@given(st.sampled_from(full_corpus(1, 2, 3)))
-def test_abundant_tables_are_weakly_abundant_at_e(s):
-    if not is_abundant(s, star(s)):
-        return
-    assert is_weakly_u_abundant(s, idempotents(s))
+    # E(S) = {0, 1} but not U itself.  claims._unabundant is the one
+    # production test of weak U-abundance, for C-1.4 and C-2.6
+    claims._hold(inline_table(min2))
+    u = frozenset({0})
+    assert claims._unabundant(min2, u, claims.Options()) is None
+    assert claims._unabundant(min2, u, claims.Options(strict_u=True)) == {
+        "relation": "L~", "element": 1}
