@@ -57,7 +57,7 @@ from .literal import (
     _recheck_c23l, _recheck_c23r, _recheck_c24, _recheck_c25, _recheck_c26, _recheck_c31,
     _recheck_c32, _recheck_c34, _recheck_c35, _recheck_c40, _recheck_c41f, _recheck_c41r,
     _recheck_c42, _recheck_c43, _recheck_c44a, _recheck_c44b, _recheck_cfund, _recheck_cincl,
-    _recheck_cnatpo, _recheck_noncong, _related_lit, _sandwich_lit, _separating_lit,
+    _recheck_cnatpo, _recheck_noncong, _Read, _related_lit, _sandwich_lit, _separating_lit,
     _u_abundant_lit, _well_formed,
 )
 from .relations import Equivalence, NotIdempotentMember, bare_classes
@@ -745,9 +745,11 @@ def _check_cnatpo(s, opts):
 def _witness_table(key: str) -> FiniteSemigroup:
     """The table of a witness's key, parsed once per run of equal keys.  A key
     of an order check never writes raises OrderTooLarge before its cubic parse."""
-    order = key.partition(";")[0]
-    if order.isascii() and order.isdigit() and int(order) > ENUMERATION_CLASSES_CAP:
-        raise OrderTooLarge(int(order), ENUMERATION_CLASSES_CAP)
+    order = key.partition(";")[0].lstrip("0")
+    cap = str(ENUMERATION_CLASSES_CAP)
+    # compared as numerals, length first: int() refuses more than 4,300 digits
+    if order.isascii() and order.isdigit() and (len(order), order) > (len(cap), cap):
+        raise OrderTooLarge(order, ENUMERATION_CLASSES_CAP)
     return parse_inline(key)
 
 
@@ -904,9 +906,9 @@ def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
     witness alone.  True means the failure is confirmed; a record whose
     params names are not its instance domain's, that literal._FIELDS
-    refuses, lacks a field its re-checker reads or names a relation its
-    claim never writes never is.  A key of too large an order raises
-    OrderTooLarge (see _witness_table)."""
+    refuses, lacks a field its re-checker reads, holds a witness field it
+    does not read or names a relation its claim never writes never is.  A
+    key of too large an order raises OrderTooLarge (see _witness_table)."""
     claim = REGISTRY.get(result.claim_id)
     if claim is None:
         raise UnknownClaim(result.claim_id)
@@ -914,10 +916,11 @@ def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
         return False
     _hold(result.table)
     s = _witness_table(result.table)
-    params, witness = result.params, result.witness
+    params, witness = result.params, _Read(result.witness)
     try:
         return (_well_formed(s.table, params, witness)
                 and params.keys() == claim.param_names
-                and claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS))
+                and claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS)
+                and witness.keys() <= witness.read)
     except KeyError:  # a field the re-checker reads, or a name it looks up, is missing
         return False

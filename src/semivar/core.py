@@ -65,7 +65,7 @@ class NotIdempotent(SemigroupError):
 
 
 class OrderTooLarge(SemigroupError):
-    def __init__(self, order: int, bound: int) -> None:
+    def __init__(self, order: int | str, bound: int) -> None:
         super().__init__(f"order {order} exceeds the configured bound {bound}")
         self.order = order
         self.bound = bound
@@ -87,9 +87,6 @@ class FiniteSemigroup:
         table up many times, and hashing it reads all n*n entries."""
         return hash((self.order, self.table))
 
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     @property
     def elements(self) -> range:
         return range(self.order)
@@ -99,10 +96,6 @@ class FiniteSemigroup:
         """The two-sided identity, or None; found on first read."""
         t, r = self.table, range(self.order)
         return next((e for e in r if all(t[e][x] == x == t[x][e] for x in r)), None)
-
-    @property
-    def is_monoid(self) -> bool:
-        return self.identity is not None
 
 
 def build_semigroup(order: int, table: Iterable[Iterable[int]]) -> FiniteSemigroup:

@@ -4,8 +4,9 @@ they build.
 ``claims.recheck_result`` reproduces a FAILS result from its serialized
 table, params and witness alone.  A record with a field ``_FIELDS`` does
 not list, or a value not of its field's kind, is refused before its
-re-checker runs; its re-checker checks the names, flags, congruence kinds
-and table keys a claim writes, numbering classes by least member as
+re-checker runs, and one with a witness field its re-checker does not read
+(``_Read``) after it; the re-checker checks the names, flags, congruence
+kinds and table keys a claim writes, numbering classes by least member as
 production does (``_classes_lit``).
 Re-checkers are definitional: they scan raw tables instead of calling
 production code, except where the claim is about that code (C-1.2
@@ -298,6 +299,21 @@ def _well_formed(t, *dicts: dict) -> bool:
     and its value passes the field's test on the table t."""
     return all(name in _FIELDS and _FIELDS[name](v, t)
                for fields in dicts for name, v in fields.items())
+
+
+class _Read(dict):
+    """A witness that records the names of the fields read through [] or get."""
+
+    def __init__(self, fields: dict) -> None:
+        dict.__init__(self, fields)
+        self.read: set = set()
+
+    def __getitem__(self, name):  # runs on every field read, so no super() lookup
+        self.read.add(name)
+        return dict.__getitem__(self, name)
+
+    def get(self, name, default=None):
+        return self[name] if name in self else default
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,10 @@ from .variants import idempotent_variant
 
 @dataclass(frozen=True)
 class OrderRelation:
-    """Boolean leq matrix over a carrier of element ids."""
+    """Boolean matrix over element ids: leq[i][j] is elements[i] <= elements[j]."""
 
     elements: tuple[int, ...]
     leq: tuple[tuple[bool, ...], ...]
-
-    def holds(self, x: int, y: int) -> bool:
-        """leq by element id (not position)."""
-        return self.leq[self.elements.index(x)][self.elements.index(y)]
 
 
 def natural_leq(s: FiniteSemigroup) -> OrderRelation:

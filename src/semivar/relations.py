@@ -51,27 +51,6 @@ class Equivalence:
             members[c].append(x)
         return cls(n, tuple(class_index), tuple([tuple(m) for m in members]))
 
-    @classmethod
-    def identity(cls, n: int) -> "Equivalence":
-        return cls.from_keys(n, range(n))
-
-    @classmethod
-    def universal(cls, n: int) -> "Equivalence":
-        return cls.from_keys(n, [0] * n)
-
-    @classmethod
-    def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Equivalence":
-        key = [-1] * n
-        for i, block in enumerate(blocks):
-            for x in block:
-                if not 0 <= x < n or key[x] != -1:
-                    raise ValueError("blocks must partition 0..n-1")
-            for x in block:
-                key[x] = i
-        if -1 in key:
-            raise ValueError("blocks must cover 0..n-1")
-        return cls.from_keys(n, key)
-
     @property
     def num_classes(self) -> int:
         return len(self.classes)
@@ -81,15 +60,6 @@ class Equivalence:
 
     def class_of(self, x: int) -> tuple[int, ...]:
         return self.classes[self.class_index[x]]
-
-    def refines(self, other: "Equivalence") -> bool:
-        """True when every class of self lies inside a class of other."""
-        _check_same_carrier(self, other)
-        target: dict[int, int] = {}
-        for x in range(self.n):
-            if target.setdefault(self.class_index[x], other.class_index[x]) != other.class_index[x]:
-                return False
-        return True
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         out = set()

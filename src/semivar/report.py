@@ -10,11 +10,11 @@ key, then params (``ClaimResult.sort_key``).  ``record_line`` and
 writes the record's keys in sorted order around its JSON-escaped claim
 id, status and table and its params and witness, which one encoder built
 at import encodes, so a line is the bytes ``_encode`` gives the record.
-``add_tallies`` is the one count of statuses, shared by ``Report`` and the
-streaming writer in ``runner``.  On the way in, ``read_summary`` checks
-the summary line and ``read_records`` is the one reader of record lines,
-shared by ``Report.loads`` and ``semivar recheck``; both hold one line
-at a time.
+``add_tallies`` is the one count of statuses, shared by ``Report.dumps``
+and the streaming writer in ``runner``.  On the way in, ``read_summary``
+checks the summary line and ``read_records`` is the one reader of record
+lines, shared by ``Report.loads`` and ``semivar recheck``; both hold one
+line at a time.
 """
 
 from __future__ import annotations
@@ -69,15 +69,6 @@ class ClaimResult:
         them): the order the writer sorts its lines in."""
         return (self.claim_id, self.table, "".join(_encode_chunks(self.params, 0)))
 
-    def to_record(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "table": self.table,
-            "params": self.params,
-            "status": self.status,
-            "witness": self.witness,
-        }
-
     @classmethod
     def from_record(cls, rec: dict) -> "ClaimResult":
         """The result a decoded record line holds; ValueError when a field
@@ -97,7 +88,7 @@ class ClaimResult:
 
 def record_line(r: ClaimResult) -> str:
     """The report line of one result, without its newline:
-    ``_encode(r.to_record())``, built from its parts."""
+    ``_encode(dataclasses.asdict(r))``, built from its parts."""
     return (f'{{"claim_id":{encode_basestring_ascii(r.claim_id)},'
             f'"params":{"".join(_encode_chunks(r.params, 0))},'
             f'"status":{encode_basestring_ascii(r.status)},'
@@ -203,18 +194,9 @@ class Report:
     version: str = __version__
     timestamp: str = field(default_factory=_utcnow)
 
-    def tallies(self) -> dict:
-        return add_tallies({}, self.results)
-
-    def counterexamples(self) -> list[ClaimResult]:
-        return [r for r in self.results if r.status == STATUS_FAILS]
-
-    def failed_claim_ids(self) -> list[str]:
-        return sorted({r.claim_id for r in self.counterexamples()})
-
     def dumps(self) -> str:
         lines = [record_line(r) for r in self.results]
-        lines.append(summary_line(self.tallies(), self.corpus, self.config,
+        lines.append(summary_line(add_tallies({}, self.results), self.corpus, self.config,
                                   self.version, self.timestamp))
         return "\n".join(lines) + "\n"
 

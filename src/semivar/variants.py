@@ -12,11 +12,10 @@ from .relations import StarBundle
 
 @dataclass(frozen=True)
 class PSets:
-    """P1 = {x : ax R* x}, P2 = {x : xa L* x}, P = P1 & P2 (relations of the base)."""
+    """P1 = {x : ax R* x}, P2 = {x : xa L* x} (relations of the base); P is P1 & P2."""
 
     p1: ElementSubset
     p2: ElementSubset
-    p: ElementSubset
 
 
 def variant(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
@@ -43,4 +42,4 @@ def p_sets(s: FiniteSemigroup, a: int, bundle: StarBundle) -> PSets:
     rci, lci, ta = bundle.r_star.class_index, bundle.l_star.class_index, t[a]
     p1 = frozenset([x for x in r if rci[ta[x]] == rci[x]])
     p2 = frozenset([x for x in r if lci[t[x][a]] == lci[x]])
-    return PSets(p1=p1, p2=p2, p=p1 & p2)
+    return PSets(p1=p1, p2=p2)

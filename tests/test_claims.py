@@ -392,18 +392,40 @@ def test_recheck_refuses_a_param_its_instance_domain_never_writes(cli_reports3, 
     assert added > 5000
 
 
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_recheck_refuses_a_witness_field_its_re_checker_never_reads(cli_reports3, strict_u):
+    # a field of a valid kind, added to a FAILS record whose re-checker
+    # confirms the record without reading that field: the copy is refused
+    opts = Options(strict_u=strict_u)
+    others = {"x": 0, "element": 0, "natural": True, "kind": "junk", "part": "hom", "side": "L"}
+    added = 0
+    for r in Report.loads(cli_reports3[strict_u].read_text()).results:
+        if r.status == STATUS_FAILS:
+            w = literal._Read(r.witness)
+            assert REGISTRY[r.claim_id].recheck(parse_inline(r.table), r.params, w, opts)
+            for name, value in others.items():
+                if name not in w.read:
+                    forged = dataclasses.replace(r, witness={**r.witness, name: value})
+                    assert recheck_result(forged, opts) is False, forged
+                    added += 1
+    assert added > 4000
+
+
 def test_recheck_refuses_a_key_above_the_checked_orders_before_parsing_it(monkeypatch):
     # check writes no table above order 6, and parsing a key is cubic in
-    # its order: recheck_result raises OrderTooLarge without parsing
+    # its order: recheck_result raises OrderTooLarge without parsing, also
+    # for an order of more digits than int() converts
     def refuse(key):
         raise AssertionError("parsed")
 
     monkeypatch.setattr(claims, "parse_inline", refuse)
     left_zero7 = ";".join(["7"] + [" ".join([str(x)] * 7) for x in range(7)])
-    r = ClaimResult("C-4.1-reverse", left_zero7, {"e": 0}, STATUS_FAILS,
-                    {"f": 1, "ff": 1, "fe": 1, "ef": 0})
-    with pytest.raises(OrderTooLarge, match="order 7 exceeds the configured bound 6"):
-        recheck_result(r)
+    for key in (left_zero7, "9" * 5000 + ";0"):
+        r = ClaimResult("C-4.1-reverse", key, {"e": 0}, STATUS_FAILS,
+                        {"f": 1, "ff": 1, "fe": 1, "ef": 0})
+        order = key.partition(";")[0]
+        with pytest.raises(OrderTooLarge, match=f"^order {order} exceeds the configured bound 6$"):
+            recheck_result(r)
 
 
 @pytest.mark.parametrize("strict_u", [False, True])

@@ -14,7 +14,7 @@ import semivar
 from semivar import FiniteSemigroup, claims, congruences, variants
 from semivar.cli import main
 from semivar.relations import Equivalence
-from semivar.report import Report
+from semivar.report import STATUS_FAILS, Report
 
 SRC = Path(semivar.__file__).resolve().parent.parent
 
@@ -82,7 +82,7 @@ def test_check_observed_failures_exit_zero(capsys):
     )
     assert code == 0
     report = Report.loads(out)
-    assert report.failed_claim_ids() == ["C-4.1-reverse"]
+    assert {r.claim_id for r in report.results if r.status == STATUS_FAILS} == {"C-4.1-reverse"}
 
 
 def test_check_unknown_claim(capsys):
@@ -296,7 +296,8 @@ def test_a_production_fault_is_a_fails_the_recheck_refuses(
     code, _, err = run_cli(capsys, "check", "--orders", "2,3", "--claims", "all",
                            "--out", str(out))
     assert code == 2, err
-    assert failing <= set(Report.loads(out.read_text()).failed_claim_ids())
+    report = Report.loads(out.read_text())
+    assert failing <= {r.claim_id for r in report.results if r.status == STATUS_FAILS}
     code, _, err = run_cli(capsys, "recheck", str(out))
     problems = err.splitlines()
     assert code == 2
@@ -433,6 +434,12 @@ def _too_large(lines):
         table=";".join(["7"] + [" ".join([str(x)] * 7) for x in range(7)])))
 
 
+def _huge_order(lines):
+    # an order of 5,000 digits, past the 4,300 that int() converts
+    i = _first_fails(lines, "C-4.1-reverse")
+    _edit_record(lines, i, lambda r: r.update(table="9" * 5000 + ";0"))
+
+
 def _alias_key(lines):
     # a failure copied under a key that parses to the same table, and counted
     i = _first_fails(lines, "C-4.1-reverse")  # on 2;0 0;1 1 at e = 0, then e = 1
@@ -452,6 +459,7 @@ def _alias_key(lines):
     (_no_summary, "report is missing its summary record"),
     (_not_a_semigroup, "C-4.1-reverse on 2;1 0;0 0: (x.y).z != x.(y.z)"),
     (_too_large, "C-4.1-reverse: a table of order 7 exceeds the configured bound 6"),
+    (_huge_order, "9999 exceeds the configured bound 6"),
 ])
 def test_recheck_refuses_malformed_input(tmp_path, capsys, cli_reports3, edit, message):
     path = _tampered(tmp_path, cli_reports3[False], edit)
