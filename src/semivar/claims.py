@@ -57,7 +57,7 @@ from .literal import (
     _recheck_c23l, _recheck_c23r, _recheck_c24, _recheck_c25, _recheck_c26, _recheck_c31,
     _recheck_c32, _recheck_c34, _recheck_c35, _recheck_c40, _recheck_c41f, _recheck_c41r,
     _recheck_c42, _recheck_c43, _recheck_c44a, _recheck_c44b, _recheck_cfund, _recheck_cincl,
-    _recheck_cnatpo, _recheck_noncong, _Read, _related_lit, _sandwich_lit, _separating_lit,
+    _recheck_cnatpo, _recheck_noncong, _related_lit, _sandwich_lit, _separating_lit,
     _u_abundant_lit, _well_formed,
 )
 from .relations import Equivalence, NotIdempotentMember, bare_classes
@@ -916,11 +916,11 @@ def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
         return False
     _hold(result.table)
     s = _witness_table(result.table)
-    params, witness = result.params, _Read(result.witness)
+    params, witness = result.params, dict(result.witness)  # the re-checker pops what it reads
     try:
         return (_well_formed(s.table, params, witness)
                 and params.keys() == claim.param_names
                 and claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS)
-                and witness.keys() <= witness.read)
+                and not witness)
     except KeyError:  # a field the re-checker reads, or a name it looks up, is missing
         return False

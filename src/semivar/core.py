@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 Row = tuple[int, ...]
@@ -114,12 +115,15 @@ def build_semigroup(order: int, table: Iterable[Iterable[int]]) -> FiniteSemigro
             v = rows[x][y]
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
                 raise OutOfRange(x, y, v, order)
-    for x in range(order):
-        for y in range(order):
-            xy = rows[x][y]
-            for z in range(order):
-                if rows[xy][z] != rows[x][rows[y][z]]:
-                    raise NotAssociative(x, y, z)
+    # over all z, (x.y).z is row x.y and x.(y.z) is row x read at row y; z is
+    # scanned where they differ (at order 1 the getter returns an int, not a row)
+    read_at = [itemgetter(*row) for row in rows]
+    for x, row in enumerate(rows):
+        for y, xy in enumerate(row):
+            if rows[xy] != read_at[y](row):
+                for z, yz in enumerate(rows[y]):
+                    if rows[xy][z] != row[yz]:
+                        raise NotAssociative(x, y, z)
     return FiniteSemigroup(order, rows)
 
 

@@ -5,9 +5,10 @@ they build.
 table, params and witness alone.  A record with a field ``_FIELDS`` does
 not list, or a value not of its field's kind, is refused before its
 re-checker runs, and one with a witness field its re-checker does not read
-(``_Read``) after it; the re-checker checks the names, flags, congruence
-kinds and table keys a claim writes, numbering classes by least member as
-production does (``_classes_lit``).
+after it: the re-checker pops each field it reads from a copy of the
+witness, which must end empty.  The re-checker checks the names, flags,
+congruence kinds and table keys a claim writes, numbering classes by least
+member as production does (``_classes_lit``).
 Re-checkers are definitional: they scan raw tables instead of calling
 production code, except where the claim is about that code (C-1.2
 ``star``, C-3.1 ``all_congruences`` and ``quotient``, C-FUND
@@ -132,15 +133,15 @@ def _natural_leq_lit(table):
                          and any(t1[b][y] == a for y in r))
 
 
-def _law_broken_lit(leq, w):
-    """True when leq breaks the witness's partial-order law at its elements."""
-    x = w["x"]
-    if w["law"] == "reflexivity":
+def _law_broken_lit(leq, x, w):
+    """True when leq breaks the witness's partial-order law at x and its elements."""
+    law = w.pop("law")
+    if law == "reflexivity":
         return not leq(x, x)
-    y = w["y"]
-    if w["law"] == "antisymmetry":
+    y = w.pop("y")
+    if law == "antisymmetry":
         return x != y and leq(x, y) and leq(y, x)
-    z = w["z"]
+    z = w.pop("z")
     return leq(x, y) and leq(y, z) and not leq(x, z)
 
 
@@ -301,57 +302,45 @@ def _well_formed(t, *dicts: dict) -> bool:
                for fields in dicts for name, v in fields.items())
 
 
-class _Read(dict):
-    """A witness that records the names of the fields read through [] or get."""
-
-    def __init__(self, fields: dict) -> None:
-        dict.__init__(self, fields)
-        self.read: set = set()
-
-    def __getitem__(self, name):  # runs on every field read, so no super() lookup
-        self.read.add(name)
-        return dict.__getitem__(self, name)
-
-    def get(self, name, default=None):
-        return self[name] if name in self else default
-
-
 # ---------------------------------------------------------------------------
 # the re-checkers, in registry order: each takes (s, params, w, opts) of a
-# well-formed record and confirms its failure on the raw table
+# well-formed record, pops each witness field it reads from w, a copy, and
+# confirms its failure on the raw table
 
 
 def _recheck_c11(s, params, w, opts):
-    t, name = s.table, w["relation"]
+    t, name = s.table, w.pop("relation")
     return (name in _SIDES + _STARS and _all_regular_lit(t)
-            and _bare_class_lit(t, name, w["element"], _idems_lit(t)))
+            and _bare_class_lit(t, name, w.pop("element"), _idems_lit(t)))
 
 
 def _recheck_c12(s, params, w, opts):
-    st = star(s)
-    rel = st.r_star if w["side"] == "R" else st.l_star
-    related = _related_lit(s.table, w["side"] + "*")
-    a, b = w["a"], w["b"]
-    return w["bundle"] == rel.same(a, b) != related(a, b) == w["literal"]
+    st, side = star(s), w.pop("side")
+    rel = st.r_star if side == "R" else st.l_star
+    related = _related_lit(s.table, side + "*")
+    a, b = w.pop("a"), w.pop("b")
+    return w.pop("bundle") == rel.same(a, b) != related(a, b) == w.pop("literal")
 
 
 def _recheck_c13(s, params, w, opts):
-    t = _side(s.table, w["side"])
+    t = _side(s.table, w.pop("side"))
     related, rhs = _related_lit(t, "R*"), _c13_lit(t)
-    a, e = w["a"], w["e"]
-    return w["star"] == related(a, e) != rhs(a, e) == w["characterization"]
+    a, e = w.pop("a"), w.pop("e")
+    return w.pop("star") == related(a, e) != rhs(a, e) == w.pop("characterization")
 
 
 def _recheck_cincl(s, params, w, opts):
     t, us = s.table, tuple(params["U"])
-    if w["part"] == "refused":  # tilde refused an idempotent in U
-        return w["element"] in us
-    eq = w["part"].startswith("eq:")
-    names = tuple(w["part"].removeprefix("eq:").split("=" if eq else "<="))
+    part = w.pop("part")
+    if part == "refused":  # tilde refused an idempotent in U
+        return w.pop("element") in us
+    eq = part.startswith("eq:")
+    names = tuple(part.removeprefix("eq:").split("=" if eq else "<="))
     if names not in _INCL_LINKS:
         return False
     first, second = (_related_lit(t, name, us) for name in names)
-    a, b = first(w["x"], w["y"]), second(w["x"], w["y"])
+    x, y = w.pop("x"), w.pop("y")
+    a, b = first(x, y), second(x, y)
     if eq:
         return _all_regular_lit(t) and set(us) == set(_idems_lit(t)) and a != b
     return a and not b
@@ -362,22 +351,24 @@ def _recheck_c14(s, params, w, opts):
     if not _abundant_lit(t):
         return False
     us = tuple(_idems_lit(t))
-    if w["part"] == "refused":  # tilde refused an idempotent
-        return w["element"] in us
-    if w["part"] == "weakly-abundant":
-        name = w["relation"]
-        return name in _TILDES and _bare_class_lit(t, name, w["element"], set(us), us)
-    if w["part"] not in ("L*=L~", "R*=R~"):
+    part = w.pop("part")
+    if part == "refused":  # tilde refused an idempotent
+        return w.pop("element") in us
+    if part == "weakly-abundant":
+        name = w.pop("relation")
+        return name in _TILDES and _bare_class_lit(t, name, w.pop("element"), set(us), us)
+    if part not in ("L*=L~", "R*=R~"):
         return False
-    first, second = (_related_lit(t, name, us) for name in w["part"].split("="))
-    return first(w["x"], w["y"]) != second(w["x"], w["y"])
+    first, second = (_related_lit(t, name, us) for name in part.split("="))
+    x, y = w.pop("x"), w.pop("y")
+    return first(x, y) != second(x, y)
 
 
 def _recheck_noncong(s, params, w, opts):
     t, name, us = s.table, params["relation"], tuple(params["U"])
     if name not in _TILDES:
         return False
-    x, y, z = w["x"], w["y"], w["z"]
+    x, y, z = w.pop("x"), w.pop("y"), w.pop("z")
     m = t if name == "L~" else _dual(t)
     related = _related_lit(t, name, us)
     return related(x, y) and not related(m[x][z], m[y][z])
@@ -385,23 +376,23 @@ def _recheck_noncong(s, params, w, opts):
 
 def _recheck_c21(s, params, w, opts):
     vt = _sandwich_table(s.table, params["a"])
-    x, y, z = w["x"], w["y"], w["z"]
+    x, y, z = w.pop("x"), w.pop("y"), w.pop("z")
     return vt[vt[x][y]][z] != vt[x][vt[y][z]]
 
 
 def _recheck_c22q(s, params, w, opts):
-    vt = _side(_sandwich_table(s.table, params["a"]), w["side"])
+    vt = _side(_sandwich_table(s.table, params["a"]), w.pop("side"))
     related = _related_lit(vt, "R*")
-    x, y = w["x"], w["y"]
+    x, y = w.pop("x"), w.pop("y")
     r = range(len(vt))
     plain = all((vt[u][x] == vt[v][x]) == (vt[u][y] == vt[v][y]) for u in r for v in r)
-    return w["adjoined"] == related(x, y) != plain == w["plain"]
+    return w.pop("adjoined") == related(x, y) != plain == w.pop("plain")
 
 
 def _recheck_c22c(s, params, w, opts):
     vt = _sandwich_table(s.table, params["a"])
     l_star, r_star, r = _related_lit(vt, "L*"), _related_lit(vt, "R*"), range(len(vt))
-    x, y = w["x"], w["y"]
+    x, y = w.pop("x"), w.pop("y")
     in_rl = any(r_star(x, c) and l_star(c, y) for c in r)
     in_lr = any(l_star(x, c) and r_star(c, y) for c in r)
     # D* = the join: everything reachable from x by L*- or R*-steps
@@ -409,40 +400,40 @@ def _recheck_c22c(s, params, w, opts):
     while step := {b for b in set(r) - reach if any(l_star(b, c) or r_star(b, c) for c in reach)}:
         reach |= step
     found = (y in reach, in_rl, in_lr)
-    return found == (w["in_join"], w["in_rl"], w["in_lr"]) and len(set(found)) > 1
+    return found == (w.pop("in_join"), w.pop("in_rl"), w.pop("in_lr")) and len(set(found)) > 1
 
 
 def _recheck_c23r(s, params, w, opts):
-    a, t = params["a"], _side(s.table, w["side"])
+    a, t = params["a"], _side(s.table, w.pop("side"))
     base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
-    x, y = w["x"], w["y"]
+    x, y = w.pop("x"), w.pop("y")
     # x is in P1 when ax R* x
     return (base(t[a][x], x) and base(t[a][y], y)
-            and w["variant_related"] == variant(x, y) != base(x, y) == w["base_related"])
+            and w.pop("variant_related") == variant(x, y) != base(x, y) == w.pop("base_related"))
 
 
 def _recheck_c23l(s, params, w, opts):
-    a, t = params["a"], _side(s.table, w["side"])
+    a, t = params["a"], _side(s.table, w.pop("side"))
     base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
-    x, y = w["x"], w["y"]
+    x, y = w.pop("x"), w.pop("y")
     in_cap = variant(x, y) and base(t[a][y], y)  # y in x's variant class and in P1
-    return w["in_variant_cap_p"] == in_cap != base(x, y) == w["in_base"]
+    return w.pop("in_variant_cap_p") == in_cap != base(x, y) == w.pop("in_base")
 
 
 def _recheck_c24(s, params, w, opts):
     t, n, a = s.table, s.order, params["a"]
-    e = _identity_lit(t)
-    if (e is None or not _abundant_lit(t) or w["relation"] not in _STARS
+    e, name = _identity_lit(t), w.pop("relation")
+    if (e is None or not _abundant_lit(t) or name not in _STARS
             or not any(t[a][b] == e == t[b][a] for b in range(n))):
         return False
     vt = _sandwich_table(t, a)
-    return _bare_class_lit(vt, w["relation"], w["element"], _idems_lit(vt))
+    return _bare_class_lit(vt, name, w.pop("element"), _idems_lit(vt))
 
 
 def _recheck_c25(s, params, w, opts):
     t, e = s.table, params["e"]
     eee = t[t[e][e]][e]
-    return eee != e and w["e_star_e"] == eee
+    return eee != e and w.pop("e_star_e") == eee
 
 
 def _recheck_c26(s, params, w, opts, reading):
@@ -451,27 +442,28 @@ def _recheck_c26(s, params, w, opts, reading):
         return False
     vt, ves = _sandwich_lit(s, e)
     uprime = tuple(sorted(ves.intersection(us))) if reading == "inter" else (e,)
-    if tuple(w["Uprime"]) != uprime or w["relation"] not in _TILDES:
+    name = w.pop("relation")
+    if tuple(w.pop("Uprime")) != uprime or name not in _TILDES:
         return False
     target = set(uprime) if opts.strict_u else ves
-    return _bare_class_lit(vt, w["relation"], w["element"], target, uprime)
+    return _bare_class_lit(vt, name, w.pop("element"), target, uprime)
 
 
 def _recheck_c31(s, params, w, opts):
-    t, n = s.table, s.order
-    if w["part"] == "lattice":  # each partition listed is made and no congruence, or the reverse
+    t, n, part = s.table, s.order, w.pop("part")
+    if part == "lattice":  # each partition listed is made and no congruence, or the reverse
         made = {p.class_index for p in all_congruences(s)}
-        sides = {True: w["only_production"], False: w["only_bruteforce"]}
+        sides = {True: w.pop("only_production"), False: w.pop("only_bruteforce")}
         return any(sides.values()) and all(
             (tuple(ci) in made) == produced != _is_congruence_lit(t, ci)
             for produced, listed in sides.items() for ci in listed)
-    ci = w["partition"]
-    if w["part"] == "refused":  # quotient refused what is literally no congruence
-        return w["kind"] == _kind_lit(t, ci) != "two_sided"
+    ci = w.pop("partition")
+    if part == "refused":  # quotient refused what is literally no congruence
+        return w.pop("kind") == _kind_lit(t, ci) != "two_sided"
     if not _is_congruence_lit(t, ci):
         return False
     q = quotient(s, Equivalence.from_keys(n, ci))
-    x, y = w["x"], w["y"]
+    x, y = w.pop("x"), w.pop("y")
     return q.table[ci[x]][ci[y]] != ci[t[x][y]]
 
 
@@ -479,19 +471,24 @@ def _recheck_c32(s, params, w, opts):
     """lambda^u (ux = uy) or rho^u (xu = yu) on S^u lacks the requirement's compatibility."""
     t, u = s.table, params["u"]
     keys = {"lambda": t[u], "rho": [row[u] for row in t]}  # another name: KeyError, refused
-    kind = _kind_lit(_sandwich_table(t, u), _classes_lit(keys[w["relation"]]))
-    return w["kind"] == kind not in (w["requirement"], "two_sided")
+    kind = _kind_lit(_sandwich_table(t, u), _classes_lit(keys[w.pop("relation")]))
+    return w.pop("kind") == kind not in (w.pop("requirement"), "two_sided")
+
+
+def _lambda_refused_lit(t, u, w):
+    """C-3.4's part lambda-not-congruence: lambda^u is no congruence on S^u, of w's kind."""
+    return w.pop("kind") == _kind_lit(_sandwich_table(t, u), _classes_lit(t[u])) != "two_sided"
 
 
 def _recheck_c34(s, params, w, opts):
-    t, u = s.table, params["u"]
-    if w.get("part") == "hom":  # C-FHT: u(x.u.y) = (ux)(uy) in any semigroup
-        x, y = w["x"], w["y"]
+    t, u, part = s.table, params["u"], w.pop("part", None)
+    if part == "hom":  # C-FHT: u(x.u.y) = (ux)(uy) in any semigroup
+        x, y = w.pop("x"), w.pop("y")
         return t[u][t[t[x][u]][y]] != t[t[u][x]][t[u][y]]
-    if w.get("part") == "lambda-not-congruence":
-        return w["kind"] == _kind_lit(_sandwich_table(t, u), _classes_lit(t[u])) != "two_sided"
+    if part == "lambda-not-congruence":
+        return _lambda_refused_lit(t, u, w)
     q, image = _lambda_quotient_lit(t, u), _usub_table_lit(t, u)
-    return ((w["quotient"], w["image"]) == (_key_lit(q), _key_lit(image))
+    return ((w.pop("quotient"), w.pop("image")) == (_key_lit(q), _key_lit(image))
             and not _iso_exists_lit(q, image))
 
 
@@ -500,19 +497,19 @@ def _recheck_c35(s, params, w, opts):
     a, b = params["a"], params["b"]
     if not related(a, b):
         return False
-    if w.get("part") == "lambda-not-congruence":  # as C-3.4 confirms it, at a or b
-        return w["at"] in (a, b) and _recheck_c34(s, {"u": w["at"]}, w, opts)
+    if w.pop("part", None) == "lambda-not-congruence":  # as C-3.4 confirms it, at a or b
+        return (at := w.pop("at")) in (a, b) and _lambda_refused_lit(t, at, w)
     qa, qb = _lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b)
-    return ((w["quotient_a"], w["quotient_b"]) == (_key_lit(qa), _key_lit(qb))
+    return ((w.pop("quotient_a"), w.pop("quotient_b")) == (_key_lit(qa), _key_lit(qb))
             and not _iso_exists_lit(qa, qb))
 
 
 def _recheck_cfund(s, params, w, opts):
     production = is_fundamental(s)  # raises OrderTooLarge above the bound
-    ci = w["witness_partition"]
+    ci = w.pop("witness_partition")
     # production calls S fundamental exactly when brute force names a partition
     named = ci is not None
-    if not (production is named is w["production"] and w["bruteforce"] is not named):
+    if not (production is named is w.pop("production") and w.pop("bruteforce") is not named):
         return False
     # the first literal congruence separating idempotents, as C-FUND names it
     es = _idems_lit(s.table)
@@ -521,21 +518,21 @@ def _recheck_cfund(s, params, w, opts):
 
 def _recheck_c40(s, params, w, opts):
     t, leq = s.table, _natural_leq_lit(s.table)
-    e, f = w["e"], w["f"]
+    e, f = w.pop("e"), w.pop("f")
     usual = t[e][f] == e and t[f][e] == e
-    return t[f][f] == f and w["natural"] == leq(e, f) != usual == w["usual"]
+    return t[f][f] == f and w.pop("natural") == leq(e, f) != usual == w.pop("usual")
 
 
 def _recheck_c41f(s, params, w, opts):
-    t, e, f = s.table, params["e"], w["f"]
+    t, e, f = s.table, params["e"], w.pop("f")
     fef = t[t[f][e]][f]
     return (t[f][f] == f and t[f][e] == f and t[e][f] == f
-            and fef != f and w["f_star_f"] == fef)
+            and fef != f and w.pop("f_star_f") == fef)
 
 
 def _recheck_c41r(s, params, w, opts):
-    t, e, f = s.table, params["e"], w["f"]
-    if (w["ff"], w["fe"], w["ef"]) != (t[f][f], t[f][e], t[e][f]):
+    t, e, f = s.table, params["e"], w.pop("f")
+    if (w.pop("ff"), w.pop("fe"), w.pop("ef")) != (t[f][f], t[f][e], t[e][f]):
         return False
     in_variant = t[t[f][e]][f] == f
     below = t[f][f] == f and t[f][e] == f and t[e][f] == f
@@ -548,29 +545,29 @@ def _recheck_c42(s, params, w, opts):
     def leq(a, b):
         return vt[a][a] == a and vt[b][b] == b and vt[a][b] == a and vt[b][a] == a
 
-    x = w["x"]
-    return vt[x][x] == x and _law_broken_lit(leq, w)
+    x = w.pop("x")
+    return vt[x][x] == x and _law_broken_lit(leq, x, w)
 
 
 def _recheck_c43(s, params, w, opts):
     leq, vleq = _natural_leq_lit(s.table), _natural_leq_lit(_sandwich_table(s.table, params["e"]))
-    a, b = w["a"], w["b"]
+    a, b = w.pop("a"), w.pop("b")
     return vleq(a, b) and not leq(a, b)
 
 
 def _recheck_c44a(s, params, w, opts):
     vt = _sandwich_table(s.table, params["e"])
     leq = _natural_leq_lit(vt)
-    a, f = w["a"], w["f"]
+    a, f = w.pop("a"), w.pop("f")
     return vt[f][f] == f and leq(a, f) and vt[a][a] != a
 
 
 def _recheck_c44b(s, params, w, opts):
     vt = _sandwich_table(s.table, params["e"])
     leq = _natural_leq_lit(vt)
-    a, b = w["a"], w["b"]
+    a, b = w.pop("a"), w.pop("b")
     return leq(a, b) and _regular_lit(vt, b) and not _regular_lit(vt, a)
 
 
 def _recheck_cnatpo(s, params, w, opts):
-    return _law_broken_lit(_natural_leq_lit(s.table), w)
+    return _law_broken_lit(_natural_leq_lit(s.table), w.pop("x"), w)

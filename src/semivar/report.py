@@ -54,6 +54,8 @@ _encode = _ENCODER.encode
 _encode_chunks = c_make_encoder(
     None, _ENCODER.default, encode_basestring_ascii, None, _ENCODER.key_separator,
     _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
+#: the decoder's C scanner: (the value at a position, its end), or StopIteration
+_scan_once = json.JSONDecoder().scan_once
 
 
 @dataclass
@@ -73,6 +75,11 @@ class ClaimResult:
     def from_record(cls, rec: dict) -> "ClaimResult":
         """The result a decoded record line holds; ValueError when a field
         is missing or of the wrong type."""
+        if type(rec) is dict:  # a decoded line: its values have exact types
+            claim_id, table, params, status, witness = map(rec.get, (*_RECORD_FIELDS, "witness"))
+            if (type(claim_id) is type(table) is type(status) is str and type(params) is dict
+                    and status in _TALLY_FIELDS and (witness is None or type(witness) is dict)):
+                return cls(claim_id, table, params, status, witness)
         if not isinstance(rec, dict):
             raise ValueError("a record must be a JSON object")
         for name, kind in _RECORD_FIELDS.items():
@@ -123,6 +130,15 @@ def summary_line(tallies: dict, corpus: dict, config: dict,
     })
 
 
+def _decoded(line: str):
+    """json.loads(line), by the C scanner alone where it decodes the whole line."""
+    try:
+        value, end = _scan_once(line, 0)
+    except StopIteration:  # leading whitespace, a byte order mark or no value
+        return json.loads(line)
+    return json.loads(line) if line[end:].strip(" \t\n\r") else value
+
+
 def read_records(lines: Iterable[str]) -> Iterator[ClaimResult]:
     """The result of each record line of lines, numbered from 1.  Blank
     lines are skipped; a line that is not a record raises ValueError
@@ -131,7 +147,7 @@ def read_records(lines: Iterable[str]) -> Iterator[ClaimResult]:
         if not line or line.isspace():
             continue
         try:
-            result = ClaimResult.from_record(json.loads(line))
+            result = ClaimResult.from_record(_decoded(line))
         except json.JSONDecodeError as err:  # its own line number is always 1
             raise ValueError(f"line {lineno}: not a report record: {err.msg} "
                              f"at column {err.pos + 1}") from None

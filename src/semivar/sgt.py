@@ -50,7 +50,10 @@ def parse_table(text: str) -> FiniteSemigroup:
             len(order_line),
         )
         raise TableSyntaxError(lineno, bad + 1, "order must be a decimal integer")
-    n = int(order_line)
+    digits = order_line.lstrip("0")  # int() refuses more than 4,300 digits
+    if len(digits) > len(str(len(lines))):  # the order exceeds the count of lines
+        raise TableSyntaxError(lineno, 1, f"an order of {len(digits)} digits exceeds {len(lines)} lines")
+    n = int(digits or "0")
 
     rows: list[list[int]] = []
     for lineno, line in content[1:]:
@@ -85,6 +88,11 @@ def inline_table(s: FiniteSemigroup) -> str:
 def parse_inline(key: str) -> FiniteSemigroup:
     """The table of a key as inline_table writes it; TableSyntaxError for
     another spelling, such as a comment row or a leading zero."""
+    order, *lines = key.split(";")
+    ids = {str(x): x for x in range(len(lines))}  # each id as inline_table writes it
+    rows = [[ids.get(v) for v in line.split(" ")] for line in lines]
+    if order == str(len(lines)) and all(len(r) == len(lines) and None not in r for r in rows):
+        return build_semigroup(len(lines), rows)
     s = parse_table(key.replace(";", "\n") + "\n")
     written = inline_table(s)
     if written != key:  # else one table would pass under two keys

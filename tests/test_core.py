@@ -1,6 +1,7 @@
 """Table validation, identities, regularity, translates, domain errors."""
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -65,6 +66,39 @@ def test_rejects_non_associative_table():
         build_semigroup(2, NOT_ASSOCIATIVE)
     # first violated triple in row-major scan order
     assert exc.value.triple == (0, 0, 1)
+
+
+def _first_non_associative_triple(t):
+    """The row-major triple scan, the reference of build_semigroup's row test."""
+    r = range(len(t))
+    return next(((x, y, z) for x in r for y in r for z in r
+                 if t[t[x][y]][z] != t[x][t[y][z]]), None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_build_semigroup_names_the_first_triple_of_the_triple_scan(n):
+    rng = random.Random(n)
+    r = range(n)
+    # associative tables, and each with one entry changed, so that the
+    # first broken triple falls anywhere in the scan
+    bases = [[[f(x, y) for y in r] for x in r] for f in (
+        lambda x, y: x, lambda x, y: y, max, min, lambda x, y: 0, lambda x, y: (x + y) % n)]
+    tables = [[[rng.randrange(n) for _ in r] for _ in r] for _ in range(300)]
+    for base in bases:
+        for _ in range(50):
+            t = [row[:] for row in base]
+            t[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            tables.append(t)
+    named = set()
+    for t in bases + tables:
+        try:
+            build_semigroup(n, t)
+            triple = None
+        except NotAssociative as err:
+            triple = err.triple
+        assert triple == _first_non_associative_triple(t), t
+        named.add(triple)
+    assert None in named and (n == 1 or len(named) > n)
 
 
 def test_identity_detection(z2, left_zero, min2):

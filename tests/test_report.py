@@ -1,5 +1,6 @@
 """JSONL report serialization and tallies."""
 
+import collections
 import dataclasses
 import json
 import tracemalloc
@@ -13,6 +14,7 @@ from semivar.report import (
     STATUS_NOT_APPLICABLE,
     ClaimResult,
     Report,
+    read_records,
     record_line,
 )
 
@@ -134,6 +136,19 @@ def test_a_record_missing_a_field_names_its_line(name):
         list(report.results)
 
 
+def test_from_record_refuses_a_field_of_another_type():
+    rec = dataclasses.asdict(sample_report().results[3])
+    for name, kind in (("claim_id", "str"), ("table", "str"), ("params", "dict"), ("status", "str")):
+        for value in (None, True, 1, 1.5, [], "x" if kind == "dict" else {}):
+            with pytest.raises(ValueError, match=f"^record field '{name}' is missing or not a {kind}$"):
+                ClaimResult.from_record({**rec, name: value})
+    for value in (True, 1, "x", []):
+        with pytest.raises(ValueError, match="^record field 'witness' is not an object$"):
+            ClaimResult.from_record({**rec, "witness": value})
+    # a subclass of dict is a record too
+    assert ClaimResult.from_record(collections.OrderedDict(rec)) == ClaimResult(**rec)
+
+
 def test_a_record_with_an_unknown_status_names_its_line():
     text = sample_report().dumps().replace('"HOLDS"', '"MAYBE"', 1)
     with pytest.raises(ValueError, match="^line 2: .*unknown status 'MAYBE'"):
@@ -225,3 +240,53 @@ def test_record_line_refuses_an_unserializable_witness():
             record_line(ClaimResult("C-2.5", "1;0", {"e": 0}, STATUS_FAILS, witness))
     with pytest.raises(TypeError):
         record_line(ClaimResult("C-2.5", "1;0", {"e": object()}, STATUS_HOLDS))
+
+
+def _read_by_json_loads(line: str) -> str:
+    """What read_records gives for line as the one record of a report, as
+    ClaimResult.from_record(json.loads(line)) decides it: the reference of
+    its scanner path."""
+    if not line or line.isspace():
+        return "[]"
+    try:
+        return repr([ClaimResult.from_record(json.loads(line))])
+    except json.JSONDecodeError as err:
+        return f"line 1: not a report record: {err.msg} at column {err.pos + 1}"
+    except (RecursionError, ValueError) as err:
+        return f"line 1: not a report record: {err}"
+
+
+def _read(line: str) -> str:
+    try:
+        return repr(list(read_records([line])))
+    except ValueError as err:
+        return str(err)
+
+
+def _crafted_lines() -> list[str]:
+    good = record_line(sample_report().results[3])
+    rec = json.loads(good)
+    lines = [
+        good, good + "\n", good + "\r", good + "\r\n", " " + good, "\t" + good + " ",
+        good + "\x0b", "\x0b" + good, good + "\u00a0", "\ufeff" + good,  # not JSON whitespace
+        "", " ", "\r", "{}", "{}{}", good + good, good + " x", "[1]", "1", "NaN", "null", '"s"',
+        good[:-5], good[:1], good.replace('"f":1', '"f":1,'),  # truncated, a stray comma
+        good.replace('"C-4.1-reverse"', '"C-\\x"'),  # a bad escape
+        good.replace('"f":1', '"f":NaN'), good.replace('"f":1', '"f":-Infinity'),
+        good.replace('{"claim_id":', '{"claim_id":"C-2.5","claim_id":'),  # duplicate keys
+        good.replace('"witness":{', '"witness":{"deep":' + DEEP + ","),
+        "[" * 100_000,
+    ]
+    for name in ("claim_id", "table", "params", "status", "witness"):
+        for value in (None, True, 1, 1.5, "x", [], {}, "HOLDS"):
+            lines.append(json.dumps({**rec, name: value}))
+        lines.append(json.dumps({k: v for k, v in rec.items() if k != name}))
+    return lines
+
+
+def test_read_records_decodes_a_line_as_json_loads_does():
+    lines = _crafted_lines()
+    for line in lines:
+        assert _read(line) == _read_by_json_loads(line), line[:80]
+    # results, skipped lines, decoder errors and field errors alike
+    assert len({_read(line) for line in lines}) > 20

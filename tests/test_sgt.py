@@ -124,3 +124,46 @@ def test_parse_inline_refuses_a_key_inline_table_does_not_write(key, column):
 def test_round_trip_any_corpus_table(s):
     assert parse_table(serialize_table(s)) == s
     assert parse_inline(inline_table(s)) == s
+
+
+def test_parse_inline_is_parse_table_on_every_key_of_orders_1_to_4():
+    for s in full_corpus(1, 2, 3, 4):
+        key = inline_table(s)
+        assert parse_inline(key) == parse_table(key.replace(";", "\n") + "\n") == s
+
+
+@pytest.mark.parametrize("key, line, column, message", [
+    ("2;0 0;1 +1", 3, 3, "expected a decimal element id"),   # a sign
+    ("+2;0 0;1 1", 1, 1, "order must be a decimal integer"),
+    ("2;0 0; 1 1", 3, 1, "expected a decimal element id"),   # a leading space
+    ("2;0 0;1 1_0", 3, 3, "expected a decimal element id"),  # int() reads 10
+    ("2;0 0;1 ١", 3, 3, "expected a decimal element id"),  # ARABIC-INDIC DIGIT ONE
+    ("2;0 0;1 １", 3, 3, "expected a decimal element id"),  # FULLWIDTH DIGIT ONE
+    ("2;0  0;1 1", 2, 3, "expected a decimal element id"),   # a doubled space
+    ("2;0 0;1 1 ", 3, 5, "expected a decimal element id"),   # a trailing space
+    ("2;0 0;1 1;", 4, 1, "unexpected content after 2 rows"),  # a trailing ;
+    ("2;0 0;;1 1", 3, 1, "expected a decimal element id"),   # an empty row
+    ("2;0 0", 3, 1, "expected 2 rows, got 1"),
+    ("2;0 0;1", 3, 3, "expected 2 entries, got 1"),
+    ("2;0 0;1 1 1", 3, 7, "expected 2 entries, got 3"),
+    ("3;0 0;1 1", 2, 5, "expected 3 entries, got 2"),
+    ("2;0 0;1\t1", 3, 2, "tab character not allowed"),
+])
+def test_parse_inline_names_the_first_fault_of_another_spelling(key, line, column, message):
+    # the line, column and message parse_table and the key check give
+    with pytest.raises(TableSyntaxError) as exc:
+        parse_inline(key)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
+def test_an_order_of_more_digits_than_int_converts_is_a_syntax_error():
+    # int() refuses more than 4,300 digits, and no such order has its rows
+    message = "^line 1, column 1: an order of 5000 digits exceeds 2 lines$"
+    with pytest.raises(TableSyntaxError, match=message):
+        parse_table("9" * 5000 + "\n0\n")
+    with pytest.raises(TableSyntaxError, match=message):
+        parse_inline("9" * 5000 + ";0")
+    # leading zeros do not count: 5000 of them spell the order 0
+    with pytest.raises(TableSyntaxError, match="^line 2, column 1: unexpected content after 0 rows$"):
+        parse_table("0" * 5000 + "\n0\n")
