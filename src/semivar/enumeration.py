@@ -30,11 +30,20 @@ exactly the lexicographically least table of each class, the one
 it: 1, 5, 24, 188, 1915, 28634 classes for n = 1..6.
 ``canonical_form`` itself, which tries all n! relabelings of a finished
 table, is kept as the test suite's oracle for the pruned search.
+
+The search resumes after a given table: it first replays that table's
+path, where each position takes the table's entry or a larger value and
+only the entry itself stays on the path, so it emits exactly the tables
+that come after it, in the same order.  A consumer ends the search early
+by raising ``StopSearch``.  ``iter_corpus`` pulls the corpus in batches
+of ``CORPUS_BATCH`` tables this way, one search call each, so it holds
+one batch at a time whatever the size of the order.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -45,6 +54,9 @@ from .core import FiniteSemigroup, OrderTooLarge, Table, build_semigroup
 ENUMERATION_LABELED_CAP = 5
 #: largest order enumerated as isomorphism classes: 28,634 at order 6 (A027851)
 ENUMERATION_CLASSES_CAP = 6
+
+#: tables per search call in iter_corpus, which holds one such batch at a time
+CORPUS_BATCH = 1024
 
 DEDUP_NONE = "none"
 DEDUP_ISO = "up_to_isomorphism"
@@ -60,19 +72,30 @@ def _check_order(n: int, classes: bool) -> None:
         raise OrderTooLarge(n, cap)
 
 
+class StopSearch(Exception):
+    """Raised by a consumer to end enumerate_semigroups after its table."""
+
+
 def enumerate_semigroups(
-    n: int, consumer: Callable[[Table], None], classes: bool = False
+    n: int,
+    consumer: Callable[[Table], None],
+    classes: bool = False,
+    after: Table | None = None,
 ) -> int:
     """Feed every labeled associative table of order n to consumer, or
     with classes=True only the lexicographically least table of each
-    isomorphism class.
+    isomorphism class.  With after, only the tables that come after it
+    in row-major lexicographic order are emitted; after itself need not
+    be associative or a class leader.  A consumer that raises StopSearch
+    ends the search; its table is counted.
 
     Returns the number of tables emitted.  Counts for n = 1..5 are
     1, 8, 113, 3492, 183732 labeled and 1, 5, 24, 188, 1915 classes, and
     28634 classes for n = 6.  Larger orders raise OrderTooLarge, orders
-    below 1 ValueError.
+    below 1 and an after that is not n rows of n ids ValueError.
     """
     _check_order(n, classes)
+    path = None if after is None else _path(n, after)
     t = [[-1] * n for _ in range(n)]
     flat = [-1] * (n * n)  # t in row-major order, for the lex-leader test
     rng = range(n)
@@ -149,7 +172,7 @@ def enumerate_semigroups(
                     break  # T^p == t: p is an automorphism
         return True
 
-    def fill(pos: int) -> None:
+    def fill(pos: int, values: range = rng) -> None:
         nonlocal count
         if pos == total:
             table = tuple(tuple(row) for row in t)
@@ -159,7 +182,7 @@ def enumerate_semigroups(
         i, j = divmod(pos, n)
         row = t[i]
         cell = (i, j)
-        for v in rng:
+        for v in values:
             row[j] = v
             flat[pos] = v
             if consistent(i, j, v):
@@ -173,12 +196,49 @@ def enumerate_semigroups(
         row[j] = -1
         flat[pos] = -1
 
-    fill(0)
+    def replay(pos: int) -> None:
+        # The path of after: its own entry keeps to the path, which ends
+        # at after itself, not emitted; the larger values are fill's.
+        i, j = divmod(pos, n)
+        v = path[pos]
+        t[i][j] = v
+        flat[pos] = v
+        if pos + 1 < total and consistent(i, j, v):
+            pushed: list[int] = []
+            if not classes or wake(pos, pushed):
+                at[v].append((i, j))
+                replay(pos + 1)
+                at[v].pop()
+            for c in pushed:
+                waiting[c].pop()
+        fill(pos, range(v + 1, n))
+
+    with contextlib.suppress(StopSearch):
+        if path is None:
+            fill(0)
+        else:
+            replay(0)
+    # fill and replay refer to themselves: unlink them, so what they reach,
+    # the consumer's tables too, is freed now, not at a cyclic collection
+    del fill, replay
     return count
 
 
+def _path(n: int, after) -> list[int]:
+    """after's entries in row-major order; ValueError unless it is n rows
+    of n ids."""
+    if len(after) != n or any(len(row) != n for row in after):
+        raise ValueError(f"after must be {n} rows of {n} entries")
+    path = [v for row in after for v in row]
+    if not all(type(v) is int and 0 <= v < n for v in path):
+        raise ValueError(f"after's entries must be ids 0..{n - 1}")
+    return path
+
+
+@functools.cache
 def _relabelings(n: int) -> list:
-    """(p, src, due) for every permutation p of 0..n-1 but the identity.
+    """(p, src, due) for every permutation p of 0..n-1 but the identity,
+    cached: every search of order n reads them and none changes them.
 
     For q the inverse of p, entry k = (i, j) of the relabeled table T^p
     is p[T[q i][q j]]: src[k] = q i * n + q j is the row-major cell it
@@ -239,33 +299,41 @@ class CorpusSpec:
             raise ValueError("limit must be positive when given")
 
 
-class _LimitReached(Exception):
-    """Stops the search once iter_corpus has the tables its limit allows."""
-
-
 def iter_corpus(spec: CorpusSpec) -> Iterator[FiniteSemigroup]:
     """Validated semigroups for a corpus spec, in enumeration order.
 
     With DEDUP_ISO the enumerator emits one table per isomorphism class.
     Every emitted table, class representative or not, goes through
     build_semigroup, the check of the enumerator that shares none of its
-    code.  With a limit the search stops at the limit-th table.
+    code.  The search runs in batches of CORPUS_BATCH tables, each
+    resumed after the last table of the one before, so only one batch is
+    held; with a limit the last batch stops at the limit-th table.
     """
     remaining = spec.limit
     classes = spec.dedup == DEDUP_ISO
     for n in spec.orders:
-        tables: list[Table] = []
+        after = None
+        while remaining != 0:
+            size = CORPUS_BATCH if remaining is None else min(CORPUS_BATCH, remaining)
+            batch = _batch(n, classes, after, size)
+            for table in batch:
+                yield build_semigroup(n, table)
+            if remaining is not None:
+                remaining -= len(batch)
+            if len(batch) < size:
+                break  # the search of order n is done
+            after = batch[-1]
+            del batch  # before the next is built: one batch at a time
 
-        def collect(table: Table) -> None:
-            tables.append(table)
-            if len(tables) == remaining:
-                raise _LimitReached
 
-        with contextlib.suppress(_LimitReached):
-            enumerate_semigroups(n, collect, classes=classes)
-        for table in tables:
-            yield build_semigroup(n, table)
-        if remaining is not None:
-            remaining -= len(tables)
-            if remaining == 0:
-                return
+def _batch(n: int, classes: bool, after: Table | None, size: int) -> list[Table]:
+    """The next size tables of the search after after, fewer at its end."""
+    batch: list[Table] = []
+
+    def take(table: Table) -> None:
+        batch.append(table)
+        if len(batch) == size:
+            raise StopSearch
+
+    enumerate_semigroups(n, take, classes=classes, after=after)
+    return batch

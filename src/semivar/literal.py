@@ -487,6 +487,8 @@ def _recheck_c34(s, params, w, opts):
         return t[u][t[t[x][u]][y]] != t[t[u][x]][t[u][y]]
     if part == "lambda-not-congruence":
         return _lambda_refused_lit(t, u, w)
+    if part is not None:  # only a record without part is a quotient witness
+        return False
     q, image = _lambda_quotient_lit(t, u), _usub_table_lit(t, u)
     return ((w.pop("quotient"), w.pop("image")) == (_key_lit(q), _key_lit(image))
             and not _iso_exists_lit(q, image))
@@ -497,8 +499,11 @@ def _recheck_c35(s, params, w, opts):
     a, b = params["a"], params["b"]
     if not related(a, b):
         return False
-    if w.pop("part", None) == "lambda-not-congruence":  # as C-3.4 confirms it, at a or b
+    part = w.pop("part", None)
+    if part == "lambda-not-congruence":  # as C-3.4 confirms it, at a or b
         return (at := w.pop("at")) in (a, b) and _lambda_refused_lit(t, at, w)
+    if part is not None:
+        return False
     qa, qb = _lambda_quotient_lit(t, a), _lambda_quotient_lit(t, b)
     return ((w.pop("quotient_a"), w.pop("quotient_b")) == (_key_lit(qa), _key_lit(qb))
             and not _iso_exists_lit(qa, qb))

@@ -2,11 +2,13 @@
 
 ``write_report`` streams the report claim-major without holding it.  The
 corpus arrives in report order: a spec's orders are sorted, and within an
-order the enumerator emits tables in the order of their keys.  The parent
-only cuts it into contiguous chunks of CHUNK_TABLES tables; a chunk's
-tables are the whole task.  ``_evaluate_chunk`` keys each table, refuses
-a key that does not follow the one before, counts the tables of each
-order, evaluates the selected claims and sorts each claim's serialized
+order the enumerator emits tables in the order of their keys.  It arrives
+in batches of the search, so the parent holds one batch of tables, not an
+order, and the first chunks are evaluated while the search goes on.  The
+parent only cuts it into contiguous chunks of CHUNK_TABLES tables; a
+chunk's tables are the whole task.  ``_evaluate_chunk`` keys each table,
+refuses a key that does not follow the one before, counts the tables of
+each order, evaluates the selected claims and sorts each claim's serialized
 results within their (claim, table) group.  It writes the chunk's records
 to a scratch file of its own, claim by claim, and returns the end offset
 of each claim's segment with the chunk's tallies, table counts and first

@@ -71,6 +71,8 @@ def parse_table(text: str) -> FiniteSemigroup:
         rows.append(row)
     if len(rows) != n:
         raise TableSyntaxError(len(lines) + 1, 1, f"expected {n} rows, got {len(rows)}")
+    if n == 0:
+        raise TableSyntaxError(content[0][0], 1, "order must be positive, got 0")
     return build_semigroup(n, rows)
 
 
@@ -91,7 +93,7 @@ def parse_inline(key: str) -> FiniteSemigroup:
     order, *lines = key.split(";")
     ids = {str(x): x for x in range(len(lines))}  # each id as inline_table writes it
     rows = [[ids.get(v) for v in line.split(" ")] for line in lines]
-    if order == str(len(lines)) and all(len(r) == len(lines) and None not in r for r in rows):
+    if lines and order == str(len(lines)) and all(len(r) == len(lines) and None not in r for r in rows):
         return build_semigroup(len(lines), rows)
     s = parse_table(key.replace(";", "\n") + "\n")
     written = inline_table(s)

@@ -30,7 +30,7 @@ from semivar.relations import Equivalence
 from semivar.report import (
     STATUS_FAILS, STATUS_HOLDS, STATUS_NOT_APPLICABLE, ClaimResult, Report,
 )
-from semivar.sgt import inline_table, parse_inline
+from semivar.sgt import TableSyntaxError, inline_table, parse_inline
 
 from .conftest import NULL2, full_corpus
 
@@ -193,6 +193,14 @@ def test_recheck_validates_a_new_key_after_a_cached_one(left_zero):
         with pytest.raises(NotAssociative):
             recheck_result(bad)
     assert recheck_result(r)
+
+
+def test_recheck_refuses_an_order_zero_key(left_zero):
+    r = evaluate_claim("C-4.1-reverse", left_zero, params={"e": 0})[0]
+    assert r.status == STATUS_FAILS
+    message = "^line 1, column 1: order must be positive, got 0$"
+    with pytest.raises(TableSyntaxError, match=message):
+        recheck_result(dataclasses.replace(r, table="0"))
 
 
 def _cache_sizes():
@@ -948,6 +956,21 @@ def test_the_quotient_recheckers_confirm_the_tables_production_built(monkeypatch
                         assert not recheck_result(dataclasses.replace(r, witness=forged)), r
                         refused += 1
     assert confirmed > 500 and refused > 1000
+
+
+def test_a_quotient_witness_is_a_record_without_part(monkeypatch, null2, corpus3):
+    # with the same patches, each quotient record is confirmed, and refused
+    # with a part production never writes added
+    monkeypatch.setattr(claims, "are_isomorphic", lambda a, b: None)
+    monkeypatch.setattr(literal, "_iso_exists_lit", lambda ta, tb: False)
+    records = [*evaluate_claim("C-3.4", null2, params={"u": 0}),
+               *evaluate_claim("C-FHT", null2, params={"u": 0}),
+               next(r for s in corpus3 for r in evaluate_claim("C-3.5", s))]
+    assert [r.claim_id for r in records] == ["C-3.4", "C-FHT", "C-3.5"]
+    for r in records:
+        assert "part" not in r.witness and recheck_result(r), r
+        junk = dataclasses.replace(r, witness={**r.witness, "part": "junk"})
+        assert not recheck_result(junk), r
 
 
 def test_cfund_confirms_forced_failures_and_refuses_forged_witnesses(monkeypatch):

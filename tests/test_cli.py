@@ -207,6 +207,14 @@ def test_inspect_refuses_an_order_of_more_digits_than_int_converts(tmp_path, cap
     assert err == "error: line 1, column 1: an order of 5000 digits exceeds 2 lines\n"
 
 
+def test_inspect_refuses_order_zero_at_its_line(tmp_path, capsys):
+    sgt = tmp_path / "t.sgt"
+    sgt.write_text("0\n")
+    code, out, err = run_cli(capsys, "inspect", str(sgt))
+    assert code == 1
+    assert err == "error: line 1, column 1: order must be positive, got 0\n"
+
+
 def test_variant_prints_table(tmp_path, capsys):
     sgt = tmp_path / "z2.sgt"
     sgt.write_text("2\n0 1\n1 0\n")

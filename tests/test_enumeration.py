@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semivar import enumeration
 from semivar.cli import main
 from semivar.core import OrderTooLarge, build_semigroup
 from semivar.enumeration import (
     DEDUP_ISO,
+    DEDUP_NONE,
     CorpusSpec,
+    StopSearch,
     canonical_form,
     enumerate_semigroups,
     iter_corpus,
@@ -138,16 +141,14 @@ def test_corpus_spec_validation():
 
 def test_iter_corpus_limit(monkeypatch):
     # the search itself stops at the limit: count what the enumerator emits
-    import semivar.enumeration as enumeration
-
     original = enumeration.enumerate_semigroups
     emitted = []
 
-    def counting(n, consumer, classes=False):
+    def counting(n, consumer, classes=False, after=None):
         def count(table):
             emitted.append(n)
-            consumer(table)
-        return original(n, count, classes=classes)
+            consumer(table)  # StopSearch passes through to the search
+        return original(n, count, classes=classes, after=after)
 
     monkeypatch.setattr(enumeration, "enumerate_semigroups", counting)
     assert sum(1 for _ in iter_corpus(CorpusSpec(orders=(3,), limit=10))) == 10
@@ -164,3 +165,62 @@ def test_iter_corpus_multiple_orders():
     spec = CorpusSpec(orders=(1, 2))
     orders = [s.order for s in iter_corpus(spec)]
     assert orders == [1] + [2] * 8
+
+
+@pytest.mark.parametrize("classes", [False, True])
+def test_iter_corpus_batches_give_the_one_call_stream(monkeypatch, classes):
+    monkeypatch.setattr(enumeration, "CORPUS_BATCH", 7)
+    dedup = DEDUP_ISO if classes else DEDUP_NONE
+    orders = (1, 2, 3, 4)
+    stream = []
+    for n in orders:
+        tables = []
+        enumerate_semigroups(n, tables.append, classes=classes)
+        stream += [(n, t) for t in tables]
+        spec = CorpusSpec(orders=(n,), dedup=dedup)
+        assert [s.table for s in iter_corpus(spec)] == tables
+    at_2 = 1 + (5 if classes else 8)  # up to the last table of order 2, and past it
+    for limit in (1, 7, 8, 10, at_2, at_2 + 1, at_2 + 7, len(stream)):
+        got = [(s.order, s.table) for s in iter_corpus(CorpusSpec(orders, dedup, limit))]
+        assert got == stream[:limit], limit
+
+
+@pytest.mark.parametrize("classes", [False, True])
+def test_a_search_after_a_table_emits_exactly_the_tables_after_it(classes):
+    tables = []
+    enumerate_semigroups(4, tables.append, classes=classes)
+    for k in (0, len(tables) // 2, len(tables) - 1):
+        rest = []
+        assert enumerate_semigroups(4, rest.append, classes=classes, after=tables[k]) == len(rest)
+        assert rest == tables[k + 1:]
+    # not associative, and associative but not its class's leader: only
+    # after's own branch is cut
+    labeled = collect(3)
+    follower = next(t for t in labeled[len(labeled) // 2:]
+                    if canonical_form(build_semigroup(3, t)) != t)
+    for n, after in ((2, ((0, 1), (0, 0))), (3, follower)):
+        every, rest = [], []
+        enumerate_semigroups(n, every.append, classes=classes)
+        enumerate_semigroups(n, rest.append, classes=classes, after=after)
+        assert rest == [t for t in every if t > after]
+
+
+def test_after_must_be_n_rows_of_n_ids():
+    for after in ([[0, 0]], [[0, 0], [0]], [[0, 0], [0, 0, 0]], [[0, 2], [0, 0]],
+                  [[0, -1], [0, 0]], [[0, True], [0, 0]], [[0, "0"], [0, 0]]):
+        with pytest.raises(ValueError):
+            enumerate_semigroups(2, lambda t: None, after=after)
+
+
+def test_stop_search_ends_the_search_and_counts_its_table():
+    seen = []
+
+    def stop_at_three(table):
+        seen.append(table)
+        if len(seen) == 3:
+            raise StopSearch
+
+    assert enumerate_semigroups(3, stop_at_three) == 3
+    assert seen == collect(3)[:3]
+    # a truthy return value, such as out.write's, does not stop it
+    assert enumerate_semigroups(2, lambda t: 1) == 8

@@ -148,6 +148,7 @@ def test_parse_inline_is_parse_table_on_every_key_of_orders_1_to_4():
     ("2;0 0;1 1 1", 3, 7, "expected 2 entries, got 3"),
     ("3;0 0;1 1", 2, 5, "expected 3 entries, got 2"),
     ("2;0 0;1\t1", 3, 2, "tab character not allowed"),
+    ("0", 1, 1, "order must be positive, got 0"),
 ])
 def test_parse_inline_names_the_first_fault_of_another_spelling(key, line, column, message):
     # the line, column and message parse_table and the key check give
