@@ -92,8 +92,6 @@ class Claim:
     claim_id: str
     kind: str
     summary: str
-    #: the names of the params of every instance of the claim
-    param_names: frozenset
     #: evaluate(s, opts, table=None); table is inline_table(s), built when omitted
     evaluate: Callable[..., list[ClaimResult]]
     recheck: Callable[[FiniteSemigroup, dict, dict, Options], bool]
@@ -158,9 +156,6 @@ U_POLICY = "all non-empty subsets of E(S) when |E(S)| <= 4, else singletons and 
 
 #: what a check returns for an instance the claim does not apply to
 _NA = object()
-#: the left-zero band of order 2 (xy = x): its two elements are idempotent
-#: and L-related, so every instance domain has an instance on it
-_LEFT_ZERO2 = FiniteSemigroup(2, ((0, 0), (1, 1)))
 
 
 def _once(s):
@@ -183,8 +178,7 @@ def _per_u(s):
 def _claim(cid, kind, summary, instances, check, recheck) -> Claim:
     """The claim whose evaluator gives one result per params dict of
     instances(s), from check(s, opts, **params): _NA, None (HOLDS) or a
-    witness (FAILS).  Its param_names are those of its first instance on
-    _LEFT_ZERO2."""
+    witness (FAILS)."""
 
     def evaluate(s, opts, table=None):
         # the runner passes the table key it already built for this table
@@ -200,7 +194,7 @@ def _claim(cid, kind, summary, instances, check, recheck) -> Claim:
             out.append(ClaimResult(cid, table, p, status, w))
         return out
 
-    return Claim(cid, kind, summary, frozenset(instances(_LEFT_ZERO2)[0]), evaluate, recheck)
+    return Claim(cid, kind, summary, evaluate, recheck)
 
 
 def _first(witnesses):
@@ -904,11 +898,11 @@ _DEFAULT_OPTIONS = Options()
 
 def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
     """Reproduce a FAILS result from its serialized table, params, and
-    witness alone.  True means the failure is confirmed; a record whose
-    params names are not its instance domain's, that literal._FIELDS
-    refuses, lacks a field its re-checker reads, holds a witness field it
-    does not read or names a relation its claim never writes never is.  A
-    key of too large an order raises OrderTooLarge (see _witness_table)."""
+    witness alone.  True means the failure is confirmed; a record that
+    literal._FIELDS refuses, lacks a field its re-checker reads, holds a
+    params or witness field it does not read or names a relation its
+    claim never writes never is.  A key of too large an order raises
+    OrderTooLarge (see _witness_table)."""
     claim = REGISTRY.get(result.claim_id)
     if claim is None:
         raise UnknownClaim(result.claim_id)
@@ -916,11 +910,10 @@ def recheck_result(result: ClaimResult, options: Options | None = None) -> bool:
         return False
     _hold(result.table)
     s = _witness_table(result.table)
-    params, witness = result.params, dict(result.witness)  # the re-checker pops what it reads
+    params, witness = dict(result.params), dict(result.witness)  # the re-checker pops both
     try:
         return (_well_formed(s.table, params, witness)
-                and params.keys() == claim.param_names
                 and claim.recheck(s, params, witness, options or _DEFAULT_OPTIONS)
-                and not witness)
+                and not params and not witness)
     except KeyError:  # a field the re-checker reads, or a name it looks up, is missing
         return False

@@ -31,10 +31,11 @@ it: 1, 5, 24, 188, 1915, 28634 classes for n = 1..6.
 ``canonical_form`` itself, which tries all n! relabelings of a finished
 table, is kept as the test suite's oracle for the pruned search.
 
-The search resumes after a given table: it first replays that table's
-path, where each position takes the table's entry or a larger value and
-only the entry itself stays on the path, so it emits exactly the tables
-that come after it, in the same order.  A consumer ends the search early
+The search resumes after a given table in the same descent: on that
+table's path each position takes the table's entry or a larger value,
+and only the entry itself keeps the next position on the path, which
+ends at the table, not emitted.  So it emits exactly the tables that come
+after it, in the same order.  A consumer ends the search early
 by raising ``StopSearch``.  ``iter_corpus`` pulls the corpus in batches
 of ``CORPUS_BATCH`` tables this way, one search call each, so it holds
 one batch at a time whatever the size of the order.
@@ -172,55 +173,38 @@ def enumerate_semigroups(
                     break  # T^p == t: p is an automorphism
         return True
 
-    def fill(pos: int, values: range = rng) -> None:
+    def fill(pos: int, on_path: bool = False) -> None:
+        # On after's path, pos takes after's entry or a larger value, and only
+        # the entry keeps the child on the path, which ends at after, unemitted.
         nonlocal count
         if pos == total:
-            table = tuple(tuple(row) for row in t)
-            count += 1
-            consumer(table)
+            if not on_path:
+                count += 1
+                consumer(tuple(tuple(row) for row in t))
             return
         i, j = divmod(pos, n)
         row = t[i]
         cell = (i, j)
-        for v in values:
+        for v in range(path[pos], n) if on_path else rng:
             row[j] = v
             flat[pos] = v
             if consistent(i, j, v):
                 pushed: list[int] = []
                 if not classes or wake(pos, pushed):
                     at[v].append(cell)
-                    fill(pos + 1)
+                    fill(pos + 1, on_path)
                     at[v].pop()
                 for c in pushed:
                     waiting[c].pop()
+            on_path = False
         row[j] = -1
         flat[pos] = -1
 
-    def replay(pos: int) -> None:
-        # The path of after: its own entry keeps to the path, which ends
-        # at after itself, not emitted; the larger values are fill's.
-        i, j = divmod(pos, n)
-        v = path[pos]
-        t[i][j] = v
-        flat[pos] = v
-        if pos + 1 < total and consistent(i, j, v):
-            pushed: list[int] = []
-            if not classes or wake(pos, pushed):
-                at[v].append((i, j))
-                replay(pos + 1)
-                at[v].pop()
-            for c in pushed:
-                waiting[c].pop()
-        fill(pos, range(v + 1, n))
-
     with contextlib.suppress(StopSearch):
-        if path is None:
-            fill(0)
-        else:
-            replay(0)
-    # fill and replay refer to themselves: unlink them, so what they reach,
-    # the consumer's tables too, is freed now, not at a cyclic collection
-    del fill, replay
+        fill(0, path is not None)
+    # fill refers to itself: unlink it, so what it reaches, the consumer's
+    # tables too, is freed now, not at a cyclic collection
+    del fill
     return count
 
 

@@ -4,11 +4,11 @@ they build.
 ``claims.recheck_result`` reproduces a FAILS result from its serialized
 table, params and witness alone.  A record with a field ``_FIELDS`` does
 not list, or a value not of its field's kind, is refused before its
-re-checker runs, and one with a witness field its re-checker does not read
-after it: the re-checker pops each field it reads from a copy of the
-witness, which must end empty.  The re-checker checks the names, flags,
-congruence kinds and table keys a claim writes, numbering classes by least
-member as production does (``_classes_lit``).
+re-checker runs, and one with a params or witness field its re-checker
+does not read after it: the re-checker pops each field it reads from
+copies of both, which must end empty.  The re-checker checks the names,
+flags, congruence kinds and table keys a claim writes, numbering classes
+by least member as production does (``_classes_lit``).
 Re-checkers are definitional: they scan raw tables instead of calling
 production code, except where the claim is about that code (C-1.2
 ``star``, C-3.1 ``all_congruences`` and ``quotient``, C-FUND
@@ -142,7 +142,7 @@ def _law_broken_lit(leq, x, w):
     if law == "antisymmetry":
         return x != y and leq(x, y) and leq(y, x)
     z = w.pop("z")
-    return leq(x, y) and leq(y, z) and not leq(x, z)
+    return law == "transitivity" and leq(x, y) and leq(y, z) and not leq(x, z)
 
 
 def _compatible_lit(table, ci):
@@ -304,7 +304,7 @@ def _well_formed(t, *dicts: dict) -> bool:
 
 # ---------------------------------------------------------------------------
 # the re-checkers, in registry order: each takes (s, params, w, opts) of a
-# well-formed record, pops each witness field it reads from w, a copy, and
+# well-formed record, pops each field it reads from params and w, copies, and
 # confirms its failure on the raw table
 
 
@@ -330,7 +330,7 @@ def _recheck_c13(s, params, w, opts):
 
 
 def _recheck_cincl(s, params, w, opts):
-    t, us = s.table, tuple(params["U"])
+    t, us = s.table, tuple(params.pop("U"))
     part = w.pop("part")
     if part == "refused":  # tilde refused an idempotent in U
         return w.pop("element") in us
@@ -365,7 +365,7 @@ def _recheck_c14(s, params, w, opts):
 
 
 def _recheck_noncong(s, params, w, opts):
-    t, name, us = s.table, params["relation"], tuple(params["U"])
+    t, name, us = s.table, params.pop("relation"), tuple(params.pop("U"))
     if name not in _TILDES:
         return False
     x, y, z = w.pop("x"), w.pop("y"), w.pop("z")
@@ -375,13 +375,13 @@ def _recheck_noncong(s, params, w, opts):
 
 
 def _recheck_c21(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["a"])
+    vt = _sandwich_table(s.table, params.pop("a"))
     x, y, z = w.pop("x"), w.pop("y"), w.pop("z")
     return vt[vt[x][y]][z] != vt[x][vt[y][z]]
 
 
 def _recheck_c22q(s, params, w, opts):
-    vt = _side(_sandwich_table(s.table, params["a"]), w.pop("side"))
+    vt = _side(_sandwich_table(s.table, params.pop("a")), w.pop("side"))
     related = _related_lit(vt, "R*")
     x, y = w.pop("x"), w.pop("y")
     r = range(len(vt))
@@ -390,7 +390,7 @@ def _recheck_c22q(s, params, w, opts):
 
 
 def _recheck_c22c(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["a"])
+    vt = _sandwich_table(s.table, params.pop("a"))
     l_star, r_star, r = _related_lit(vt, "L*"), _related_lit(vt, "R*"), range(len(vt))
     x, y = w.pop("x"), w.pop("y")
     in_rl = any(r_star(x, c) and l_star(c, y) for c in r)
@@ -404,7 +404,7 @@ def _recheck_c22c(s, params, w, opts):
 
 
 def _recheck_c23r(s, params, w, opts):
-    a, t = params["a"], _side(s.table, w.pop("side"))
+    a, t = params.pop("a"), _side(s.table, w.pop("side"))
     base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
     x, y = w.pop("x"), w.pop("y")
     # x is in P1 when ax R* x
@@ -413,7 +413,7 @@ def _recheck_c23r(s, params, w, opts):
 
 
 def _recheck_c23l(s, params, w, opts):
-    a, t = params["a"], _side(s.table, w.pop("side"))
+    a, t = params.pop("a"), _side(s.table, w.pop("side"))
     base, variant = _related_lit(t, "R*"), _related_lit(_sandwich_table(t, a), "R*")
     x, y = w.pop("x"), w.pop("y")
     in_cap = variant(x, y) and base(t[a][y], y)  # y in x's variant class and in P1
@@ -421,7 +421,7 @@ def _recheck_c23l(s, params, w, opts):
 
 
 def _recheck_c24(s, params, w, opts):
-    t, n, a = s.table, s.order, params["a"]
+    t, n, a = s.table, s.order, params.pop("a")
     e, name = _identity_lit(t), w.pop("relation")
     if (e is None or not _abundant_lit(t) or name not in _STARS
             or not any(t[a][b] == e == t[b][a] for b in range(n))):
@@ -431,13 +431,13 @@ def _recheck_c24(s, params, w, opts):
 
 
 def _recheck_c25(s, params, w, opts):
-    t, e = s.table, params["e"]
+    t, e = s.table, params.pop("e")
     eee = t[t[e][e]][e]
     return eee != e and w.pop("e_star_e") == eee
 
 
 def _recheck_c26(s, params, w, opts, reading):
-    us, e = tuple(params["U"]), params["e"]
+    us, e = tuple(params.pop("U")), params.pop("e")
     if e not in us or not _u_abundant_lit(s, us, opts.strict_u):
         return False
     vt, ves = _sandwich_lit(s, e)
@@ -460,7 +460,7 @@ def _recheck_c31(s, params, w, opts):
     ci = w.pop("partition")
     if part == "refused":  # quotient refused what is literally no congruence
         return w.pop("kind") == _kind_lit(t, ci) != "two_sided"
-    if not _is_congruence_lit(t, ci):
+    if part != "welldef" or not _is_congruence_lit(t, ci):
         return False
     q = quotient(s, Equivalence.from_keys(n, ci))
     x, y = w.pop("x"), w.pop("y")
@@ -469,7 +469,7 @@ def _recheck_c31(s, params, w, opts):
 
 def _recheck_c32(s, params, w, opts):
     """lambda^u (ux = uy) or rho^u (xu = yu) on S^u lacks the requirement's compatibility."""
-    t, u = s.table, params["u"]
+    t, u = s.table, params.pop("u")
     keys = {"lambda": t[u], "rho": [row[u] for row in t]}  # another name: KeyError, refused
     kind = _kind_lit(_sandwich_table(t, u), _classes_lit(keys[w.pop("relation")]))
     return w.pop("kind") == kind not in (w.pop("requirement"), "two_sided")
@@ -481,7 +481,7 @@ def _lambda_refused_lit(t, u, w):
 
 
 def _recheck_c34(s, params, w, opts):
-    t, u, part = s.table, params["u"], w.pop("part", None)
+    t, u, part = s.table, params.pop("u"), w.pop("part", None)
     if part == "hom":  # C-FHT: u(x.u.y) = (ux)(uy) in any semigroup
         x, y = w.pop("x"), w.pop("y")
         return t[u][t[t[x][u]][y]] != t[t[u][x]][t[u][y]]
@@ -496,7 +496,7 @@ def _recheck_c34(s, params, w, opts):
 
 def _recheck_c35(s, params, w, opts):
     t, related = s.table, _related_lit(s.table, "L")
-    a, b = params["a"], params["b"]
+    a, b = params.pop("a"), params.pop("b")
     if not related(a, b):
         return False
     part = w.pop("part", None)
@@ -529,14 +529,14 @@ def _recheck_c40(s, params, w, opts):
 
 
 def _recheck_c41f(s, params, w, opts):
-    t, e, f = s.table, params["e"], w.pop("f")
+    t, e, f = s.table, params.pop("e"), w.pop("f")
     fef = t[t[f][e]][f]
     return (t[f][f] == f and t[f][e] == f and t[e][f] == f
             and fef != f and w.pop("f_star_f") == fef)
 
 
 def _recheck_c41r(s, params, w, opts):
-    t, e, f = s.table, params["e"], w.pop("f")
+    t, e, f = s.table, params.pop("e"), w.pop("f")
     if (w.pop("ff"), w.pop("fe"), w.pop("ef")) != (t[f][f], t[f][e], t[e][f]):
         return False
     in_variant = t[t[f][e]][f] == f
@@ -545,7 +545,7 @@ def _recheck_c41r(s, params, w, opts):
 
 
 def _recheck_c42(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["e"])
+    vt = _sandwich_table(s.table, params.pop("e"))
 
     def leq(a, b):
         return vt[a][a] == a and vt[b][b] == b and vt[a][b] == a and vt[b][a] == a
@@ -555,20 +555,20 @@ def _recheck_c42(s, params, w, opts):
 
 
 def _recheck_c43(s, params, w, opts):
-    leq, vleq = _natural_leq_lit(s.table), _natural_leq_lit(_sandwich_table(s.table, params["e"]))
+    leq, vleq = _natural_leq_lit(s.table), _natural_leq_lit(_sandwich_table(s.table, params.pop("e")))
     a, b = w.pop("a"), w.pop("b")
     return vleq(a, b) and not leq(a, b)
 
 
 def _recheck_c44a(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["e"])
+    vt = _sandwich_table(s.table, params.pop("e"))
     leq = _natural_leq_lit(vt)
     a, f = w.pop("a"), w.pop("f")
     return vt[f][f] == f and leq(a, f) and vt[a][a] != a
 
 
 def _recheck_c44b(s, params, w, opts):
-    vt = _sandwich_table(s.table, params["e"])
+    vt = _sandwich_table(s.table, params.pop("e"))
     leq = _natural_leq_lit(vt)
     a, b = w.pop("a"), w.pop("b")
     return leq(a, b) and _regular_lit(vt, b) and not _regular_lit(vt, a)

@@ -409,9 +409,9 @@ def test_recheck_refuses_a_witness_field_its_re_checker_never_reads(cli_reports3
     added = 0
     for r in Report.loads(cli_reports3[strict_u].read_text()).results:
         if r.status == STATUS_FAILS:
-            w = dict(r.witness)  # the re-checker pops each field it reads
-            assert REGISTRY[r.claim_id].recheck(parse_inline(r.table), r.params, w, opts)
-            assert w == {}, (r, w)
+            p, w = dict(r.params), dict(r.witness)  # the re-checker pops each field it reads
+            assert REGISTRY[r.claim_id].recheck(parse_inline(r.table), p, w, opts)
+            assert p == w == {}, (r, p, w)
             for name, value in others.items():
                 if name not in r.witness:
                     forged = dataclasses.replace(r, witness={**r.witness, name: value})
@@ -871,9 +871,28 @@ def test_c31_catches_a_quotient_that_is_not_well_defined(tmp_path, monkeypatch):
     assert len(fails) == 8
     assert all(r.witness["part"] == "welldef" for r in fails)
     assert all(recheck_result(r) for r in fails)
+    # only the welldef part reaches the well-definedness test
+    for r in fails:
+        forged = dataclasses.replace(r, witness={**r.witness, "part": "junk"})
+        assert recheck_result(forged) is False, forged
     # against the real quotient the same witnesses do not recheck
     monkeypatch.undo()
     assert not any(recheck_result(r) for r in fails)
+
+
+def test_a_natural_order_law_witness_names_a_law(monkeypatch):
+    # a natural order that holds (0, 1) and (1, 2) but not (0, 2) breaks
+    # transitivity; the same elements under an unknown law are refused
+    pairs = {(0, 1), (1, 2)}
+    monkeypatch.setattr(literal, "_natural_leq_lit",
+                        lambda table: lambda a, b: a == b or (a, b) in pairs)
+
+    def failure(law):
+        witness = {"law": law, "x": 0, "y": 1, "z": 2}
+        return ClaimResult("C-NAT-PO", "3;0 0 0;0 0 0;0 0 0", {}, STATUS_FAILS, witness)
+
+    assert recheck_result(failure("transitivity"))
+    assert recheck_result(failure("junk")) is False
 
 
 def _c31_failure(s, witness):
@@ -1045,7 +1064,8 @@ def test_every_claim_finishes_beyond_the_enumerable_orders():
     fails = [r for rs in results.values() for r in rs if r.status == STATUS_FAILS]
     # the re-checkers confirm them; recheck_result refuses a key of an
     # order check never writes before it parses the key
-    assert fails and all(REGISTRY[r.claim_id].recheck(t3, r.params, r.witness, Options())
-                         for r in fails)
+    assert fails and all(
+        REGISTRY[r.claim_id].recheck(t3, dict(r.params), dict(r.witness), Options())
+        for r in fails)
     with pytest.raises(OrderTooLarge, match="order 27 exceeds the configured bound 6"):
         recheck_result(fails[0])

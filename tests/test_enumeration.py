@@ -205,6 +205,17 @@ def test_a_search_after_a_table_emits_exactly_the_tables_after_it(classes):
         assert rest == [t for t in every if t > after]
 
 
+@pytest.mark.parametrize("classes", [False, True])
+def test_a_search_after_the_last_table_emits_nothing(classes):
+    for n in (2, 3, 4):
+        tables = []
+        enumerate_semigroups(n, tables.append, classes=classes)
+        for after in (tables[-1], ((n - 1,) * n,) * n):  # the last, and every entry n - 1
+            rest = []
+            assert enumerate_semigroups(n, rest.append, classes=classes, after=after) == 0
+            assert rest == []
+
+
 def test_after_must_be_n_rows_of_n_ids():
     for after in ([[0, 0]], [[0, 0], [0]], [[0, 0], [0, 0, 0]], [[0, 2], [0, 0]],
                   [[0, -1], [0, 0]], [[0, True], [0, 0]], [[0, "0"], [0, 0]]):
