@@ -6,9 +6,13 @@ table, params and witness alone.  A record with a field ``_FIELDS`` does
 not list, or a value not of its field's kind, is refused before its
 re-checker runs, and one with a params or witness field its re-checker
 does not read after it: the re-checker pops each field it reads from
-copies of both, which must end empty.  The re-checker checks the names,
-flags, congruence kinds and table keys a claim writes, numbering classes
-by least member as production does (``_classes_lit``).
+copies of both, which must end empty.  ``_well_formed`` checks the fields
+in one pass, testing the common kinds (an id, a flag, a name, a list of
+idempotents) in its loop; a name field admits only the names the
+evaluators write, a table field only a key as reports spell it.  The
+re-checker checks the names, flags, congruence kinds and table keys a
+claim writes, numbering classes by least member as production does
+(``_classes_lit``).
 Re-checkers are definitional: they scan raw tables instead of calling
 production code, except where the claim is about that code (C-1.2
 ``star``, C-3.1 ``all_congruences`` and ``quotient``, C-FUND
@@ -273,6 +277,29 @@ def _idempotents(v, t):
             and v == sorted(set(v)))
 
 
+def _flag(v, t):
+    return type(v) is bool
+
+
+class _OneOf(frozenset):
+    """The test of a name field: a str among the names the evaluators write."""
+
+    def __call__(self, v, t):
+        return type(v) is str and v in self
+
+
+def _key(v, t):
+    """A str spelled as a report writes a table key: the order n, then n
+    rows of n ids, each without a leading zero, ';'-joined."""
+    if type(v) is not str:
+        return False
+    order, *rows = v.split(";")
+    n = len(rows)
+    ids = {str(x) for x in range(n)}
+    return n > 0 and order == str(n) and all(
+        len(row := line.split(" ")) == n and ids.issuperset(row) for line in rows)
+
+
 #: each field name an evaluator or an instance domain writes, with the
 #: test its value passes on the table t: one kind per name
 _FIELDS = {
@@ -283,11 +310,17 @@ _FIELDS = {
     **dict.fromkeys(("bundle", "literal", "star", "characterization", "adjoined", "plain",
                      "in_join", "in_rl", "in_lr", "variant_related", "base_related",
                      "in_variant_cap_p", "in_base", "natural", "usual", "production",
-                     "bruteforce"), lambda v, t: type(v) is bool),
-    **dict.fromkeys(("relation", "part", "kind", "law", "quotient", "image", "quotient_a",
-                     "quotient_b"), lambda v, t: type(v) is str),
-    "side": lambda v, t: v in _SIDES,
-    "requirement": lambda v, t: v in ("left", "right"),
+                     "bruteforce"), _flag),
+    "relation": _OneOf((*_SIDES, *_STARS, *_TILDES, "lambda", "rho")),
+    "part": _OneOf(("refused", "weakly-abundant", "L*=L~", "R*=R~", "lattice", "welldef",
+                    "lambda-not-congruence", "hom",
+                    *(f"{m}<={k}" for m, k in _INCL_LINKS),
+                    *(f"eq:{m}={k}" for m, k in _INCL_LINKS))),
+    "kind": _OneOf(("none", "left", "right", "two_sided")),
+    "law": _OneOf(("reflexivity", "antisymmetry", "transitivity")),
+    "side": _OneOf(_SIDES),
+    "requirement": _OneOf(("left", "right")),
+    **dict.fromkeys(("quotient", "image", "quotient_a", "quotient_b"), _key),
     "partition": _canonical_lit,
     "witness_partition": lambda v, t: v is None or _canonical_lit(v, t),
     **dict.fromkeys(("only_production", "only_bruteforce"),
@@ -297,9 +330,36 @@ _FIELDS = {
 
 def _well_formed(t, *dicts: dict) -> bool:
     """True when each field of the params or witness dicts is in _FIELDS
-    and its value passes the field's test on the table t."""
-    return all(name in _FIELDS and _FIELDS[name](v, t)
-               for fields in dicts for name, v in fields.items())
+    and its value passes the field's test on the table t.  One pass over
+    the fields: an id, a list of idempotents, a name or a flag is tested
+    here as its _FIELDS test tests it, any other field by that test."""
+    n = len(t)
+    for fields in dicts:
+        for name, v in fields.items():
+            try:
+                test = _FIELDS[name]
+            except KeyError:  # a field no evaluator writes
+                return False
+            if test is _id:
+                if type(v) is not int or not 0 <= v < n:
+                    return False
+            elif test is _idempotents:
+                if type(v) is not list or not v:
+                    return False
+                last = -1
+                for x in v:  # strictly ascending ids of idempotents
+                    if type(x) is not int or not last < x < n or t[x][x] != x:
+                        return False
+                    last = x
+            elif type(test) is _OneOf:
+                if type(v) is not str or v not in test:
+                    return False
+            elif test is _flag:
+                if type(v) is not bool:
+                    return False
+            elif not test(v, t):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ at import encodes, so a line is the bytes ``_encode`` gives the record.
 ``add_tallies`` is the one count of statuses, shared by ``Report.dumps``
 and the streaming writer in ``runner``.  On the way in, ``read_summary``
 checks the summary line and ``read_records`` is the one reader of record
-lines, shared by ``Report.loads`` and ``semivar recheck``; both hold one
-line at a time.
+lines, shared by ``Report.loads``, ``semivar recheck`` and the runner's
+decode of hard failures; each holds one line at a time.  A line takes one
+pass: the C scanner decodes it and a record of exact types that fills the
+line is built in the same loop iteration.  ``json.loads`` and
+``ClaimResult.from_record`` read again only a line that is no such
+record, to name its fault.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ _TALLY_FIELDS = {
 
 #: the fields every record line carries, and their types
 _RECORD_FIELDS = {"claim_id": str, "table": str, "params": dict, "status": str}
+#: the keys read_records reads of a record, the optional witness last
+_RECORD_KEYS = (*_RECORD_FIELDS, "witness")
 
 #: the fields of the summary line, and their types
 _SUMMARY_FIELDS = {"tallies": dict, "corpus": dict, "config": dict,
@@ -75,11 +81,6 @@ class ClaimResult:
     def from_record(cls, rec: dict) -> "ClaimResult":
         """The result a decoded record line holds; ValueError when a field
         is missing or of the wrong type."""
-        if type(rec) is dict:  # a decoded line: its values have exact types
-            claim_id, table, params, status, witness = map(rec.get, (*_RECORD_FIELDS, "witness"))
-            if (type(claim_id) is type(table) is type(status) is str and type(params) is dict
-                    and status in _TALLY_FIELDS and (witness is None or type(witness) is dict)):
-                return cls(claim_id, table, params, status, witness)
         if not isinstance(rec, dict):
             raise ValueError("a record must be a JSON object")
         for name, kind in _RECORD_FIELDS.items():
@@ -130,24 +131,29 @@ def summary_line(tallies: dict, corpus: dict, config: dict,
     })
 
 
-def _decoded(line: str):
-    """json.loads(line), by the C scanner alone where it decodes the whole line."""
-    try:
-        value, end = _scan_once(line, 0)
-    except StopIteration:  # leading whitespace, a byte order mark or no value
-        return json.loads(line)
-    return json.loads(line) if line[end:].strip(" \t\n\r") else value
-
-
 def read_records(lines: Iterable[str]) -> Iterator[ClaimResult]:
     """The result of each record line of lines, numbered from 1.  Blank
     lines are skipped; a line that is not a record raises ValueError
-    naming its number."""
+    naming its number.  One pass a line: the C scanner decodes it, and an
+    object that fills the line (up to JSON whitespace) and whose fields
+    have exact types (a decoded line's str and dict, a known status) is
+    the result.  Any other line is read again by json.loads and
+    from_record, which name its fault."""
     for lineno, line in enumerate(lines, start=1):
+        try:
+            rec, end = _scan_once(line, 0)
+        except (StopIteration, RecursionError, ValueError):  # the path below decides
+            rec = end = None
+        if type(rec) is dict and (end == len(line) or not line[end:].strip(" \t\n\r")):
+            claim_id, table, params, status, witness = map(rec.get, _RECORD_KEYS)
+            if (type(claim_id) is type(table) is type(status) is str and type(params) is dict
+                    and status in _TALLY_FIELDS and (witness is None or type(witness) is dict)):
+                yield ClaimResult(claim_id, table, params, status, witness)
+                continue
         if not line or line.isspace():
             continue
         try:
-            result = ClaimResult.from_record(_decoded(line))
+            result = ClaimResult.from_record(json.loads(line))
         except json.JSONDecodeError as err:  # its own line number is always 1
             raise ValueError(f"line {lineno}: not a report record: {err.msg} "
                              f"at column {err.pos + 1}") from None

@@ -183,3 +183,10 @@ def natural_leq(table, a: int, b: int) -> bool:
     left = any(t[x][b] == a and t[x][a] == a for x in range(n))
     right = any(t[b][y] == a for y in range(n))
     return left and right
+
+
+def well_formed(tests, t, *dicts) -> bool:
+    """The per-field rule of a record: each field of the dicts has a test
+    in tests, a dict of callables, and its value passes it on table t."""
+    return all(name in tests and tests[name](v, t)
+               for fields in dicts for name, v in fields.items())

@@ -33,6 +33,7 @@ from semivar.report import (
 from semivar.sgt import TableSyntaxError, inline_table, parse_inline
 
 from .conftest import NULL2, full_corpus
+from .oracles import well_formed
 
 
 EXPECTED_IDS = {
@@ -498,10 +499,10 @@ _PRODUCTION_READ = {
 
 
 def _is_literal(obj):
-    """True when obj, unwrapped from a cache, is a function that
+    """True when obj, unwrapped from a cache, is a function or class that
     semivar.literal defines."""
     fn = inspect.unwrap(obj)
-    return inspect.isfunction(fn) and fn.__module__ == literal.__name__
+    return (inspect.isfunction(fn) or inspect.isclass(fn)) and fn.__module__ == literal.__name__
 
 
 def _foreign_calls(tree):
@@ -541,15 +542,15 @@ def _foreign_calls(tree):
 
 
 def test_recheckers_call_only_definitional_code():
-    # every function of semivar.literal, and its module-level code, calls
-    # only definitional code, but for what _PRODUCTION_READ names
+    # every function and class of semivar.literal, and its module-level
+    # code, calls only definitional code, but for what _PRODUCTION_READ names
     tree = ast.parse(inspect.getsource(literal))
-    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     assert {name for name, fn in vars(literal).items() if _is_literal(fn)} == set(defs)
     assert len(defs) >= 52  # the helpers and re-checkers that left claims
     for name, node in defs.items():
         assert _foreign_calls(node) == _PRODUCTION_READ.get(name, set()), name
-    rest = ast.Module([n for n in tree.body if not isinstance(n, ast.FunctionDef)], [])
+    rest = ast.Module([n for n in tree.body if not isinstance(n, (ast.FunctionDef, ast.ClassDef))], [])
     assert _foreign_calls(rest) == set()
     for cid, claim in REGISTRY.items():
         fn = getattr(claim.recheck, "func", claim.recheck)  # C-2.6 binds a reading
@@ -656,6 +657,107 @@ def test_the_field_table_lists_exactly_the_fields_claims_write():
                 written |= _written_keys(g)
     assert set(literal._FIELDS) == written
     assert {"a", "u", "law", "quotient_a", "witness_partition", "only_bruteforce"} <= written
+
+
+def _names_of(field):
+    """The names a name field admits, or None for a field of another kind."""
+    test = literal._FIELDS[field]
+    return test if isinstance(test, frozenset) else None
+
+
+def _every_name():
+    """The names the name fields admit, of all fields together."""
+    return set().union(*filter(None, map(_names_of, literal._FIELDS)))
+
+
+def _crafted_values(t):
+    """Values of every kind for a field on the table t: ids in and out of
+    range, each element alone and in a list (a non-idempotent among them
+    when t has one), lists out of order or repeated, other JSON kinds, a
+    tuple, every name a name field admits, the key and two partitions."""
+    n, es = len(t), [x for x in range(len(t)) if t[x][x] == x]
+    return [-1, n, True, False, 1.0, "0", None, [], [1, 0], [0, 0], (0,), "junk", "",
+            *range(n), *([x] for x in range(n)), es, es[::-1], [*es, n], [*es, True],
+            *sorted(_every_name()), literal._key_lit(t), [0] * n, list(range(n)), [[0] * n]]
+
+
+def test_the_one_pass_field_check_is_the_per_field_rule(corpus3, cli_reports3):
+    # _well_formed, which tests the common kinds inline, against the rule
+    # it replaced, each field alone on crafted values of every kind over
+    # the orders 1-3 tables, and on every params and witness of the
+    # orders 1-3 reports
+    kinds = literal._FIELDS
+    verdicts = {name: set() for name in kinds}
+    for s in corpus3:
+        t = s.table
+        for name in (*kinds, "zz"):
+            for v in _crafted_values(t):
+                ok = literal._well_formed(t, {name: v})
+                assert ok == well_formed(kinds, t, {name: v}), (t, name, v)
+                verdicts.get(name, set()).add(ok)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+    records = 0
+    for path in cli_reports3.values():
+        for r in Report.loads(path.read_text()).results:
+            t, witness = parse_inline(r.table).table, r.witness or {}
+            ok = literal._well_formed(t, r.params, witness)
+            assert ok == well_formed(kinds, t, r.params, witness), r
+            records += 1
+    assert records > 15000
+
+
+def test_a_table_field_admits_a_key_as_a_report_spells_it(corpus3):
+    test = literal._FIELDS["quotient"]
+    assert {literal._FIELDS[name] for name in ("image", "quotient_a", "quotient_b")} == {test}
+    for s in corpus3:
+        key = inline_table(s)
+        assert test(key, s.table)
+        # a row too many or too few, a leading zero, a stray space or ';'
+        for bad in (key + ";" + key[2:], key[:key.rindex(";")], "0" + key, key + " ",
+                    key + ";", key.replace(";", "\n")):
+            assert not test(bad, s.table), bad
+    assert test("2;1 0;0 0", ((0,),))  # the spelling alone: not associative
+    for bad in ("", "0", "1", "1;", "1;1", "1;00", "2;0 0;0", "2;0 0;0 2", "2;0,0;0 0",
+                "1;-0", 1, None, ["1;0"]):
+        assert not test(bad, ((0,),)), bad
+
+
+def test_each_name_field_admits_the_names_the_evaluators_write():
+    links = [(f"{m}<={k}", f"eq:{m}={k}") for m, k in literal._INCL_LINKS]
+    assert {name: set(names) for name in literal._FIELDS if (names := _names_of(name))} == {
+        "relation": {"L", "R", "L*", "R*", "L~", "R~", "lambda", "rho"},
+        "part": {*itertools.chain(*links), "refused", "L*=L~", "R*=R~", "weakly-abundant",
+                 "lattice", "welldef", "hom", "lambda-not-congruence"},
+        "kind": {congruences.KIND_NONE, congruences.KIND_LEFT, congruences.KIND_RIGHT,
+                 congruences.KIND_TWO_SIDED},
+        "law": {"reflexivity", "antisymmetry", "transitivity"},
+        "side": {"L", "R"},
+        "requirement": {"left", "right"},
+    }
+
+
+@pytest.mark.parametrize("strict_u", [False, True])
+def test_recheck_refuses_a_name_outside_its_field(cli_reports3, strict_u):
+    # each name field of each orders 1-3 FAILS record set, one at a time,
+    # to each name its field does not admit (those of the other name
+    # fields among them): the field table refuses the copy
+    opts = Options(strict_u=strict_u)
+    every = _every_name() | {"", "junk", "l~"}
+    swept, tampered = set(), 0
+    for r in Report.loads(cli_reports3[strict_u].read_text()).results:
+        if r.status == STATUS_FAILS:
+            t = parse_inline(r.table).table
+            for section in ("params", "witness"):
+                fields = getattr(r, section)
+                for key in fields:
+                    names = _names_of(key)
+                    for bad in sorted(every - names) if names else ():
+                        forged = dataclasses.replace(r, **{section: {**fields, key: bad}})
+                        assert not literal._well_formed(t, forged.params, forged.witness)
+                        assert recheck_result(forged, opts) is False, forged
+                        swept.add(key)
+                        tampered += 1
+    assert swept == {"relation", "side"} and tampered > 25000
 
 
 def test_a_refused_congruence_is_a_fails(monkeypatch, corpus3):

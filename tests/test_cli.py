@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import semivar
-from semivar import FiniteSemigroup, claims, congruences, variants
+from semivar import FiniteSemigroup, claims, congruences, literal, variants
 from semivar.cli import main
 from semivar.relations import Equivalence
 from semivar.report import STATUS_FAILS, Report
@@ -314,6 +314,16 @@ def test_a_production_fault_is_a_fails_the_recheck_refuses(
     assert code == 2, err
     report = Report.loads(out.read_text())
     assert failing <= {r.claim_id for r in report.results if r.status == STATUS_FAILS}
+    # each name and table key these evaluators write is one its field admits
+    checked = set()
+    for r in report.results:
+        if r.status == STATUS_FAILS:
+            for name, v in r.witness.items():
+                test = literal._FIELDS[name]
+                if isinstance(test, frozenset) or test is literal._key:
+                    assert test(v, None), (r, name)
+                    checked.add(name)
+    assert checked
     code, _, err = run_cli(capsys, "recheck", str(out))
     problems = err.splitlines()
     assert code == 2

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -290,3 +291,25 @@ def test_read_records_decodes_a_line_as_json_loads_does():
         assert _read(line) == _read_by_json_loads(line), line[:80]
     # results, skipped lines, decoder errors and field errors alike
     assert len({_read(line) for line in lines}) > 20
+
+
+def test_read_records_reads_interleaved_lines_as_it_reads_each():
+    # good lines and crafted ones in one input, so the typed path and the
+    # path that names a fault take turns: the input yields what its lines
+    # yield one at a time, and a line that is no record, put anywhere in
+    # it, stops the read at that line's number
+    good = [record_line(r) for r in sample_report().results]
+    crafted = {line: _read(line) for line in _crafted_lines()}
+    fine = [line for line, read in crafted.items() if not read.startswith("line 1: ")]
+    bad = [line for line, read in crafted.items() if read.startswith("line 1: ")]
+    lines = [line for pair in zip(itertools.cycle(good), fine) for line in pair]
+    assert len(fine) > 10 and len(bad) > 40
+    yielded = [r for line in lines for r in read_records([line])]
+    assert list(read_records(lines)) == yielded
+    for i, line in enumerate(bad):
+        cut = i * 7 % (len(lines) + 1)
+        got = []
+        with pytest.raises(ValueError) as err:
+            got.extend(read_records([*lines[:cut], line, *lines[cut:]]))
+        assert got == [r for line in lines[:cut] for r in read_records([line])]
+        assert str(err.value) == crafted[line].replace("line 1: ", f"line {cut + 1}: ", 1)
